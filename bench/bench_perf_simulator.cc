@@ -1,24 +1,20 @@
 /**
  * @file
  * Pulse-simulator hot-path performance bench: times single-qubit,
- * CR-pair and Lindblad evolutions with the propagator cache off and
- * on, and the repeated-schedule shot workload (PulseBackend::runShots)
- * in the legacy configuration (no cache, one thread) versus the
- * optimized one (shared cache, four threads). Results — wall times,
- * cache hit rates, speedups and cached-vs-uncached agreement — are
- * printed as a table and written machine-readably to
+ * CR-pair and Lindblad evolutions with the propagator cache off (the
+ * per-sample reference path) and on, and the repeated-schedule shot
+ * workload (PulseBackend::runShots) in the legacy configuration (no
+ * cache, looped shots, one thread, scalar dispatch) versus the
+ * optimized one (shared cache, batched shots, four threads). Results —
+ * wall times, cache hit rates, speedups and cached-vs-uncached
+ * agreement — are printed as a table and written machine-readably to
  * BENCH_pulsesim.json for regression tracking.
  *
  * Acceptance bars (see docs/PERFORMANCE.md): the repeated-schedule
- * shot workload must run >= 5x faster optimized than legacy; the
- * overhauled uncached path (drift-frame kernel + warm Jacobi + SIMD
- * GEMM) must run >= 3x faster than the pre-overhaul per-sample path
- * on cr_pair_cnot_unitary; and both the cached and overhauled paths
- * must agree with their reference to 1e-12 in max-abs difference.
- *
- * "Legacy" throughout means the pre-overhaul configuration, emulated
- * with setDriftKernelEnabled(false) + scalar kernel dispatch, so the
- * baselines stay comparable across PRs.
+ * shot workload must run >= 5x faster optimized than legacy with
+ * identical counts, and the batched panel engine must run >= 3x faster
+ * than looped evolution and agree with it to 1e-12 in max-abs
+ * difference.
  */
 #include <chrono>
 #include <cmath>
@@ -30,10 +26,8 @@
 #include "bench_util.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
-#include "linalg/eigen.h"
 #include "linalg/simd.h"
 #include "linalg/state_panel.h"
-#include "linalg/workspace.h"
 
 using namespace qpulse;
 
@@ -82,7 +76,7 @@ struct EvolveRow
 
 /**
  * Time `reps` repeated evolutions of one schedule with caching
- * disabled (legacy per-sample path) and with a fresh shared cache,
+ * disabled (per-sample reference path) and with a fresh shared cache,
  * recording the hit rate and the max-abs difference of the results.
  */
 EvolveRow
@@ -210,93 +204,6 @@ benchGemmKernel(std::size_t n, int iters)
     return row;
 }
 
-/**
- * Jacobi eigendecomposition over a drive-ramp-like family of
- * Hermitian matrices, cold every step vs seeded with the previous
- * step's eigenvectors (the simulator's warm-start pattern).
- */
-KernelRow
-benchEigKernel(std::size_t n, int iters)
-{
-    KernelRow row;
-    row.name = "eig_cold_vs_warm";
-    row.n = n;
-    row.iters = iters;
-    const Matrix base = denseTestMatrix(n, 31);
-    const Matrix pert = denseTestMatrix(n, 47);
-    const Matrix h0 = (base + base.adjoint()) * Complex{0.5, 0.0};
-    const Matrix dh = (pert + pert.adjoint()) * Complex{0.005, 0.0};
-
-    Workspace ws;
-    std::vector<double> values;
-    Matrix vectors;
-    Matrix h = h0;
-
-    auto start = Clock::now();
-    for (int i = 0; i < iters; ++i) {
-        h = h0 + dh * Complex{static_cast<double>(i), 0.0};
-        eigHermitianInPlace(h, nullptr, values, vectors, ws,
-                            /*sortAscending=*/false);
-    }
-    row.baselineMs = elapsedMs(start);
-
-    eigHermitianInPlace(h0, nullptr, values, vectors, ws, false);
-    start = Clock::now();
-    for (int i = 0; i < iters; ++i) {
-        h = h0 + dh * Complex{static_cast<double>(i), 0.0};
-        eigHermitianInPlace(h, &vectors, values, vectors, ws,
-                            /*sortAscending=*/false);
-    }
-    row.optimizedMs = elapsedMs(start);
-    return row;
-}
-
-/** Uncached overhaul measurement: legacy per-sample vs drift kernel. */
-struct UncachedRow
-{
-    std::string name;
-    int reps = 0;
-    double legacyMs = 0.0;
-    double overhauledMs = 0.0;
-    double maxDiff = 0.0;
-
-    double speedup() const { return legacyMs / overhauledMs; }
-};
-
-/**
- * Time the uncached path in the pre-overhaul configuration (drift
- * kernel off, scalar dispatch) against the overhauled default, and
- * record their propagator agreement.
- */
-UncachedRow
-benchUncachedOverhaul(const std::string &name, PulseSimulator sim,
-                      const Schedule &schedule, int reps)
-{
-    UncachedRow row;
-    row.name = name;
-    row.reps = reps;
-    sim.setCachingEnabled(false);
-
-    const kernels::SimdMode saved = kernels::activeSimd();
-    sim.setDriftKernelEnabled(false);
-    kernels::setActiveSimd(kernels::SimdMode::Scalar);
-    Matrix legacy_u;
-    auto start = Clock::now();
-    for (int rep = 0; rep < reps; ++rep)
-        legacy_u = sim.evolveUnitary(schedule).unitary;
-    row.legacyMs = elapsedMs(start);
-
-    sim.setDriftKernelEnabled(true);
-    kernels::setActiveSimd(saved);
-    Matrix fast_u;
-    start = Clock::now();
-    for (int rep = 0; rep < reps; ++rep)
-        fast_u = sim.evolveUnitary(schedule).unitary;
-    row.overhauledMs = elapsedMs(start);
-    row.maxDiff = maxAbsDiff(legacy_u, fast_u);
-    return row;
-}
-
 /** Batched-vs-looped state evolution measurement (the panel engine). */
 struct BatchedRow
 {
@@ -353,8 +260,7 @@ benchBatchedEvolve(const std::string &name, PulseSimulator sim,
 
 void
 writeJson(const std::vector<EvolveRow> &rows,
-          const std::vector<KernelRow> &kernels,
-          const UncachedRow &uncached, const BatchedRow &batched,
+          const std::vector<KernelRow> &kernels, const BatchedRow &batched,
           long shots, double baseline_ms, double optimized_ms,
           double shot_hit_rate, std::size_t threads)
 {
@@ -400,15 +306,6 @@ writeJson(const std::vector<EvolveRow> &rows,
     }
     std::fprintf(out, "  ],\n");
     std::fprintf(out,
-                 "  \"uncached\": {\"workload\": \"%s\", \"reps\": %d, "
-                 "\"legacy_wall_ms\": %.3f, "
-                 "\"overhauled_wall_ms\": %.3f, \"speedup\": %.2f, "
-                 "\"max_abs_diff\": %.3e, \"simd\": \"%s\"},\n",
-                 uncached.name.c_str(), uncached.reps, uncached.legacyMs,
-                 uncached.overhauledMs, uncached.speedup(),
-                 uncached.maxDiff,
-                 kernels::simdModeName(kernels::activeSimd()));
-    std::fprintf(out,
                  "  \"batched\": {\"workload\": \"%s\", "
                  "\"width\": %zu, \"looped_wall_ms\": %.3f, "
                  "\"batched_wall_ms\": %.3f, \"speedup\": %.2f, "
@@ -418,21 +315,15 @@ writeJson(const std::vector<EvolveRow> &rows,
                  kernels::simdModeName(kernels::activeSimd()));
     bench::writeTelemetryField(out);
     const bool pass = shot_speedup >= 5.0 &&
-                      uncached.speedup() >= 3.0 &&
-                      uncached.maxDiff <= 1e-12 &&
                       batched.speedup() >= 3.0 &&
                       batched.maxDiff <= 1e-12;
     std::fprintf(out,
                  "  \"acceptance\": {\"required_speedup\": 5.0, "
                  "\"measured_speedup\": %.2f, "
-                 "\"required_uncached_speedup\": 3.0, "
-                 "\"measured_uncached_speedup\": %.2f, "
-                 "\"uncached_max_abs_diff\": %.3e, "
                  "\"required_batched_speedup\": 3.0, "
                  "\"measured_batched_speedup\": %.2f, "
                  "\"batched_max_abs_diff\": %.3e, \"pass\": %s}\n",
-                 shot_speedup, uncached.speedup(), uncached.maxDiff,
-                 batched.speedup(), batched.maxDiff,
+                 shot_speedup, batched.speedup(), batched.maxDiff,
                  pass ? "true" : "false");
     std::fprintf(out, "}\n");
     bench::closeBenchJson(out, "BENCH_pulsesim.json");
@@ -487,8 +378,7 @@ main()
     std::printf("%s\n", table.render().c_str());
 
     // --- Per-kernel microbenches: gemm scalar vs SIMD dispatch at the
-    // simulator's working sizes (d=3, d^2=9, and a larger 16), and the
-    // Jacobi solver cold vs warm-started.
+    // simulator's working sizes (d=3, d^2=9, and a larger 16).
     std::printf("active SIMD dispatch: %s (QPULSE_SIMD=0 forces "
                 "scalar)\n\n",
                 kernels::simdModeName(kernels::activeSimd()));
@@ -496,7 +386,6 @@ main()
     kernel_rows.push_back(benchGemmKernel(3, 400000));
     kernel_rows.push_back(benchGemmKernel(9, 60000));
     kernel_rows.push_back(benchGemmKernel(16, 15000));
-    kernel_rows.push_back(benchEigKernel(9, 20000));
 
     TextTable ktable({"kernel", "n", "iters", "baseline (ms)",
                       "optimized (ms)", "speedup"});
@@ -507,27 +396,6 @@ main()
                        fmtFixed(row.optimizedMs, 1),
                        fmtFixed(row.speedup(), 2) + "x"});
     std::printf("%s\n", ktable.render().c_str());
-
-    // --- Uncached overhaul: the tentpole acceptance measurement. The
-    // legacy configuration replays the pre-overhaul per-sample path
-    // (no drift kernel, scalar dispatch).
-    const UncachedRow uncached = benchUncachedOverhaul(
-        "cr_pair_cnot_unitary", calibrator.pairSimulator(0, 1),
-        cnot_schedule, 8);
-    std::printf("uncached overhaul (%s, %d reps):\n",
-                uncached.name.c_str(), uncached.reps);
-    std::printf("  legacy (no drift kernel, scalar):  %8.1f ms\n",
-                uncached.legacyMs);
-    std::printf("  overhauled (drift kernel, %s): %8.1f ms\n",
-                kernels::simdModeName(kernels::activeSimd()),
-                uncached.overhauledMs);
-    std::printf("  speedup: %.1fx (acceptance: >= 3x) %s\n",
-                uncached.speedup(),
-                uncached.speedup() >= 3.0 ? "PASS" : "FAIL");
-    std::printf("  max |diff| vs legacy propagators: %s "
-                "(acceptance: <= 1e-12) %s\n\n",
-                fmtExp(uncached.maxDiff).c_str(),
-                uncached.maxDiff <= 1e-12 ? "PASS" : "FAIL");
 
     // --- Batched panel engine: K looped uncached evolutions vs one
     // width-K panel on the CR-pair CNOT workload. With the cache off
@@ -552,16 +420,16 @@ main()
 
     // --- Repeated-schedule shot workload: the original acceptance
     // criterion. Legacy baseline = the seed code path (no memoization,
-    // one thread, no drift kernel, scalar dispatch) so the 5x gate
-    // keeps measuring against the same pre-cache baseline; optimized =
-    // shared cache + up to four threads + overhauled kernels.
+    // looped per-shot evolution, one thread, scalar dispatch) so the 5x
+    // gate keeps measuring against the same pre-cache baseline;
+    // optimized = shared cache + batched panels + up to four threads.
     PulseSimulator shot_sim_legacy(calibrator.qubitModel(0));
-    shot_sim_legacy.setDriftKernelEnabled(false);
+    shot_sim_legacy.setCachingEnabled(false);
     const PulseSimulator shot_sim(calibrator.qubitModel(0));
     PulseShotOptions legacy;
     legacy.shots = 192;
     legacy.seed = 7;
-    legacy.useCache = false;
+    legacy.batchWidth = 1;
     legacy.maxThreads = 1;
     const kernels::SimdMode dispatch_mode = kernels::activeSimd();
     kernels::setActiveSimd(kernels::SimdMode::Scalar);
@@ -574,7 +442,6 @@ main()
     PulseShotOptions fast;
     fast.shots = 192;
     fast.seed = 7;
-    fast.useCache = true;
     fast.maxThreads = 4;
     start = Clock::now();
     const PulseShotResult opt =
@@ -585,9 +452,9 @@ main()
     const double shot_speedup = baseline_ms / optimized_ms;
     std::printf("repeated-schedule shots (%ld shots of x180):\n",
                 legacy.shots);
-    std::printf("  legacy (no cache, 1 thread):      %8.1f ms\n",
+    std::printf("  legacy (no cache, looped, 1 thread): %8.1f ms\n",
                 baseline_ms);
-    std::printf("  optimized (cache, <=4 threads):   %8.1f ms "
+    std::printf("  optimized (cache, <=4 threads):      %8.1f ms "
                 "(hit rate %.1f%%)\n",
                 optimized_ms, 100.0 * opt.cacheStats.hitRate());
     std::printf("  speedup: %.1fx (acceptance: >= 5x) %s\n",
@@ -596,12 +463,9 @@ main()
                 counts_match ? "yes" : "NO (BUG)");
 
     bench::printTelemetry();
-    writeJson(rows, kernel_rows, uncached, batched, legacy.shots,
-              baseline_ms, optimized_ms, opt.cacheStats.hitRate(),
-              threads);
-    return shot_speedup >= 5.0 && uncached.speedup() >= 3.0 &&
-                   uncached.maxDiff <= 1e-12 &&
-                   batched.speedup() >= 3.0 &&
+    writeJson(rows, kernel_rows, batched, legacy.shots, baseline_ms,
+              optimized_ms, opt.cacheStats.hitRate(), threads);
+    return shot_speedup >= 5.0 && batched.speedup() >= 3.0 &&
                    batched.maxDiff <= 1e-12 && counts_match
                ? 0
                : 1;

@@ -38,6 +38,9 @@ Schedule
 PulseBackend::crSchedule(std::size_t control, std::size_t target,
                          double theta) const
 {
+    // CR(theta + 2 pi) = -CR(theta), a global phase: wrap into
+    // (-pi, pi] so the stretch never exceeds a half turn.
+    theta = wrapAngle(theta);
     const CrCalibration &cal = library_.cr(control, target);
     const std::size_t u_index =
         library_.controlChannelIndex(control, target);
@@ -284,15 +287,16 @@ PulseBackend::runShots(const PulseSimulator &sim,
     // Work on a copy so the shot run can attach its cache without
     // mutating the caller's simulator (the copy is a few small
     // matrices). Concurrent const evolve calls on one simulator are
-    // safe; the shared cache is internally locked.
+    // safe; the shared cache is internally locked. Caching follows the
+    // caller's simulator: with it off, every shot takes the
+    // per-sample reference path.
     PulseSimulator worker = sim;
     std::shared_ptr<PropagatorCache> cache;
-    if (opts.useCache) {
+    if (worker.cachingEnabled()) {
         cache = opts.cache ? opts.cache
                            : std::make_shared<PropagatorCache>();
         worker.setPropagatorCache(cache);
     }
-    worker.setCachingEnabled(opts.useCache);
     // The worker polls the token and any *wall-clock* deadline
     // mid-evolution. Virtual budgets are deliberately not checked
     // inside evolve (setInterrupt drops them): their charge happens at
@@ -419,7 +423,7 @@ PulseBackend::runShots(const PulseSimulator &sim,
                     // seed still derives from the absolute shot
                     // index), so counts are independent of the panel
                     // width and of maxThreads. The per-thread
-                    // workspace keeps the loop heap-silent once warm.
+                    // workspace reuses the panel storage across chunks.
                     Workspace &ws = tlsWorkspace();
                     Vector &shot_state = ws.vector(0, dim);
                     std::size_t shot = begin;

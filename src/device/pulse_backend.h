@@ -42,12 +42,11 @@ struct PulseShotOptions
      * Cross-shot propagator cache. When null, runShots creates one
      * internally for the duration of the call (every shot after the
      * first still hits); pass a caller-owned cache to extend reuse
-     * across schedules, e.g. over an RB sequence batch.
+     * across schedules, e.g. over an RB sequence batch. Unused when
+     * the simulator has caching disabled (setCachingEnabled(false)):
+     * the shots then run the per-sample reference path.
      */
     std::shared_ptr<PropagatorCache> cache;
-
-    /** Disable memoization entirely (legacy per-sample baseline). */
-    bool useCache = true;
 
     /**
      * Thread cap for the shot loop: 0 = the global pool's size, 1 =

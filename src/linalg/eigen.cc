@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "linalg/simd.h"
+#include "linalg/workspace.h"
 #include "telemetry/metrics.h"
 
 namespace qpulse {
@@ -17,9 +18,8 @@ namespace {
  * the Hermitian matrix a, accumulating the rotation into v. Entries
  * with |a(p,q)|^2 <= thr2 are skipped (threshold Jacobi): rotating a
  * pivot already inside the convergence budget costs three O(n) update
- * loops and buys nothing. Warm-started solves are near-diagonal, so
- * the threshold prunes most of the sweep; thr2 = 0 degenerates to the
- * classical skip-exact-zeros behaviour.
+ * loops and buys nothing; thr2 = 0 degenerates to the classical
+ * skip-exact-zeros behaviour.
  */
 void
 jacobiRotate(Matrix &a, Matrix &v, std::size_t p, std::size_t q,
@@ -163,9 +163,9 @@ offDiagonalNorm(const Matrix &a)
 
 /**
  * Restore exact Hermitian symmetry after a similarity transform whose
- * factors are unitary only up to roundoff (the warm-start rotation
- * seed^dagger a seed). Averages mirrored entries and drops the
- * O(1e-16) imaginary part the diagonal may have picked up.
+ * factors are unitary only up to roundoff (the refinement residual
+ * V^dagger a V). Averages mirrored entries and drops the O(1e-16)
+ * imaginary part the diagonal may have picked up.
  */
 void
 hermitize(Matrix &a)
@@ -184,36 +184,30 @@ hermitize(Matrix &a)
 
 /** Work counters for one Jacobi solve (thread-count invariant). */
 void
-countEig(bool warm, int sweeps)
+countEig(int sweeps)
 {
     static telemetry::Counter &c_calls =
         telemetry::MetricsRegistry::global().counter("sim.eig.calls");
     static telemetry::Counter &c_sweeps =
         telemetry::MetricsRegistry::global().counter("sim.eig.sweeps");
-    static telemetry::Counter &c_warm_calls =
-        telemetry::MetricsRegistry::global().counter(
-            "sim.eig.warm.calls");
-    static telemetry::Counter &c_warm_sweeps =
-        telemetry::MetricsRegistry::global().counter(
-            "sim.eig.warm.sweeps");
     c_calls.increment();
     c_sweeps.add(static_cast<std::uint64_t>(sweeps));
-    if (warm) {
-        c_warm_calls.increment();
-        c_warm_sweeps.add(static_cast<std::uint64_t>(sweeps));
-    }
 }
 
 } // namespace
 
-int
-eigHermitianInPlace(const Matrix &input, const Matrix *seed,
-                    std::vector<double> &values, Matrix &vectors,
-                    Workspace &ws, bool sortAscending, double tol)
+EigenSystem
+eigHermitian(const Matrix &input, double tol)
 {
     qpulseRequire(input.rows() == input.cols(),
-                  "eigHermitianInPlace requires a square matrix");
+                  "eigHermitian requires a square matrix");
+    qpulseRequire(input.isHermitian(1e-8),
+                  "eigHermitian requires a Hermitian matrix");
     const std::size_t n = input.rows();
+    Workspace &ws = tlsWorkspace();
+    EigenSystem result;
+    std::vector<double> &values = result.values;
+    Matrix &vectors = result.vectors;
 
     // In AVX2 dispatch mode the sweeps run the contiguous row kernel
     // (jacobiRotateRows), which keeps the eigenvector accumulator
@@ -233,58 +227,15 @@ eigHermitianInPlace(const Matrix &input, const Matrix *seed,
     Matrix &vt = ws.matrix(3, n, n);
 
     Matrix &a = ws.matrix(0, n, n);
-    if (seed) {
-        qpulseAssert(seed->rows() == n && seed->cols() == n,
-                     "eig warm-start seed shape mismatch");
-        // Self-seeded chains (each step seeding the next) compound the
-        // seed's departure from unitarity: left alone it grows ~N*eps
-        // after N steps and the similarity transform below then
-        // misrepresents the input by that factor. One Newton polar
-        // iteration, q = seed*(3I - seed^dag seed)/2, squares the
-        // defect back to the round-off floor each call, so the chain
-        // never drifts.
-        Matrix &tmp = ws.matrix(1, n, n);
-        Matrix &q = ws.matrix(2, n, n);
-        gemmAdjAInto(tmp, *seed, *seed); // tmp = seed^dag seed
-        for (std::size_t r = 0; r < n; ++r)
-            for (std::size_t c = 0; c < n; ++c) {
-                const Complex g = tmp(r, c) * Complex{-0.5, 0.0};
-                tmp(r, c) = (r == c) ? g + Complex{1.5, 0.0} : g;
-            }
-        gemmInto(q, *seed, tmp);
-        // Rotate into the seed's eigenbasis: a = q^dag input q is
-        // nearly diagonal when the seed is close, so the cyclic sweeps
-        // only mop up the O(dt) drive delta.
-        gemmAdjAInto(tmp, q, input);
-        gemmInto(a, tmp, q);
-        hermitize(a);
-        if (row_mode) {
-            vt.resize(n, n);
-            for (std::size_t r = 0; r < n; ++r)
-                for (std::size_t c = 0; c < n; ++c)
-                    vt(r, c) = q(c, r);
-        } else {
-            vectors = q; // Safe for self-seeding: q is a private copy.
-        }
+    a = input;
+    if (row_mode) {
+        vt.resize(n, n);
+        vt.setIdentity();
     } else {
-        a = input;
-        if (row_mode) {
-            vt.resize(n, n);
-            vt.setIdentity();
-        } else {
-            vectors.resize(n, n);
-            vectors.setIdentity();
-        }
+        vectors.resize(n, n);
+        vectors.setIdentity();
     }
 
-    // Warm-started solves converge to the round-off floor, not the
-    // caller's tolerance: the pulse kernel composes hundreds of
-    // per-step propagators, so convergence slack accumulates linearly
-    // across a schedule. With the cold tolerance a good seed could be
-    // accepted with ~tol*scale residual and zero sweeps, drifting the
-    // composed unitary by steps*tol. A few eps is above the Jacobi
-    // floor, so the loop still terminates in one or two sweeps.
-    const double eff_tol = seed ? std::min(tol, kEigFloorTol) : tol;
     const double scale = std::max(a.frobeniusNorm(), 1e-300);
     // Rotation threshold, pinned at the round-off floor (not the
     // caller tolerance): a looser threshold would leave O(tol)
@@ -293,16 +244,14 @@ eigHermitianInPlace(const Matrix &input, const Matrix *seed,
     // skip is harmless — pivots below 8 eps scale / n keep the
     // off-diagonal norm under sqrt(n(n-1)) / n < 1 of the floor
     // target, so the norm check above each sweep stays the sole
-    // authority — and it still prunes most of a warm sweep, whose
-    // matrix is near-diagonal with only the drive-delta entries above
-    // the floor.
+    // authority.
     const double thr = 8.0 * std::numeric_limits<double>::epsilon() *
                        scale / static_cast<double>(n);
     const double thr2 = thr * thr;
     const int max_sweeps = 100;
     int sweeps = 0;
     for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-        if (offDiagonalNorm(a) <= eff_tol * scale)
+        if (offDiagonalNorm(a) <= tol * scale)
             break;
         ++sweeps;
 #if defined(__x86_64__) || defined(__i386__)
@@ -317,7 +266,7 @@ eigHermitianInPlace(const Matrix &input, const Matrix *seed,
             for (std::size_t q = p + 1; q < n; ++q)
                 jacobiRotate(a, vectors, p, q, thr2);
     }
-    countEig(seed != nullptr, sweeps);
+    countEig(sweeps);
     if (row_mode) {
         vectors.resize(n, n);
         for (std::size_t r = 0; r < n; ++r)
@@ -329,12 +278,13 @@ eigHermitianInPlace(const Matrix &input, const Matrix *seed,
     // iterated matrix (and the accumulated eigenvectors) drift from
     // the true similarity transform by the rotation round-off
     // (~rotations * eps * ||a||), and that drift depends on the
-    // iteration history: a warm solve (few rotations) and a cold solve
-    // (many) of the same matrix disagree by ~1e-14, which composes
-    // coherently when a caller multiplies propagators of a repeated
-    // Hamiltonian — the pulse simulator's flat-tops do exactly that,
-    // hundreds of times in a row. Both drifts are removed with one
-    // residual computation E = V^dag A V from the original input:
+    // iteration history: the scalar column loops and the AVX2 row
+    // kernel take different rotation sequences and disagree by ~1e-14
+    // on the same matrix, which composes coherently when a caller
+    // multiplies propagators of a repeated Hamiltonian — the pulse
+    // simulator's flat-tops do exactly that, hundreds of times in a
+    // row. Both drifts are removed with one residual computation
+    // E = V^dag A V from the original input:
     //  - eigenvalues re-read as E's diagonal (Rayleigh quotients,
     //    stationary: insensitive to eigenvector error to 2nd order);
     //  - eigenvectors corrected to first order, V <- V (I + S) with
@@ -372,7 +322,7 @@ eigHermitianInPlace(const Matrix &input, const Matrix *seed,
             e(p, q) *= gap / (gap * gap + mu2);
         }
     }
-    Matrix &vref = ws.matrix(2, n, n); // Reuses the polish slot.
+    Matrix &vref = ws.matrix(2, n, n);
     gemmInto(vref, vectors, e);
     // One Newton polar step re-unitarizes the corrected basis,
     // vectors = vref (3I - vref^dag vref) / 2: the correction and its
@@ -387,38 +337,22 @@ eigHermitianInPlace(const Matrix &input, const Matrix *seed,
     vectors.resize(n, n);
     gemmInto(vectors, vref, av);
 
-    if (sortAscending) {
-        // Sort eigenvalues (and matching eigenvector columns)
-        // ascending. Allocates; warm-start callers pass false.
-        std::vector<std::size_t> order(n);
-        std::iota(order.begin(), order.end(), 0);
-        std::sort(order.begin(), order.end(),
-                  [&](std::size_t x, std::size_t y) {
-                      return values[x] < values[y];
-                  });
-        std::vector<double> sorted_values(n);
-        Matrix sorted_vectors(n, n);
-        for (std::size_t c = 0; c < n; ++c) {
-            sorted_values[c] = values[order[c]];
-            for (std::size_t r = 0; r < n; ++r)
-                sorted_vectors(r, c) = vectors(r, order[c]);
-        }
-        values = std::move(sorted_values);
-        vectors = std::move(sorted_vectors);
+    // Sort eigenvalues (and matching eigenvector columns) ascending.
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t x, std::size_t y) {
+                  return values[x] < values[y];
+              });
+    std::vector<double> sorted_values(n);
+    Matrix sorted_vectors(n, n);
+    for (std::size_t c = 0; c < n; ++c) {
+        sorted_values[c] = values[order[c]];
+        for (std::size_t r = 0; r < n; ++r)
+            sorted_vectors(r, c) = vectors(r, order[c]);
     }
-    return sweeps;
-}
-
-EigenSystem
-eigHermitian(const Matrix &input, double tol)
-{
-    qpulseRequire(input.rows() == input.cols(),
-                  "eigHermitian requires a square matrix");
-    qpulseRequire(input.isHermitian(1e-8),
-                  "eigHermitian requires a Hermitian matrix");
-    EigenSystem result;
-    eigHermitianInPlace(input, nullptr, result.values, result.vectors,
-                        tlsWorkspace(), /*sortAscending=*/true, tol);
+    values = std::move(sorted_values);
+    vectors = std::move(sorted_vectors);
     return result;
 }
 

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "linalg/matrix.h"
-#include "linalg/workspace.h"
 
 namespace qpulse {
 
@@ -44,47 +43,16 @@ struct EigenSystem
 };
 
 /**
- * Eigendecomposition of a complex Hermitian matrix via cyclic Jacobi.
+ * Eigendecomposition of a complex Hermitian matrix via cyclic Jacobi,
+ * refined against the input after the sweeps converge (see the
+ * implementation note). Scratch comes from slots 0-3 of the calling
+ * thread's tlsWorkspace(); each solve bumps the sim.eig.calls /
+ * sim.eig.sweeps counters (docs/OBSERVABILITY.md).
  *
  * @param a   Hermitian matrix (checked to tolerance).
  * @param tol Off-diagonal convergence threshold relative to the norm.
  */
 EigenSystem eigHermitian(const Matrix &a, double tol = 1e-13);
-
-/**
- * Workspace-backed Hermitian eigendecomposition with optional warm
- * start — the allocation-free core behind eigHermitian and the
- * simulator's per-sample propagator kernel.
- *
- * When `seed` is non-null it must be (approximately) unitary with
- * columns near the eigenvectors of `a` — typically the previous AWG
- * sample's eigenvectors, which differ by O(dt) in drive amplitude. The
- * solver first re-unitarizes the seed with one Newton polar iteration
- * (self-seeded chains would otherwise compound their departure from
- * unitarity across hundreds of steps), then iterates on
- * seed^dagger a seed (nearly diagonal already) with the accumulator
- * initialized to the polished seed, so convergence takes a few sweeps
- * instead of a cold start's ~7. Seeded solves converge to the
- * round-off floor rather than `tol`, because any per-step slack
- * accumulates linearly when propagators are composed over a schedule.
- *
- * With sortAscending=false eigenpairs keep the order the iteration
- * produced (for a seeded call: the seed's column order), which is what
- * warm-start callers want — any function of the full decomposition,
- * e.g. V f(diag) V^dagger, is permutation-invariant — and it keeps the
- * call heap-silent after workspace warm-up. Sorting allocates.
- *
- * Hermiticity of `a` is the caller's contract (not re-checked here).
- * Consumes workspace matrix slots 0-3. Exports sweep counts through
- * the sim.eig.* counters (docs/OBSERVABILITY.md). Returns the number
- * of Jacobi sweeps performed.
- *
- * @returns number of sweeps (0 when `a` already met the tolerance).
- */
-int eigHermitianInPlace(const Matrix &a, const Matrix *seed,
-                        std::vector<double> &values, Matrix &vectors,
-                        Workspace &ws, bool sortAscending = true,
-                        double tol = 1e-13);
 
 /**
  * exp(-i * H * t) for Hermitian H, via eigendecomposition.

@@ -404,17 +404,6 @@ applyInto(Vector &out, const Matrix &a, const Vector &x)
 }
 
 void
-addScaledPlusAdjoint(Matrix &h, const Matrix &op, Complex s)
-{
-    const std::size_t n = h.rows();
-    qpulseAssert(h.cols() == n && op.rows() == n && op.cols() == n,
-                 "addScaledPlusAdjoint shape mismatch");
-    for (std::size_t r = 0; r < n; ++r)
-        for (std::size_t c = 0; c < n; ++c)
-            h(r, c) += op(r, c) * s + std::conj(op(c, r) * s);
-}
-
-void
 powmInto(Matrix &out, const Matrix &base, std::uint64_t count,
          Workspace &ws)
 {

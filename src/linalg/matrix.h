@@ -206,15 +206,6 @@ void gemmAdjAInto(Matrix &out, const Matrix &a, const Matrix &b);
 void applyInto(Vector &out, const Matrix &a, const Vector &x);
 
 /**
- * h += s * op + (s * op)^dagger, in place. Bit-identical to the
- * expression `h + term + term.adjoint()` with term = op * s: complex
- * multiplication and addition are evaluated in the same order per
- * entry, so the Hermitian drive builds in the simulator hot loop
- * reproduce the historical temporaries exactly.
- */
-void addScaledPlusAdjoint(Matrix &h, const Matrix &op, Complex s);
-
-/**
  * Binary-exponentiation matrix power: out = base^count, count >= 1,
  * O(d^3 log count) and heap-silent after workspace warm-up (consumes
  * workspace matrix slots 0-1). The multiplication order matches the

@@ -5,17 +5,17 @@
  * A Workspace owns a set of numbered Matrix/Vector slots whose backing
  * stores persist across calls: the first request for a slot allocates,
  * every later request at the same or smaller shape reuses the existing
- * capacity. Hot loops (the evolve inner loop, powmInto, the seeded
- * Jacobi solver) thread a Workspace through and become heap-silent
- * after one warm-up iteration — asserted with a counting allocator in
+ * capacity. Hot kernels (powmInto, the Jacobi solver, the batched
+ * evolve loops) thread a Workspace through so their scratch is
+ * allocated once rather than per call; powmInto is asserted
+ * heap-silent after warm-up with a counting allocator in
  * tests/test_kernels.cc.
  *
  * Lifetime rules (docs/PERFORMANCE.md, "Kernel architecture"):
  *  - a slot reference is valid until the next request for the SAME
  *    slot; distinct slots never alias;
  *  - callees that receive a Workspace document which slot range they
- *    consume, or take a dedicated Workspace (PulseSimulator's
- *    StepKernel carries one for the eigensolver and one for itself);
+ *    consume;
  *  - Workspace is not thread-safe; use tlsWorkspace() or one instance
  *    per thread.
  */
@@ -46,9 +46,9 @@ class Workspace
 
     /**
      * Scratch state panel for `slot`, resized to dim x width. Panel
-     * slots are sized by dim * width, so the batched evolve loops are
-     * heap-silent after one warm-up at the widest batch they see
-     * (asserted in tests/test_batch.cc).
+     * slots are sized by dim * width, so the batched evolve loops
+     * reuse the storage of the widest batch they have seen (asserted
+     * in tests/test_batch.cc).
      */
     StatePanel &statePanel(std::size_t slot, std::size_t dim,
                            std::size_t width);

@@ -1,10 +1,7 @@
 #include "pulse/qobj.h"
 
-#include <cctype>
 #include <iomanip>
 #include <sstream>
-
-#include "common/logging.h"
 
 namespace qpulse {
 
@@ -16,92 +13,6 @@ fmt(double value, int precision)
     std::ostringstream os;
     os << std::setprecision(precision) << value;
     return os.str();
-}
-
-/** Minimal JSON scanner for the subset this module emits. */
-class JsonScanner
-{
-  public:
-    explicit JsonScanner(const std::string &text) : text_(text) {}
-
-    void skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool peek(char c)
-    {
-        skipSpace();
-        return pos_ < text_.size() && text_[pos_] == c;
-    }
-
-    void expect(char c)
-    {
-        skipSpace();
-        qpulseRequire(pos_ < text_.size() && text_[pos_] == c,
-                      "qobj parse error: expected '", std::string(1, c),
-                      "' at offset ", pos_);
-        ++pos_;
-    }
-
-    bool tryConsume(char c)
-    {
-        skipSpace();
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    std::string parseString()
-    {
-        expect('"');
-        std::string out;
-        while (pos_ < text_.size() && text_[pos_] != '"')
-            out += text_[pos_++];
-        expect('"');
-        return out;
-    }
-
-    double parseNumber()
-    {
-        skipSpace();
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E'))
-            ++pos_;
-        qpulseRequire(pos_ > start, "qobj parse error: expected number "
-                                    "at offset ",
-                      start);
-        return std::stod(text_.substr(start, pos_ - start));
-    }
-
-    std::size_t pos() const { return pos_; }
-
-  private:
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
-
-Channel
-channelFromString(const std::string &name)
-{
-    qpulseRequire(name.size() >= 2, "bad channel name \"", name, "\"");
-    const std::size_t index = std::stoul(name.substr(1));
-    switch (name[0]) {
-      case 'd': return driveChannel(index);
-      case 'u': return controlChannel(index);
-      case 'm': return measureChannel(index);
-      case 'a': return acquireChannel(index);
-      default:
-        qpulseFatal("bad channel name \"", name, "\"");
-    }
 }
 
 } // namespace
@@ -163,122 +74,6 @@ scheduleToQobjJson(const Schedule &schedule,
     }
     os << "\n  ]\n}\n";
     return os.str();
-}
-
-Schedule
-scheduleFromQobjJson(const std::string &json)
-{
-    JsonScanner scanner(json);
-    Schedule schedule;
-
-    scanner.expect('{');
-    bool done_object = false;
-    while (!done_object) {
-        const std::string key = scanner.parseString();
-        scanner.expect(':');
-        if (key == "name") {
-            schedule.setName(scanner.parseString());
-        } else if (key == "duration") {
-            scanner.parseNumber(); // Recomputed from instructions.
-        } else if (key == "instructions") {
-            scanner.expect('[');
-            if (!scanner.tryConsume(']')) {
-                do {
-                    scanner.expect('{');
-                    long t0 = 0, duration = 0;
-                    std::string channel_name, inst_name, pulse_name;
-                    double phase = 0.0, frequency = 0.0;
-                    std::vector<Complex> samples;
-                    bool done_inst = false;
-                    while (!done_inst) {
-                        const std::string field =
-                            scanner.parseString();
-                        scanner.expect(':');
-                        if (field == "t0") {
-                            t0 = static_cast<long>(
-                                scanner.parseNumber());
-                        } else if (field == "ch") {
-                            channel_name = scanner.parseString();
-                        } else if (field == "name") {
-                            inst_name = scanner.parseString();
-                        } else if (field == "pulse") {
-                            pulse_name = scanner.parseString();
-                        } else if (field == "duration") {
-                            duration = static_cast<long>(
-                                scanner.parseNumber());
-                        } else if (field == "phase") {
-                            phase = scanner.parseNumber();
-                        } else if (field == "frequency") {
-                            frequency = scanner.parseNumber();
-                        } else if (field == "samples") {
-                            scanner.expect('[');
-                            if (!scanner.tryConsume(']')) {
-                                do {
-                                    scanner.expect('[');
-                                    const double re =
-                                        scanner.parseNumber();
-                                    scanner.expect(',');
-                                    const double im =
-                                        scanner.parseNumber();
-                                    scanner.expect(']');
-                                    samples.emplace_back(re, im);
-                                } while (scanner.tryConsume(','));
-                                scanner.expect(']');
-                            }
-                        } else {
-                            qpulseFatal("unknown qobj field \"", field,
-                                        "\"");
-                        }
-                        if (!scanner.tryConsume(','))
-                            done_inst = true;
-                    }
-                    scanner.expect('}');
-
-                    const Channel channel =
-                        channelFromString(channel_name);
-                    PulseInstruction inst;
-                    inst.channel = channel;
-                    inst.startTime = t0;
-                    if (inst_name == "play") {
-                        qpulseRequire(!samples.empty(),
-                                      "play instruction without "
-                                      "samples (serialise with "
-                                      "includeSamples=true to round-"
-                                      "trip)");
-                        inst.kind = PulseInstructionKind::Play;
-                        inst.waveform = std::make_shared<SampledWaveform>(
-                            std::move(samples),
-                            pulse_name.empty() ? "sampled" : pulse_name);
-                        inst.duration = inst.waveform->duration();
-                    } else if (inst_name == "fc") {
-                        inst.kind = PulseInstructionKind::ShiftPhase;
-                        inst.phase = phase;
-                    } else if (inst_name == "sf") {
-                        inst.kind =
-                            PulseInstructionKind::ShiftFrequency;
-                        inst.frequencyGhz = frequency;
-                    } else if (inst_name == "delay") {
-                        inst.kind = PulseInstructionKind::Delay;
-                        inst.duration = duration;
-                    } else if (inst_name == "acquire") {
-                        inst.kind = PulseInstructionKind::Acquire;
-                        inst.duration = duration;
-                    } else {
-                        qpulseFatal("unknown qobj instruction \"",
-                                    inst_name, "\"");
-                    }
-                    schedule.addInstruction(std::move(inst));
-                } while (scanner.tryConsume(','));
-                scanner.expect(']');
-            }
-        } else {
-            qpulseFatal("unknown qobj key \"", key, "\"");
-        }
-        if (!scanner.tryConsume(','))
-            done_object = true;
-    }
-    scanner.expect('}');
-    return schedule;
 }
 
 } // namespace qpulse

@@ -4,9 +4,9 @@
  * format the OpenPulse specification ([6] in the paper) uses for
  * experiment payloads — one instruction object per entry with `name`,
  * `ch`, `t0` and the instruction-specific fields, samples inlined for
- * parametric pulses. A matching parser round-trips the subset this
- * library emits, so schedules can be exported, inspected, diffed and
- * re-imported.
+ * parametric pulses. ingest::parseJob (ingest/openpulse.h) reads the
+ * sample-inlined form back, so schedules can be exported, inspected,
+ * diffed and re-imported.
  */
 #ifndef QPULSE_PULSE_QOBJ_H
 #define QPULSE_PULSE_QOBJ_H
@@ -31,13 +31,6 @@ struct QobjWriteOptions
 /** Serialise a schedule to OpenPulse-style JSON. */
 std::string scheduleToQobjJson(const Schedule &schedule,
                                const QobjWriteOptions &options = {});
-
-/**
- * Parse a JSON payload produced by scheduleToQobjJson (with samples
- * included) back into a Schedule. Play instructions come back as
- * SampledWaveform. Fatal on malformed input.
- */
-Schedule scheduleFromQobjJson(const std::string &json);
 
 } // namespace qpulse
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
 #include "common/constants.h"
 #include "common/status.h"
@@ -87,37 +86,6 @@ struct FrameTrack
         }
         return phase;
     }
-
-    /**
-     * Decompose the frame phase at sample t into an affine function of
-     * the sample midpoint: frame(t) = static + rate * t_mid. Between
-     * events both parts are constant in t, which is what lets the step
-     * kernel's identical-modulation fast path recognize runs whose
-     * baked drive value rotates sample to sample. Derivation from
-     * at(): with t * kDtNs = t_mid - kDtNs / 2,
-     *   frame(t) = phasePrefix - 2 pi kDtNs (t F - FT)
-     *            = [phasePrefix + 2 pi kDtNs FT + pi F kDtNs]
-     *              + (-2 pi F) t_mid.
-     */
-    void split(long t, double &static_part, double &rate) const
-    {
-        static_part = 0.0;
-        rate = 0.0;
-        const auto pit = std::upper_bound(phaseTimes.begin(),
-                                          phaseTimes.end(), t);
-        if (pit != phaseTimes.begin())
-            static_part += phasePrefix[static_cast<std::size_t>(
-                pit - phaseTimes.begin() - 1)];
-        const auto fit = std::upper_bound(freqTimes.begin(),
-                                          freqTimes.end(), t);
-        if (fit != freqTimes.begin()) {
-            const std::size_t k = static_cast<std::size_t>(
-                fit - freqTimes.begin() - 1);
-            static_part += 2.0 * kPi * kDtNs * freqTimePrefix[k] +
-                           kPi * kDtNs * freqPrefix[k];
-            rate -= 2.0 * kPi * freqPrefix[k];
-        }
-    }
 };
 
 } // namespace
@@ -142,58 +110,12 @@ PulseSimulator::PulseSimulator(TransmonModel model)
             2.0 * kPi * (model_.qubit(coupling.qubitA).frequencyGhz -
                          model_.qubit(coupling.qubitB).frequencyGhz);
         hasCoupling_ = true;
-        couplingA_ = coupling.qubitA;
-        couplingB_ = coupling.qubitB;
     }
 
-    // Drift-frame prediagonalization: the static Hamiltonian is fixed
-    // per model, so diagonalize it exactly once and pre-rotate every
-    // drive/coupling operator into its eigenbasis. The per-sample
-    // kernel then never touches H0 beyond adding a real diagonal.
-    const std::size_t dim = model_.dim();
-    driftDiagonal_ = true;
-    for (std::size_t r = 0; r < dim && driftDiagonal_; ++r)
-        for (std::size_t c = 0; c < dim; ++c)
-            if (r != c && staticH_(r, c) != Complex{0.0, 0.0}) {
-                driftDiagonal_ = false;
-                break;
-            }
-    if (driftDiagonal_) {
-        // Transmon models produce a diagonal H0 (anharmonicity only);
-        // keep the natural basis order so the drift kernel's free-
-        // evolution path matches the legacy diagonal fast path exactly.
-        driftValues_.resize(dim);
-        for (std::size_t i = 0; i < dim; ++i)
-            driftValues_[i] = staticH_(i, i).real();
-        driftVectors_ = Matrix::identity(dim);
-        raisingDrift_ = raising_;
-        couplingOpDrift_ = couplingOp_;
-        // Generator building blocks for the identical-modulation fast
-        // path: number operators are diagonal in the natural (= drift)
-        // basis.
-        occupations_.resize(model_.numTransmons());
-        for (std::size_t j = 0; j < model_.numTransmons(); ++j) {
-            const Matrix n_j = model_.number(j);
-            occupations_[j].resize(dim);
-            for (std::size_t i = 0; i < dim; ++i)
-                occupations_[j][i] = n_j(i, i).real();
-        }
-    } else {
-        const EigenSystem es = eigHermitian(staticH_);
-        driftValues_ = es.values;
-        driftVectors_ = es.vectors;
-        const Matrix v0dag = driftVectors_.adjoint();
-        raisingDrift_.reserve(raising_.size());
-        for (const Matrix &op : raising_)
-            raisingDrift_.push_back(v0dag * op * driftVectors_);
-        if (hasCoupling_)
-            couplingOpDrift_ = v0dag * couplingOp_ * driftVectors_;
-    }
-
-    // Fingerprint of everything the prediagonalization consumed. Mixed
-    // into every PropagatorKey so recalibration (a new simulator over
+    // Fingerprint of every Hamiltonian building block. Mixed into
+    // every PropagatorKey so recalibration (a new simulator over
     // changed model parameters) can never hit propagators cached under
-    // a stale basis, even when the caller keeps sharing one cache.
+    // stale parameters, even when the caller keeps sharing one cache.
     std::uint64_t h = 0xCBF29CE484222325ull;
     h = fnvMixMatrix(h, staticH_);
     for (const Matrix &op : raising_)
@@ -216,23 +138,12 @@ PulseSimulator::setControlChannel(std::size_t index,
 
 std::vector<std::vector<Complex>>
 PulseSimulator::buildDriveTimeline(const Schedule &schedule, long duration,
-                                   std::vector<double> *frame_out,
-                                   DriveModulation *mod_out) const
+                                   std::vector<double> *frame_out) const
 {
     std::vector<std::vector<Complex>> drives(
         model_.numTransmons(),
         std::vector<Complex>(static_cast<std::size_t>(duration),
                              Complex{0.0, 0.0}));
-    if (mod_out) {
-        mod_out->env.assign(
-            model_.numTransmons(),
-            std::vector<Complex>(static_cast<std::size_t>(duration),
-                                 Complex{0.0, 0.0}));
-        mod_out->rate.assign(
-            model_.numTransmons(),
-            std::vector<double>(static_cast<std::size_t>(duration),
-                                0.0));
-    }
 
     // Per-channel phase/frequency events, sorted once and folded into
     // prefix sums so the per-sample frame lookup is O(log events).
@@ -332,39 +243,6 @@ PulseSimulator::buildDriveTimeline(const Schedule &schedule, long duration,
                         " reached the simulator; validate the "
                         "schedule (device/schedule_validation.h)"));
             drives[transmon][static_cast<std::size_t>(ts)] += value;
-
-            // Envelope/rate view of the same sample: the phase above
-            // is static + rate * t_mid with the static part constant
-            // between frame events, so flat-top samples share one
-            // bitwise (env, rate) pair even when `value` rotates.
-            if (mod_out) {
-                double static_part = 0.0;
-                double frame_rate = 0.0;
-                if (track)
-                    track->split(ts, static_part, frame_rate);
-                const double rate = frame_rate + detuning;
-                const Complex env =
-                    inst.waveform->sample(k) *
-                    std::exp(Complex{0.0, static_part});
-                Complex &env_acc =
-                    mod_out->env[transmon][static_cast<std::size_t>(ts)];
-                double &rate_acc =
-                    mod_out
-                        ->rate[transmon][static_cast<std::size_t>(ts)];
-                if (env_acc == Complex{0.0, 0.0}) {
-                    env_acc = env;
-                    rate_acc = rate;
-                } else if (rate_acc == rate) {
-                    env_acc += env;
-                } else {
-                    // Overlapping plays at different rates: no single
-                    // d = env exp(i rate t) decomposition exists. NaN
-                    // never compares equal, so the sample can neither
-                    // start nor extend a run.
-                    rate_acc =
-                        std::numeric_limits<double>::quiet_NaN();
-                }
-            }
         }
     }
 
@@ -385,8 +263,8 @@ PulseSimulator::makeKey(const std::vector<Complex> &drives,
     PropagatorKey key;
     key.words.reserve(1 + 2 * drives.size() + (hasCoupling_ ? 2 : 0));
     // The basis fingerprint leads every key: two simulators sharing a
-    // cache but prediagonalized over different model parameters can
-    // never exchange propagators.
+    // cache but built over different model parameters can never
+    // exchange propagators.
     key.words.push_back(static_cast<std::int64_t>(basisVersion_));
     const auto quantize = [](double x) {
         return static_cast<std::int64_t>(
@@ -486,220 +364,6 @@ PulseSimulator::stepPropagator(double t_mid_ns,
     return expMinusIHt(h, kDtNs, kEigFloorTol);
 }
 
-void
-PulseSimulator::stepPropagatorInto(
-    StepKernel &kernel, double t_mid_ns,
-    const std::vector<Complex> &drives,
-    const std::vector<Complex> &env,
-    const std::vector<double> &rates) const
-{
-    const std::size_t dim = model_.dim();
-
-    // Identical-modulation fast path. Write each drive as
-    //   d_j(t) = env_j exp(i r_j t)
-    // (buildDriveTimeline's DriveModulation). While (env, rate)
-    // repeats bitwise — AWG flat-tops, constant CR tones, idle
-    // stretches — there is a diagonal generator w = sum_j c_j n_j with
-    //   H(t) = W H(t0) W^dag,  W = diag(exp(i (t - t0) w)),
-    // because conjugating by W rotates transmon j's drive term by
-    // exp(i c_j (t - t0)) and the coupling term by
-    // exp(i (c_A - c_B)(t - t0)) while commuting with the diagonal
-    // drift. Matching coefficients (c_j = r_j on driven transmons,
-    // c_A - c_B = Delta; see record_run below) therefore turns the
-    // step propagator into an elementwise rescale of the run-initial
-    // one — no eigensolve at all:
-    //   U(t)(r, c) = exp(i (t - t0) (w_r - w_c)) U(t0)(r, c).
-    // This fires even when the baked drive value rotates every sample
-    // (a CR tone played at the target's frequency has r = Delta), the
-    // case that dominates two-qubit schedules. Samples whose envelope
-    // actually changes (Gaussian ramps) take the full solve below.
-    static telemetry::Counter &c_run_steps =
-        telemetry::MetricsRegistry::global().counter(
-            "sim.kernel.run_steps");
-    // Cap on the rescaled steps derived from one anchor: the anchor's
-    // eigensolve error (~1e-15) repeats coherently in every derived
-    // step, so an unbounded run would amplify it linearly (480 flat
-    // samples x 1e-15 ~ 5e-13, eating the 1e-12 agreement budget). Re-
-    // anchoring every 32 samples bounds the coherent factor at 32
-    // while keeping ~32x fewer eigensolves on flat-tops.
-    constexpr long kMaxRunLen = 32;
-    if (kernel.haveRun && env == kernel.runEnv &&
-        rates == kernel.runRates && kernel.runLen < kMaxRunLen) {
-        ++kernel.runLen;
-        c_run_steps.increment();
-        if (kernel.runWZero)
-            return; // H constant across the run: kernel.u is exact.
-        // Rotation angle per transmon, as fl(c_j t) - fl(c_j t0): the
-        // first term rounds exactly like the legacy path's per-sample
-        // phase arguments (fl(detuning t_mid), fl(Delta t_mid)), so
-        // the fast path tracks the legacy trajectory to the addition
-        // rounding (~1 ulp/sample) instead of accumulating an
-        // independent-rounding random walk.
-        const std::size_t nt = model_.numTransmons();
-        kernel.runDelta.resize(nt);
-        for (std::size_t j = 0; j < nt; ++j)
-            kernel.runDelta[j] =
-                kernel.runC[j] == 0.0
-                    ? 0.0
-                    : kernel.runC[j] * t_mid_ns - kernel.runAngle0[j];
-        kernel.phases.resize(dim);
-        for (std::size_t i = 0; i < dim; ++i) {
-            double theta = 0.0;
-            for (std::size_t j = 0; j < nt; ++j)
-                if (kernel.runDelta[j] != 0.0)
-                    theta += kernel.runDelta[j] * occupations_[j][i];
-            kernel.phases[i] = std::exp(Complex{0.0, theta});
-        }
-        for (std::size_t r = 0; r < dim; ++r)
-            for (std::size_t c = 0; c < dim; ++c)
-                kernel.u(r, c) = kernel.u0(r, c) * kernel.phases[r] *
-                                 std::conj(kernel.phases[c]);
-        return;
-    }
-
-    bool any_drive = false;
-    for (const Complex &d : drives)
-        if (d != Complex{0.0, 0.0}) {
-            any_drive = true;
-            break;
-        }
-
-    // Remember this sample as the anchor of a (potential) run once the
-    // slow path below has produced kernel.u: solve for the generator
-    // coefficients c_j and precompute w_i and the reference angles
-    // w_i t0. On failure the previous anchor is kept — the rescale
-    // identity only relates samples to their anchor, so intervening
-    // non-run samples do not invalidate it.
-    const auto record_run = [&] {
-        if (!driftDiagonal_)
-            return;
-        const std::size_t nt = model_.numTransmons();
-        bool ok = true;
-        for (std::size_t j = 0; j < nt; ++j)
-            if (env[j] != Complex{0.0, 0.0} &&
-                !(rates[j] == rates[j]))
-                ok = false; // NaN rate: overlap conflict, no run.
-        double c_a = 0.0;
-        double c_b = 0.0;
-        if (ok && hasCoupling_) {
-            const bool driven_a =
-                env[couplingA_] != Complex{0.0, 0.0};
-            const bool driven_b =
-                env[couplingB_] != Complex{0.0, 0.0};
-            if (driven_a && driven_b) {
-                // Both sides pinned by their drives: the coupling
-                // constraint must already hold. It does, exactly, for
-                // CR tones played at the other qubit's frequency —
-                // calibration computes the channel detuning with the
-                // same expression as couplingDetuning_.
-                c_a = rates[couplingA_];
-                c_b = rates[couplingB_];
-                ok = (c_a - c_b == couplingDetuning_);
-            } else if (driven_a) {
-                c_a = rates[couplingA_];
-                c_b = c_a - couplingDetuning_;
-            } else if (driven_b) {
-                c_b = rates[couplingB_];
-                c_a = c_b + couplingDetuning_;
-            } else {
-                c_a = couplingDetuning_;
-                c_b = 0.0;
-            }
-        }
-        if (!ok)
-            return;
-        kernel.runC.resize(nt);
-        kernel.runAngle0.resize(nt);
-        bool w_zero = true;
-        for (std::size_t j = 0; j < nt; ++j) {
-            double c_j;
-            if (hasCoupling_ && j == couplingA_)
-                c_j = c_a;
-            else if (hasCoupling_ && j == couplingB_)
-                c_j = c_b;
-            else
-                c_j = env[j] != Complex{0.0, 0.0} ? rates[j] : 0.0;
-            kernel.runC[j] = c_j;
-            kernel.runAngle0[j] = c_j * t_mid_ns;
-            if (c_j != 0.0)
-                w_zero = false;
-        }
-        kernel.runEnv = env;
-        kernel.runRates = rates;
-        kernel.u0 = kernel.u;
-        kernel.runLen = 0;
-        kernel.runWZero = w_zero;
-        kernel.haveRun = true;
-    };
-
-    if (!any_drive && !hasCoupling_) {
-        // Free evolution is diagonal in the drift frame. With a
-        // diagonal H0 this reproduces the legacy fast path bit-for-bit
-        // (driftValues_ keeps the natural basis order).
-        Matrix &u_drift = driftDiagonal_
-            ? kernel.u
-            : kernel.simWs.matrix(2, dim, dim);
-        u_drift.resize(dim, dim);
-        u_drift.setZero();
-        for (std::size_t i = 0; i < dim; ++i)
-            u_drift(i, i) =
-                std::exp(Complex{0.0, -driftValues_[i] * kDtNs});
-        if (!driftDiagonal_) {
-            Matrix &tmp = kernel.simWs.matrix(3, dim, dim);
-            gemmInto(tmp, driftVectors_, u_drift);
-            gemmAdjBInto(kernel.u, tmp, driftVectors_);
-        }
-        record_run();
-        return;
-    }
-
-    // Build H in the drift eigenbasis: a real diagonal plus the
-    // pre-rotated drive/coupling terms, Hermitian by construction.
-    Matrix &h = kernel.simWs.matrix(0, dim, dim);
-    h.setZero();
-    for (std::size_t i = 0; i < dim; ++i)
-        h(i, i) = Complex{driftValues_[i], 0.0};
-    for (std::size_t j = 0; j < drives.size(); ++j)
-        if (drives[j] != Complex{0.0, 0.0})
-            addScaledPlusAdjoint(h, raisingDrift_[j], drives[j]);
-    if (hasCoupling_) {
-        const Complex phase =
-            std::exp(Complex{0.0, couplingDetuning_ * t_mid_ns});
-        addScaledPlusAdjoint(h, couplingOpDrift_, phase);
-    }
-
-    // Adjacent AWG samples differ by O(dt) in drive amplitude, so the
-    // previous sample's eigenvectors make a near-perfect seed: the
-    // warm solve typically needs 1-2 sweeps against ~7 cold
-    // (sim.eig.* counters track the actual counts).
-    const Matrix *seed = kernel.warm ? &kernel.vectors : nullptr;
-    eigHermitianInPlace(h, seed, kernel.values, kernel.vectors,
-                        kernel.eigWs, /*sortAscending=*/false);
-    kernel.warm = true;
-
-    // U = V diag(exp(-i values dt)) V^dag, then back to the lab frame
-    // (a no-op when the drift basis is the natural basis).
-    kernel.phases.resize(dim);
-    for (std::size_t i = 0; i < dim; ++i)
-        kernel.phases[i] =
-            std::exp(Complex{0.0, -kernel.values[i] * kDtNs});
-    Matrix &scaled = kernel.simWs.matrix(1, dim, dim);
-    scaled.resize(dim, dim);
-    for (std::size_t r = 0; r < dim; ++r)
-        for (std::size_t c = 0; c < dim; ++c)
-            scaled(r, c) = kernel.vectors(r, c) * kernel.phases[c];
-    if (driftDiagonal_) {
-        gemmAdjBInto(kernel.u, scaled, kernel.vectors);
-    } else {
-        Matrix &u_drift = kernel.simWs.matrix(2, dim, dim);
-        gemmAdjBInto(u_drift, scaled, kernel.vectors);
-        Matrix &tmp = kernel.simWs.matrix(3, dim, dim);
-        gemmInto(tmp, driftVectors_, u_drift);
-        gemmAdjBInto(kernel.u, tmp, driftVectors_);
-    }
-    record_run();
-}
-
 UnitaryResult
 PulseSimulator::evolveUnitary(const Schedule &schedule) const
 {
@@ -712,10 +376,7 @@ PulseSimulator::evolveUnitary(const Schedule &schedule) const
     UnitaryResult result;
     result.duration = duration;
     std::vector<double> frames;
-    DriveModulation mod;
-    const bool want_mod = !cachingEnabled_ && driftKernelEnabled_;
-    const auto drives = buildDriveTimeline(schedule, duration, &frames,
-                                           want_mod ? &mod : nullptr);
+    const auto drives = buildDriveTimeline(schedule, duration, &frames);
     result.framePhase = frames;
 
     Matrix u = Matrix::identity(model_.dim());
@@ -737,33 +398,8 @@ PulseSimulator::evolveUnitary(const Schedule &schedule) const
             gemmInto(u_next, u_pow, u);
             std::swap(u, u_next);
         }
-    } else if (driftKernelEnabled_) {
-        // Exact per-sample path through the drift-frame kernel:
-        // warm-started Jacobi, zero heap allocations per sample once
-        // the kernel workspaces are warm.
-        StepKernel kernel;
-        std::vector<Complex> step_drives(model_.numTransmons());
-        std::vector<Complex> step_env(model_.numTransmons());
-        std::vector<double> step_rates(model_.numTransmons());
-        Matrix u_next;
-        for (long ts = 0; ts < duration; ++ts) {
-            if ((ts % kInterruptStride) == 0)
-                checkInterrupt();
-            for (std::size_t j = 0; j < model_.numTransmons(); ++j) {
-                const std::size_t sts = static_cast<std::size_t>(ts);
-                step_drives[j] = drives[j][sts];
-                step_env[j] = mod.env[j][sts];
-                step_rates[j] = mod.rate[j][sts];
-            }
-            const double t_mid =
-                (static_cast<double>(ts) + 0.5) * kDtNs;
-            stepPropagatorInto(kernel, t_mid, step_drives, step_env,
-                               step_rates);
-            gemmInto(u_next, kernel.u, u);
-            std::swap(u, u_next);
-        }
     } else {
-        // Pre-overhaul exact path: one cold propagator per AWG sample.
+        // Per-sample exact reference: one propagator per AWG sample.
         std::vector<Complex> step_drives(model_.numTransmons());
         for (long ts = 0; ts < duration; ++ts) {
             if ((ts % kInterruptStride) == 0)
@@ -815,10 +451,7 @@ PulseSimulator::evolveState(const Schedule &schedule,
             "sim.evolve_state.calls");
     const long duration = schedule.duration();
     countEvolve(c_calls, duration);
-    DriveModulation mod;
-    const bool want_mod = !cachingEnabled_ && driftKernelEnabled_;
-    const auto drives = buildDriveTimeline(schedule, duration, nullptr,
-                                           want_mod ? &mod : nullptr);
+    const auto drives = buildDriveTimeline(schedule, duration, nullptr);
 
     Vector state = initial;
     Vector state_next;
@@ -852,28 +485,6 @@ PulseSimulator::evolveState(const Schedule &schedule,
         return state;
     }
     std::vector<Complex> step_drives(model_.numTransmons());
-    if (driftKernelEnabled_) {
-        StepKernel kernel;
-        std::vector<Complex> step_env(model_.numTransmons());
-        std::vector<double> step_rates(model_.numTransmons());
-        for (long ts = 0; ts < duration; ++ts) {
-            if ((ts % kInterruptStride) == 0)
-                checkInterrupt();
-            for (std::size_t j = 0; j < model_.numTransmons(); ++j) {
-                const std::size_t sts = static_cast<std::size_t>(ts);
-                step_drives[j] = drives[j][sts];
-                step_env[j] = mod.env[j][sts];
-                step_rates[j] = mod.rate[j][sts];
-            }
-            const double t_mid =
-                (static_cast<double>(ts) + 0.5) * kDtNs;
-            stepPropagatorInto(kernel, t_mid, step_drives, step_env,
-                               step_rates);
-            applyInto(state_next, kernel.u, state);
-            std::swap(state, state_next);
-        }
-        return state;
-    }
     for (long ts = 0; ts < duration; ++ts) {
         if ((ts % kInterruptStride) == 0)
             checkInterrupt();
@@ -999,10 +610,7 @@ PulseSimulator::evolveLindblad(const Schedule &schedule,
             "sim.evolve_lindblad.calls");
     const long duration = schedule.duration();
     countEvolve(c_calls, duration);
-    DriveModulation mod;
-    const bool want_mod = !cachingEnabled_ && driftKernelEnabled_;
-    const auto drives = buildDriveTimeline(schedule, duration, nullptr,
-                                           want_mod ? &mod : nullptr);
+    const auto drives = buildDriveTimeline(schedule, duration, nullptr);
 
     const DecoherenceModel deco(model_);
     const auto apply_decoherence = [&](Matrix &rho) {
@@ -1035,30 +643,6 @@ PulseSimulator::evolveLindblad(const Schedule &schedule,
         return rho;
     }
     std::vector<Complex> step_drives(model_.numTransmons());
-    if (driftKernelEnabled_) {
-        StepKernel kernel;
-        std::vector<Complex> step_env(model_.numTransmons());
-        std::vector<double> step_rates(model_.numTransmons());
-        for (long ts = 0; ts < duration; ++ts) {
-            if ((ts % kInterruptStride) == 0)
-                checkInterrupt();
-            for (std::size_t j = 0; j < model_.numTransmons(); ++j) {
-                const std::size_t sts = static_cast<std::size_t>(ts);
-                step_drives[j] = drives[j][sts];
-                step_env[j] = mod.env[j][sts];
-                step_rates[j] = mod.rate[j][sts];
-            }
-            const double t_mid =
-                (static_cast<double>(ts) + 0.5) * kDtNs;
-            stepPropagatorInto(kernel, t_mid, step_drives, step_env,
-                               step_rates);
-            gemmInto(u_rho, kernel.u, rho);
-            gemmAdjBInto(rho_next, u_rho, kernel.u);
-            std::swap(rho, rho_next);
-            apply_decoherence(rho);
-        }
-        return rho;
-    }
     for (long ts = 0; ts < duration; ++ts) {
         if ((ts % kInterruptStride) == 0)
             checkInterrupt();
@@ -1110,16 +694,12 @@ PulseSimulator::evolveStatesBatched(const Schedule &schedule,
     telemetry::TraceSpan span("sim.evolve_batched");
     const long duration = schedule.duration();
     countBatch(duration, width);
-    DriveModulation mod;
-    const bool want_mod = !cachingEnabled_ && driftKernelEnabled_;
-    const auto drives = buildDriveTimeline(schedule, duration, nullptr,
-                                           want_mod ? &mod : nullptr);
+    const auto drives = buildDriveTimeline(schedule, duration, nullptr);
 
     const std::size_t dim = model_.dim();
     // Scratch: state-panel slot 0 (ping-pong target) plus matrix slots
     // 0-3 (0-1 are powmInto's, 2-3 hold the step propagator and its
-    // binary power). All reuse capacity across calls, so the loop is
-    // heap-silent once `ws` has warmed at this width.
+    // binary power), all reusing their capacity across calls.
     StatePanel &next = ws.statePanel(0, dim, width);
     if (cachingEnabled_) {
         std::unique_ptr<PropagatorCache> local;
@@ -1151,28 +731,6 @@ PulseSimulator::evolveStatesBatched(const Schedule &schedule,
         return;
     }
     std::vector<Complex> step_drives(model_.numTransmons());
-    if (driftKernelEnabled_) {
-        StepKernel kernel;
-        std::vector<Complex> step_env(model_.numTransmons());
-        std::vector<double> step_rates(model_.numTransmons());
-        for (long ts = 0; ts < duration; ++ts) {
-            if ((ts % kInterruptStride) == 0)
-                checkInterrupt();
-            for (std::size_t j = 0; j < model_.numTransmons(); ++j) {
-                const std::size_t sts = static_cast<std::size_t>(ts);
-                step_drives[j] = drives[j][sts];
-                step_env[j] = mod.env[j][sts];
-                step_rates[j] = mod.rate[j][sts];
-            }
-            const double t_mid =
-                (static_cast<double>(ts) + 0.5) * kDtNs;
-            stepPropagatorInto(kernel, t_mid, step_drives, step_env,
-                               step_rates);
-            applyPanelInto(next, kernel.u, panel);
-            std::swap(panel, next);
-        }
-        return;
-    }
     for (long ts = 0; ts < duration; ++ts) {
         if ((ts % kInterruptStride) == 0)
             checkInterrupt();
@@ -1204,10 +762,7 @@ PulseSimulator::evolveLindbladBatched(const Schedule &schedule,
     telemetry::TraceSpan span("sim.evolve_batched");
     const long duration = schedule.duration();
     countBatch(duration, width);
-    DriveModulation mod;
-    const bool want_mod = !cachingEnabled_ && driftKernelEnabled_;
-    const auto drives = buildDriveTimeline(schedule, duration, nullptr,
-                                           want_mod ? &mod : nullptr);
+    const auto drives = buildDriveTimeline(schedule, duration, nullptr);
 
     const DecoherenceModel deco(model_);
     const std::size_t dim = model_.dim();
@@ -1245,29 +800,6 @@ PulseSimulator::evolveLindbladBatched(const Schedule &schedule,
         return;
     }
     std::vector<Complex> step_drives(model_.numTransmons());
-    if (driftKernelEnabled_) {
-        StepKernel kernel;
-        std::vector<Complex> step_env(model_.numTransmons());
-        std::vector<double> step_rates(model_.numTransmons());
-        for (long ts = 0; ts < duration; ++ts) {
-            if ((ts % kInterruptStride) == 0)
-                checkInterrupt();
-            for (std::size_t j = 0; j < model_.numTransmons(); ++j) {
-                const std::size_t sts = static_cast<std::size_t>(ts);
-                step_drives[j] = drives[j][sts];
-                step_env[j] = mod.env[j][sts];
-                step_rates[j] = mod.rate[j][sts];
-            }
-            const double t_mid =
-                (static_cast<double>(ts) + 0.5) * kDtNs;
-            stepPropagatorInto(kernel, t_mid, step_drives, step_env,
-                               step_rates);
-            conjugatePanelInto(next, kernel.u, panel, stage);
-            std::swap(panel, next);
-            apply_decoherence_panel(panel);
-        }
-        return;
-    }
     for (long ts = 0; ts < duration; ++ts) {
         if ((ts % kInterruptStride) == 0)
             checkInterrupt();

@@ -86,28 +86,13 @@ class PulseSimulator
 
     /**
      * Disable (or re-enable) propagator memoization entirely. With
-     * caching off the simulator takes the legacy exact path — one
-     * eigendecomposition per AWG sample — which exists as the
-     * reference baseline for correctness tests and perf benches.
+     * caching off every evolve call takes the per-sample exact
+     * reference path — one stepPropagator eigendecomposition per AWG
+     * sample — the oracle that correctness tests and perf benches
+     * compare the cached path against.
      */
     void setCachingEnabled(bool enabled) { cachingEnabled_ = enabled; }
     bool cachingEnabled() const { return cachingEnabled_; }
-
-    /**
-     * Disable (or re-enable) the drift-frame step kernel on the
-     * uncached path: prediagonalized static Hamiltonian, warm-started
-     * Jacobi, allocation-free in-place products. Off, the uncached
-     * path runs the pre-overhaul per-sample code exactly — kept as the
-     * reference baseline for correctness pins and perf comparisons.
-     * Cached propagators are unaffected either way: cache values are
-     * always computed by the canonical cold-start stepPropagator so
-     * they stay pure functions of the key.
-     */
-    void setDriftKernelEnabled(bool enabled)
-    {
-        driftKernelEnabled_ = enabled;
-    }
-    bool driftKernelEnabled() const { return driftKernelEnabled_; }
 
     /**
      * Attach a cooperative interrupt to this simulator instance: the
@@ -145,10 +130,10 @@ class PulseSimulator
     }
 
     /**
-     * Fingerprint of the drift-frame prediagonalization inputs (static
-     * Hamiltonian, drive/coupling operators). Mixed into every
-     * PropagatorKey so a recalibrated model can never be served
-     * propagators cached under a stale basis.
+     * Fingerprint of the Hamiltonian building blocks (static
+     * Hamiltonian, drive/coupling operators, coupling detuning). Mixed
+     * into every PropagatorKey so a recalibrated model can never be
+     * served propagators cached under stale parameters.
      */
     std::uint64_t basisVersion() const { return basisVersion_; }
 
@@ -178,8 +163,8 @@ class PulseSimulator
      * across QPULSE_THREADS. Interrupt polling keeps evolveState's
      * stride semantics (kInterruptStride samples per poll, per
      * collapsed run on the cached path). `ws` provides panel scratch
-     * (state-panel slot 0); the loop is heap-silent once `ws` has
-     * warmed at the panel's width.
+     * (state-panel slot 0), reused across calls at the widest width
+     * seen.
      */
     void evolveStatesBatched(const Schedule &schedule, StatePanel &panel,
                              Workspace &ws) const;
@@ -225,31 +210,10 @@ class PulseSimulator
         long count = 0;              ///< Run length in samples.
     };
 
-    /**
-     * Per-sample drive decomposition d_j(t_mid) = env * exp(i rate
-     * t_mid). AWG flat-tops and idle stretches repeat (env, rate)
-     * bitwise from sample to sample even when the baked drive value
-     * rotates (a CR tone played at the target's frequency has a
-     * constant envelope but rate = qubit-qubit detuning). rate is NaN
-     * on samples where overlapping plays with different rates make
-     * the decomposition ill-defined; such samples never join a run.
-     */
-    struct DriveModulation
-    {
-        std::vector<std::vector<Complex>> env;
-        std::vector<std::vector<double>> rate;
-    };
-
-    /**
-     * Per-sample total drive on each transmon (frames applied). When
-     * `mod_out` is non-null it receives the envelope/rate
-     * decomposition of the same timeline for the step kernel's
-     * identical-drive fast path.
-     */
+    /** Per-sample total drive on each transmon (frames applied). */
     std::vector<std::vector<Complex>> buildDriveTimeline(
         const Schedule &schedule, long duration,
-        std::vector<double> *frame_out,
-        DriveModulation *mod_out = nullptr) const;
+        std::vector<double> *frame_out) const;
 
     /** Quantize one sample's Hamiltonian inputs into a cache key. */
     PropagatorKey makeKey(const std::vector<Complex> &drives,
@@ -271,59 +235,15 @@ class PulseSimulator
     PropagatorCache *activeCache(
         std::unique_ptr<PropagatorCache> &local) const;
 
+    /**
+     * Exact propagator exp(-i H(t_mid) dt) of one AWG sample: cache
+     * values on the cached path, every step of the reference path.
+     */
     Matrix stepPropagator(double t_mid_ns,
                           const std::vector<Complex> &drives) const;
 
     /** Slow half of checkInterrupt: throws if the interrupt fired. */
     void throwIfInterrupted() const;
-
-    /**
-     * Per-evolve-call state of the drift-frame step kernel: scratch
-     * matrices plus the previous sample's eigenvectors used to warm
-     * start the next solve. Separate workspaces keep the eigensolver's
-     * scratch slots from colliding with the kernel's own.
-     */
-    struct StepKernel
-    {
-        Workspace eigWs;             ///< Slots consumed by the solver.
-        Workspace simWs;             ///< Slots consumed by the kernel.
-        std::vector<double> values;  ///< Step eigenvalues (unsorted).
-        Matrix vectors;              ///< Step eigenvectors / next seed.
-        std::vector<Complex> phases; ///< exp(-i values dt) scratch.
-        Matrix u;                    ///< Step propagator (lab frame).
-        bool warm = false;           ///< vectors holds a usable seed.
-
-        // State of the current identical-modulation run (see
-        // stepPropagatorInto): while (env, rate) repeats bitwise,
-        // later samples derive their propagator from u0 by a diagonal
-        // frame rotation instead of a fresh eigensolve.
-        std::vector<Complex> runEnv;   ///< Envelope of the run.
-        std::vector<double> runRates;  ///< Phase rate per transmon.
-        std::vector<double> runC;      ///< Generator coefficients c_j.
-        std::vector<double> runAngle0; ///< fl(c_j t0) reference angles.
-        std::vector<double> runDelta;  ///< Scratch: c_j t - angle0_j.
-        Matrix u0;                     ///< Run-initial propagator.
-        long runLen = 0;               ///< Fast steps since anchor.
-        bool haveRun = false;          ///< Run state is usable.
-        bool runWZero = false;         ///< All c_j == 0: H constant.
-    };
-
-    /**
-     * Drift-frame propagator for one AWG sample, written into
-     * `kernel.u`: builds H in the drift eigenbasis, solves it with a
-     * Jacobi solve warm-started from the previous sample, and
-     * exponentiates — heap-silent once the kernel's workspaces are
-     * warm. `env`/`rates` are this sample's drive decomposition from
-     * DriveModulation; when they repeat bitwise across samples the
-     * propagator follows from the run-initial one by a diagonal frame
-     * rotation with no eigensolve (see the implementation note).
-     * Numerically equivalent to stepPropagator (<= 1e-12 per-step
-     * max-abs; pinned in tests), not bit-identical.
-     */
-    void stepPropagatorInto(StepKernel &kernel, double t_mid_ns,
-                            const std::vector<Complex> &drives,
-                            const std::vector<Complex> &env,
-                            const std::vector<double> &rates) const;
 
     TransmonModel model_;
     std::map<std::size_t, ControlChannelSpec> controlChannels_;
@@ -334,31 +254,11 @@ class PulseSimulator
     Matrix couplingOp_;           ///< J * a_A^dag a_B (0 if uncoupled).
     double couplingDetuning_ = 0.0;
     bool hasCoupling_ = false;
-    std::size_t couplingA_ = 0; ///< Raised-side transmon of the pair.
-    std::size_t couplingB_ = 0; ///< Lowered-side transmon of the pair.
-
-    // Number-operator diagonals n_j(i) per transmon, the building
-    // blocks of the identical-modulation fast path's generators.
-    // Filled only for diagonal drifts (natural basis order).
-    std::vector<std::vector<double>> occupations_;
-
-    // Drift-frame prediagonalization (fixed per model, computed once
-    // in the constructor): staticH_ = V0 diag(driftValues_) V0^dag,
-    // with the drive/coupling operators pre-rotated into that basis.
-    // For the diagonal static Hamiltonians the transmon models produce
-    // (anharmonicity only), driftDiagonal_ short-circuits V0 = I and
-    // keeps driftValues_ in the natural basis order.
-    std::vector<double> driftValues_;
-    Matrix driftVectors_;              ///< V0 (identity when diagonal).
-    std::vector<Matrix> raisingDrift_; ///< V0^dag raising_ V0.
-    Matrix couplingOpDrift_;           ///< V0^dag couplingOp_ V0.
-    bool driftDiagonal_ = false;
     std::uint64_t basisVersion_ = 0;
 
     // Memoization state.
     std::shared_ptr<PropagatorCache> cache_; ///< Caller-owned, optional.
     bool cachingEnabled_ = true;
-    bool driftKernelEnabled_ = true;
 
     // Cooperative interruption (setInterrupt). Copies of the simulator
     // share the token/deadline state through their shared_ptr guts.

@@ -185,6 +185,24 @@ TEST_F(BackendTest, CrNegativeTheta)
     EXPECT_GT(scheduleFidelity(schedule, gates::cr(-kPi / 2)), 0.97);
 }
 
+TEST_F(BackendTest, CrWrapsAnglesBeyondHalfTurn)
+{
+    // CR(theta + 2 pi) = -CR(theta), a global phase: the backend must
+    // play CR(theta)'s schedule rather than stretch past a half turn.
+    for (double theta : {kPi / 4, -kPi / 2}) {
+        const long base = (*backend_)->gateDuration(
+            makeGate(GateType::Cr, {0, 1}, {theta}));
+        for (double wrapped : {theta + 2 * kPi, theta - 2 * kPi}) {
+            const Gate gate = makeGate(GateType::Cr, {0, 1}, {wrapped});
+            EXPECT_EQ((*backend_)->gateDuration(gate), base) << wrapped;
+            EXPECT_GT(scheduleFidelity((*backend_)->schedule(gate),
+                                       gates::cr(wrapped)),
+                      0.97)
+                << wrapped;
+        }
+    }
+}
+
 TEST_F(BackendTest, CrDurationScalesWithTheta)
 {
     // Pulse stretching: smaller angle -> shorter schedule

@@ -2,11 +2,12 @@
  * @file
  * Correctness tests for the propagator-cache hot path: the memoized
  * evolution (run-length collapse + quantized-key LRU cache) must agree
- * with the exact per-sample path to 1e-12 on schedules that exercise
- * frame changes, coupled CR tones and Lindblad decoherence; the LRU
- * must stay correct under eviction pressure; and the threaded shot
- * loop must be deterministic for a fixed seed regardless of thread
- * count or caching.
+ * with the exact per-sample reference to 1e-12 on schedules that
+ * exercise frame changes, coupled CR tones and Lindblad decoherence;
+ * phase and frequency frame changes on both paths must equal playing
+ * hand-rotated samples; the LRU must stay correct under eviction
+ * pressure; and the threaded shot loop must be deterministic for a
+ * fixed seed regardless of thread count or caching.
  */
 #include <gtest/gtest.h>
 
@@ -198,65 +199,144 @@ TEST(PulseSimCache, TinyCapacityEvictsButStaysCorrect)
     EXPECT_GT(tiny->stats().evictions, 0u);
 }
 
-TEST(PulseSimCache, DriftKernelMatchesLegacyUncachedPath)
+/**
+ * Runs `check` on a cached and a reference (uncached) simulator built
+ * by `make`, so one assertion covers both evolution paths.
+ */
+template <typename Make, typename Check>
+void
+forBothPaths(Make make, Check check)
 {
-    // The drift-frame kernel (prediagonalized H0, warm-started Jacobi,
-    // in-place SIMD products) must agree with the pre-overhaul cold
-    // per-sample path to 1e-12 on the full CR-echo schedule, for all
-    // three evolution flavours.
-    PulseSimulator fast = crPairSimulator(50.0, 70.0);
-    PulseSimulator legacy = crPairSimulator(50.0, 70.0);
-    fast.setCachingEnabled(false);
-    legacy.setCachingEnabled(false);
-    legacy.setDriftKernelEnabled(false);
-    const Schedule schedule = crEchoSchedule();
-
-    const UnitaryResult a = fast.evolveUnitary(schedule);
-    const UnitaryResult b = legacy.evolveUnitary(schedule);
-    EXPECT_LE(maxAbsDiff(a.unitary, b.unitary), 1e-12);
-
-    Vector ground(9);
-    ground[0] = Complex{1.0, 0.0};
-    EXPECT_LE(maxAbsDiff(fast.evolveState(schedule, ground),
-                         legacy.evolveState(schedule, ground)),
-              1e-12);
-
-    Matrix rho0(9, 9);
-    rho0(0, 0) = Complex{1.0, 0.0};
-    EXPECT_LE(maxAbsDiff(fast.evolveLindblad(schedule, rho0),
-                         legacy.evolveLindblad(schedule, rho0)),
-              1e-12);
+    const PulseSimulator cached = make();
+    PulseSimulator reference = make();
+    reference.setCachingEnabled(false);
+    check(cached);
+    check(reference);
 }
 
-TEST(PulseSimCache, DriftKernelWarmStartCutsJacobiSweeps)
+/** `waveform`'s samples with sample k multiplied by rotation(k). */
+template <typename Rotation>
+std::shared_ptr<SampledWaveform>
+rotatedSamples(const Waveform &waveform, Rotation rotation)
 {
-    auto &reg = telemetry::MetricsRegistry::global();
-    telemetry::Counter &warm_calls = reg.counter("sim.eig.warm.calls");
-    telemetry::Counter &warm_sweeps =
-        reg.counter("sim.eig.warm.sweeps");
+    std::vector<Complex> samples(
+        static_cast<std::size_t>(waveform.duration()));
+    for (long k = 0; k < waveform.duration(); ++k)
+        samples[static_cast<std::size_t>(k)] =
+            waveform.sample(k) * rotation(k);
+    return std::make_shared<SampledWaveform>(std::move(samples),
+                                             "rotated");
+}
 
-    PulseSimulator sim = crPairSimulator();
-    sim.setCachingEnabled(false);
-    const std::uint64_t calls0 = warm_calls.value();
-    const std::uint64_t sweeps0 = warm_sweeps.value();
-    (void)sim.evolveUnitary(crEchoSchedule());
+/**
+ * The schedules through evolveState and evolveUnitary on `sim`: the
+ * framed one must land within 1e-12 of the hand-rotated one, and the
+ * plain, unrotated play must not (so the frame is not a no-op).
+ */
+void
+expectFrameEquivalent(const PulseSimulator &sim, const Schedule &framed,
+                      const Schedule &rotated, const Schedule &plain)
+{
+    Vector ground(sim.model().dim());
+    ground[0] = Complex{1.0, 0.0};
+    const Vector want = sim.evolveState(rotated, ground);
+    EXPECT_LE(maxAbsDiff(sim.evolveState(framed, ground), want), 1e-12);
+    EXPECT_GT(maxAbsDiff(sim.evolveState(plain, ground), want), 1e-3);
 
-    const std::uint64_t calls = warm_calls.value() - calls0;
-    const std::uint64_t sweeps = warm_sweeps.value() - sweeps0;
-    ASSERT_GT(calls, 0u);
-    // Adjacent AWG samples differ by O(dt): warm solves average well
-    // under the cold sweep count (~7 for these 9x9 H's) even though
-    // they converge to the round-off floor rather than the cold
-    // tolerance (see eigHermitianInPlace).
-    EXPECT_LT(static_cast<double>(sweeps) / static_cast<double>(calls),
-              4.5);
+    const Matrix want_u = sim.evolveUnitary(rotated).unitary;
+    EXPECT_LE(maxAbsDiff(sim.evolveUnitary(framed).unitary, want_u),
+              1e-12);
+    EXPECT_GT(maxAbsDiff(sim.evolveUnitary(plain).unitary, want_u),
+              1e-3);
+}
+
+TEST(PulseSimCache, ShiftPhaseEqualsPlayingPhaseRotatedSamples)
+{
+    // A virtual-Z frame change multiplies every later sample on its
+    // channel by exp(i phi); it must not touch other channels. The CR
+    // pair covers a drive line and a detuned control line.
+    const double phi = 0.7;
+    const double psi = -1.3;
+    const auto x = std::make_shared<GaussianWaveform>(
+        160, 40.0, Complex{kPiAmp, 0.0});
+    const auto cr = std::make_shared<GaussianSquareWaveform>(
+        320, 15.0, 60, Complex{0.14, 0.0});
+    const auto phase = [](double angle) {
+        return [angle](long) { return std::exp(Complex{0.0, angle}); };
+    };
+
+    Schedule framed("framed");
+    framed.shiftPhase(driveChannel(0), phi);
+    framed.shiftPhase(controlChannel(0), psi);
+    framed.play(driveChannel(0), x);
+    framed.playAt(160, controlChannel(0), cr);
+
+    Schedule rotated("rotated");
+    rotated.play(driveChannel(0), rotatedSamples(*x, phase(phi)));
+    rotated.playAt(160, controlChannel(0),
+                   rotatedSamples(*cr, phase(psi)));
+
+    Schedule plain("plain");
+    plain.play(driveChannel(0), x);
+    plain.playAt(160, controlChannel(0), cr);
+
+    forBothPaths([] { return crPairSimulator(); },
+                 [&](const PulseSimulator &sim) {
+                     expectFrameEquivalent(sim, framed, rotated, plain);
+                 });
+}
+
+TEST(PulseSimCache, ShiftFrequencyEqualsPlayingFrameRotatedSamples)
+{
+    // A frequency shift of f GHz at t_e advances the channel's frame
+    // phase by -2 pi f dt (t - t_e) at every later sample t. Built by
+    // hand from that definition, the rotated play must reproduce the
+    // framed one; a phase shift after the frequency shift stacks on
+    // top of the accumulated phase.
+    const double f = 0.012;
+    const long t_shift = 24;
+    const long t_play = 64;
+    const double phi = 0.4;
+    const auto lead = std::make_shared<GaussianWaveform>(
+        16, 4.0, Complex{0.02, 0.0});
+    const auto x = std::make_shared<GaussianWaveform>(
+        160, 40.0, Complex{kPiAmp, 0.0});
+    const auto frame_phase = [&](long k) {
+        const double t = static_cast<double>(t_play + k - t_shift);
+        return std::exp(Complex{0.0, phi - 2.0 * kPi * f * kDtNs * t});
+    };
+
+    // The lead pulse precedes the shift and must stay unrotated.
+    Schedule framed("framed");
+    framed.play(driveChannel(0), lead);
+    framed.delay(driveChannel(0), t_shift - 16);
+    framed.shiftFrequency(driveChannel(0), f);
+    framed.delay(driveChannel(0), 16);
+    framed.shiftPhase(driveChannel(0), phi);
+    framed.delay(driveChannel(0), t_play - t_shift - 16);
+    framed.play(driveChannel(0), x);
+
+    Schedule rotated("rotated");
+    rotated.play(driveChannel(0), lead);
+    rotated.playAt(t_play, driveChannel(0),
+                   rotatedSamples(*x, frame_phase));
+
+    Schedule plain("plain");
+    plain.play(driveChannel(0), lead);
+    plain.playAt(t_play, driveChannel(0), x);
+
+    forBothPaths(
+        [] { return PulseSimulator(TransmonModel::single(testQubit(), 3)); },
+        [&](const PulseSimulator &sim) {
+            expectFrameEquivalent(sim, framed, rotated, plain);
+        });
 }
 
 TEST(PulseSimCache, BasisVersionKeysPreventStaleHitsAfterRecalibration)
 {
-    // Two simulators sharing one cache but prediagonalized over
-    // different model parameters (a recalibration) must never exchange
-    // propagators: their keys differ in the basis-version word.
+    // Two simulators sharing one cache but built over different model
+    // parameters (a recalibration) must never exchange propagators:
+    // their keys differ in the basis-version word.
     auto cache = std::make_shared<PropagatorCache>();
     PulseSimulator before(TransmonModel::single(testQubit(), 3));
     TransmonParams recal = testQubit();
@@ -298,6 +378,10 @@ TEST(PulseSimCache, RunShotsDeterministicAcrossThreadsAndCaching)
     Calibrator calibrator(config);
     const QubitCalibration cal = calibrator.calibrateQubit(0);
     const PulseSimulator sim(calibrator.qubitModel(0));
+    // runShots keeps the simulator's caching setting: this one runs
+    // every shot through the per-sample reference path.
+    PulseSimulator reference(calibrator.qubitModel(0));
+    reference.setCachingEnabled(false);
 
     Schedule schedule("x180");
     schedule.play(driveChannel(0), cal.x180Pulse());
@@ -305,7 +389,6 @@ TEST(PulseSimCache, RunShotsDeterministicAcrossThreadsAndCaching)
     PulseShotOptions opts;
     opts.shots = 96;
     opts.seed = 0xFEED;
-    opts.useCache = true;
     opts.maxThreads = 1;
     const PulseShotResult sequential =
         backend->runShots(sim, schedule, opts);
@@ -313,11 +396,8 @@ TEST(PulseSimCache, RunShotsDeterministicAcrossThreadsAndCaching)
     opts.maxThreads = 4;
     const PulseShotResult threaded =
         backend->runShots(sim, schedule, opts);
-
-    opts.useCache = false;
-    opts.maxThreads = 4;
     const PulseShotResult uncached =
-        backend->runShots(sim, schedule, opts);
+        backend->runShots(reference, schedule, opts);
 
     long total = 0;
     for (const long count : sequential.counts)
@@ -330,7 +410,6 @@ TEST(PulseSimCache, RunShotsDeterministicAcrossThreadsAndCaching)
               0u);
 
     // A different seed must give a different (but still complete) draw.
-    opts.useCache = true;
     opts.seed = 0xBEEF;
     const PulseShotResult reseeded =
         backend->runShots(sim, schedule, opts);
