@@ -187,7 +187,7 @@ int
 RequestFrontEnd::open()
 {
     const int id = nextConnection_++;
-    connections_[id].openFlag = true;
+    connections_.emplace(id, Connection{});
     return id;
 }
 
@@ -202,7 +202,7 @@ void
 RequestFrontEnd::feed(int connection, std::string_view bytes)
 {
     auto it = connections_.find(connection);
-    if (it == connections_.end() || !it->second.openFlag)
+    if (it == connections_.end())
         return; // Bytes of a dead peer: dropped, never fatal.
     Connection &conn = it->second;
 
@@ -296,7 +296,7 @@ RequestFrontEnd::handleDocument(int connection,
         }
     }
 
-    Connection &conn = connections_[connection];
+    Connection &conn = connections_.at(connection);
     if (conn.pending >= policy_.maxPendingPerConnection) {
         rejectDocument(
             connection, request, key,
@@ -353,7 +353,7 @@ void
 RequestFrontEnd::finish(int connection)
 {
     auto it = connections_.find(connection);
-    if (it == connections_.end() || !it->second.openFlag)
+    if (it == connections_.end())
         return;
     std::string trailing;
     if (it->second.framer.flush(trailing))
@@ -363,11 +363,10 @@ RequestFrontEnd::finish(int connection)
 void
 RequestFrontEnd::close(int connection)
 {
-    auto it = connections_.find(connection);
-    if (it == connections_.end() || !it->second.openFlag)
+    // Erasing (not just resetting) the connection frees its receive
+    // buffer, which can have grown to maxConnectionBufferBytes.
+    if (connections_.erase(connection) == 0)
         return;
-    it->second.framer.reset();
-    it->second.openFlag = false;
 
     const Status reason = Status::error(
         ErrorCode::Cancelled, "connection closed mid-stream");

@@ -171,7 +171,13 @@ class RequestFrontEnd
     RequestFrontEnd(ExecutionService &service,
                     FrontEndPolicy policy = {});
 
-    /** Install the event sink (null = events only counted). */
+    /**
+     * Install the event sink (null = events only counted). The sink
+     * runs inside feed/deliver/finish/close/pump and must not call
+     * back into the front end: feed() holds a reference to the
+     * connection while it emits, and a re-entrant close() would
+     * destroy it.
+     */
     void setEventSink(EventSink sink) { sink_ = std::move(sink); }
 
     /** Attach the transport fault source used by deliver(). */
@@ -210,8 +216,8 @@ class RequestFrontEnd
     void finish(int connection);
 
     /**
-     * Abortive close: drop buffered bytes and kill the connection's
-     * in-flight requests with Disconnected events.
+     * Abortive close: release the connection and its receive buffer,
+     * and kill its in-flight requests with Disconnected events.
      */
     void close(int connection);
 
@@ -231,10 +237,10 @@ class RequestFrontEnd
     const FrontEndPolicy &policy() const { return policy_; }
 
   private:
+    /** An open connection; close() erases it from connections_. */
     struct Connection
     {
         DocumentFramer framer;
-        bool openFlag = false;
         std::size_t pending = 0; ///< Active requests on this conn.
     };
 

@@ -215,12 +215,8 @@ eigHermitian(const Matrix &input, double tol)
     // bit-for-bit. The mode is process-wide, so results stay
     // deterministic for a given dispatch configuration.
 #if defined(__x86_64__) || defined(__i386__)
-    // The fused row kernel is an AVX2 binary; it is also the right
-    // choice under AVX-512 dispatch (the rotation is bandwidth-bound
-    // and the 256-bit kernel runs on every AVX-512 part), so gate on
-    // tier >= Avx2 rather than equality.
     const bool row_mode =
-        kernels::activeSimd() >= kernels::SimdMode::Avx2;
+        kernels::activeSimd() == kernels::SimdMode::Avx2;
 #else
     const bool row_mode = false;
 #endif

@@ -3,25 +3,25 @@
  * Runtime-dispatched dense complex kernels (the "dense-kernel layer").
  *
  * Every dense product in qpulse funnels through these raw row-major
- * kernels. Four dispatch tiers:
+ * kernels. Two dispatch tiers:
  *  - Scalar reproduces the original triple-loop implementations
- *    bit-for-bit (they ARE those loops, hoisted);
- *  - Sse2 is the FMA-free 128-bit tier (one complex double per lane,
- *    mul/add only — every x86-64 CPU qualifies);
- *  - Avx2 vectorizes two complex doubles per 256-bit lane with FMA;
- *  - Avx512 vectorizes four complex doubles per 512-bit lane.
- * Dispatch is resolved once per process from cpuid probes and the
- * QPULSE_SIMD environment knob (0 forces scalar, the escape hatch for
- * bit-exact reproduction of historical results; "sse2"/"avx2"/"avx512"
- * pin a tier; 1/"auto" picks the highest supported). Tests override it
+ *    bit-for-bit (they ARE those loops, hoisted) and is the reference
+ *    every other path is checked against;
+ *  - Avx2 vectorizes two complex doubles per 256-bit lane with FMA.
+ * Dispatch is resolved once per process from a cpuid probe and the
+ * QPULSE_SIMD environment knob (0/"scalar" forces scalar, the escape
+ * hatch for bit-exact reproduction of historical results; 1/"auto"/
+ * "avx2" picks AVX2 when the CPU has it). CPUs without AVX2+FMA,
+ * including every non-x86 CPU, run Scalar. Tests override the mode
  * with setActiveSimd().
  *
  * Numerics contract (docs/PERFORMANCE.md, "Kernel architecture"):
  *  - within one dispatch mode results are deterministic — the mode is
  *    process-wide, so thread count never changes output bits;
  *  - scalar mode is bit-identical to the pre-overhaul implementation;
- *  - every SIMD mode agrees with scalar to <= 1e-12 max-abs on every
- *    matrix this project produces (pinned by tests/test_kernels.cc).
+ *  - Avx2 agrees with scalar to <= 1e-12 max-abs on every matrix this
+ *    project produces (pinned per kernel by tests/test_kernels.cc and
+ *    end to end by tests/test_pulsesim_cache.cc).
  */
 #ifndef QPULSE_LINALG_SIMD_H
 #define QPULSE_LINALG_SIMD_H
@@ -34,27 +34,18 @@ namespace qpulse {
 namespace kernels {
 
 /**
- * Which GEMM/matvec implementation the dispatcher selects. Ordered by
- * width so call sites can gate features with comparisons
- * (e.g. `activeSimd() >= SimdMode::Avx2` for the fused Jacobi
- * row-rotation, which exists from the AVX2 tier up).
+ * Which GEMM/matvec implementation the dispatcher selects. The numeric
+ * values are persisted by store::simConfigFingerprint and must never
+ * change: stores on disk record Avx2 as 2.
  */
 enum class SimdMode
 {
-    Scalar, ///< Portable triple loops (bit-identical to the seed code).
-    Sse2,   ///< SSE2, one complex double per 128-bit lane, no FMA.
-    Avx2,   ///< AVX2+FMA, two complex doubles per 256-bit lane.
-    Avx512, ///< AVX-512F+FMA, four complex doubles per 512-bit lane.
+    Scalar = 0, ///< Portable triple loops (bit-identical to the seed code).
+    Avx2 = 2,   ///< AVX2+FMA, two complex doubles per 256-bit lane.
 };
-
-/** True when the CPU supports SSE2 (every x86-64; false elsewhere). */
-bool sse2Supported();
 
 /** True when the CPU supports AVX2 and FMA (false on non-x86). */
 bool avx2Supported();
-
-/** True when the CPU supports AVX-512F and FMA (false on non-x86). */
-bool avx512Supported();
 
 /**
  * True when the CPU supports carry-less multiply (PCLMULQDQ; false on
@@ -66,21 +57,19 @@ bool pclmulSupported();
 
 /**
  * The active dispatch mode, resolved once on first use from
- * QPULSE_SIMD: 0/"scalar" forces Scalar; "sse2"/"avx2"/"avx512" pin a
- * tier (falling back to the highest supported one, with a warning,
- * when the CPU lacks it); 1/"auto"/unset picks the widest tier the CPU
- * supports.
+ * QPULSE_SIMD: 0/"scalar" forces Scalar; 1/"auto"/"avx2"/unset picks
+ * Avx2 when the CPU supports it, else Scalar. Any other value warns
+ * and is treated as auto.
  */
 SimdMode activeSimd();
 
 /**
- * Override the dispatch mode (test seam). Requesting a tier the CPU
- * lacks falls back to the widest supported tier below it, with a
- * warning.
+ * Override the dispatch mode (test seam). Requesting Avx2 on a CPU
+ * without AVX2+FMA falls back to Scalar, with a warning.
  */
 void setActiveSimd(SimdMode mode);
 
-/** "scalar" / "sse2" / "avx2" / "avx512" (reports and bench JSON). */
+/** "scalar" / "avx2" (reports and bench JSON). */
 const char *simdModeName(SimdMode mode);
 
 // ---------------------------------------------------------------------
@@ -105,19 +94,15 @@ void matvecScalar(Complex *out, const Complex *a, const Complex *x,
                   std::size_t m, std::size_t n);
 
 #if defined(__x86_64__) || defined(__i386__)
-/** SSE2 counterparts (FMA-free; baseline for every x86-64 CPU). */
-void gemmSse2(Complex *out, const Complex *a, const Complex *b,
-              std::size_t m, std::size_t k, std::size_t n);
-void gemmAdjBSse2(Complex *out, const Complex *a, const Complex *b,
-                  std::size_t m, std::size_t k, std::size_t n);
-void gemmAdjASse2(Complex *out, const Complex *a, const Complex *b,
-                  std::size_t m, std::size_t k, std::size_t n);
-void matvecSse2(Complex *out, const Complex *a, const Complex *x,
-                std::size_t m, std::size_t n);
-
 /** AVX2/FMA counterparts (defined only on x86; gate on avx2Supported). */
 void gemmAvx2(Complex *out, const Complex *a, const Complex *b,
               std::size_t m, std::size_t k, std::size_t n);
+void gemmAdjBAvx2(Complex *out, const Complex *a, const Complex *b,
+                  std::size_t m, std::size_t k, std::size_t n);
+void gemmAdjAAvx2(Complex *out, const Complex *a, const Complex *b,
+                  std::size_t m, std::size_t k, std::size_t n);
+void matvecAvx2(Complex *out, const Complex *a, const Complex *x,
+                std::size_t m, std::size_t n);
 
 /**
  * Fused in-place complex Givens update of two contiguous rows (the
@@ -133,69 +118,12 @@ void gemmAvx2(Complex *out, const Complex *a, const Complex *b,
  */
 void rotateRowPairAvx2(Complex *xp, Complex *xq, std::size_t n,
                        double c, double spr, double spi);
-void gemmAdjBAvx2(Complex *out, const Complex *a, const Complex *b,
-                  std::size_t m, std::size_t k, std::size_t n);
-void gemmAdjAAvx2(Complex *out, const Complex *a, const Complex *b,
-                  std::size_t m, std::size_t k, std::size_t n);
-void matvecAvx2(Complex *out, const Complex *a, const Complex *x,
-                std::size_t m, std::size_t n);
-
-/**
- * AVX-512F counterparts (gate on avx512Supported). The dispatchers
- * route only the streaming gemm (and the blocked tiles below) here:
- * the 512-bit REDUCTION kernels (adjB / adjA / matvec) accumulate
- * 4-wide dot-product partial sums whose rounding drifts past the
- * 1e-12 legacy-agreement budget over full-length schedules, so under
- * Avx512 dispatch those three fall back to the 256-bit forms. The
- * 512-bit versions stay available for direct callers with a looser
- * budget (each one agrees with scalar to <= 1e-12 per call).
- */
-void gemmAvx512(Complex *out, const Complex *a, const Complex *b,
-                std::size_t m, std::size_t k, std::size_t n);
-void gemmAdjBAvx512(Complex *out, const Complex *a, const Complex *b,
-                    std::size_t m, std::size_t k, std::size_t n);
-void gemmAdjAAvx512(Complex *out, const Complex *a, const Complex *b,
-                    std::size_t m, std::size_t k, std::size_t n);
-void matvecAvx512(Complex *out, const Complex *a, const Complex *x,
-                  std::size_t m, std::size_t n);
-
-// Strided accumulating tiles (gemmBlocked micro-kernels):
-// out[i*ldo + j] += sum_kk a[i*lda + kk] * b[kk*ldb + j] over the
-// m x kt x nt tile.
-void gemmAccTileSse2(Complex *out, const Complex *a, const Complex *b,
-                     std::size_t m, std::size_t kt, std::size_t nt,
-                     std::size_t lda, std::size_t ldb, std::size_t ldo);
-void gemmAccTileAvx2(Complex *out, const Complex *a, const Complex *b,
-                     std::size_t m, std::size_t kt, std::size_t nt,
-                     std::size_t lda, std::size_t ldb, std::size_t ldo);
-void gemmAccTileAvx512(Complex *out, const Complex *a, const Complex *b,
-                       std::size_t m, std::size_t kt, std::size_t nt,
-                       std::size_t lda, std::size_t ldb,
-                       std::size_t ldo);
 #endif
 
-/**
- * Cache-blocked gemm for Hilbert spaces whose operands overflow L1
- * (the 81-dim qutrit pairs): tiles the k and j loops so each B panel
- * is streamed from cache, delegating every tile to the active SIMD
- * tier's accumulating inner kernel. Only engaged by the dispatcher for
- * non-Scalar modes (scalar stays bit-identical to the seed loops) at
- * sizes past its threshold.
- */
-void gemmBlocked(Complex *out, const Complex *a, const Complex *b,
-                 std::size_t m, std::size_t k, std::size_t n,
-                 SimdMode mode);
-
-/** Dimension at/above which the dispatcher routes square-ish gemms to
- *  gemmBlocked (chosen so 3- and 9-dim transmons never tile but the
- *  81-dim pairs do). */
-inline constexpr std::size_t kGemmBlockThreshold = 48;
-
 // ---------------------------------------------------------------------
-// Tier-routing entry points: select the active SimdMode's kernel (the
-// blocked path for large gemms in SIMD modes). These do NOT touch the
-// linalg.gemm.* counters — the Matrix/StatePanel wrappers own
-// accounting.
+// Tier-routing entry points: select the active SimdMode's kernel.
+// These do NOT touch the linalg.gemm.* counters — the Matrix/StatePanel
+// wrappers own accounting.
 // ---------------------------------------------------------------------
 void gemmDispatch(Complex *out, const Complex *a, const Complex *b,
                   std::size_t m, std::size_t k, std::size_t n);

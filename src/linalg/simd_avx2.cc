@@ -230,36 +230,6 @@ rotateRowPairAvx2(Complex *xp, Complex *xq, std::size_t n, double c,
     }
 }
 
-QPULSE_AVX2 void
-gemmAccTileAvx2(Complex *out, const Complex *a, const Complex *b,
-                std::size_t m, std::size_t kt, std::size_t nt,
-                std::size_t lda, std::size_t ldb, std::size_t ldo)
-{
-    for (std::size_t i = 0; i < m; ++i) {
-        const Complex *arow = a + i * lda;
-        Complex *orow = out + i * ldo;
-        for (std::size_t kk = 0; kk < kt; ++kk) {
-            const double *az = dp(arow + kk);
-            const __m256d are = _mm256_broadcast_sd(az);
-            const __m256d aim = _mm256_broadcast_sd(az + 1);
-            const Complex *brow = b + kk * ldb;
-            std::size_t j = 0;
-            for (; j + 2 <= nt; j += 2) {
-                const __m256d bv = _mm256_loadu_pd(dp(brow + j));
-                const __m256d bswap = _mm256_permute_pd(bv, 0x5);
-                const __m256d t = _mm256_mul_pd(aim, bswap);
-                const __m256d acc = _mm256_add_pd(
-                    _mm256_loadu_pd(dp(orow + j)),
-                    _mm256_fmaddsub_pd(are, bv, t));
-                _mm256_storeu_pd(dp(orow + j), acc);
-            }
-            const Complex aik = arow[kk];
-            for (; j < nt; ++j)
-                orow[j] += aik * brow[j];
-        }
-    }
-}
-
 #undef QPULSE_AVX2
 
 } // namespace kernels

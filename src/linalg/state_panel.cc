@@ -1,7 +1,6 @@
 #include "linalg/state_panel.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "linalg/simd.h"
 #include "telemetry/metrics.h"
@@ -61,30 +60,6 @@ StatePanel::fillColumns(const Vector &state)
 }
 
 void
-DensityPanel::setBlock(std::size_t col, const Matrix &rho)
-{
-    qpulseAssert(col < width_, "DensityPanel::setBlock out of range");
-    qpulseAssert(rho.rows() == dim() && rho.cols() == dim(),
-                 "DensityPanel::setBlock shape mismatch");
-    const std::size_t d = dim();
-    std::copy(rho.data().begin(), rho.data().end(),
-              storage_.data().begin() +
-                  static_cast<std::ptrdiff_t>(col * d * d));
-}
-
-void
-DensityPanel::getBlock(std::size_t col, Matrix &rho) const
-{
-    qpulseAssert(col < width_, "DensityPanel::getBlock out of range");
-    const std::size_t d = dim();
-    rho.resize(d, d);
-    const auto begin = storage_.data().begin() +
-                       static_cast<std::ptrdiff_t>(col * d * d);
-    std::copy(begin, begin + static_cast<std::ptrdiff_t>(d * d),
-              rho.data().begin());
-}
-
-void
 applyPanelInto(StatePanel &out, const Matrix &u, const StatePanel &in)
 {
     qpulseAssert(&out != &in, "applyPanelInto: out aliases input");
@@ -96,48 +71,6 @@ applyPanelInto(StatePanel &out, const Matrix &u, const StatePanel &in)
                           in.storage().data().data(), u.rows(),
                           u.cols(), in.width());
     countBatchedGemm(u.rows(), u.cols(), in.width());
-}
-
-void
-conjugatePanelInto(DensityPanel &out, const Matrix &u,
-                   const DensityPanel &in, DensityPanel &tmp)
-{
-    qpulseAssert(&out != &in && &tmp != &in && &out != &tmp,
-                 "conjugatePanelInto: aliasing panels");
-    const std::size_t d = in.dim();
-    const std::size_t width = in.width();
-    qpulseAssert(u.rows() == d && u.cols() == d,
-                 "conjugatePanelInto shape mismatch");
-    tmp.resize(d, width);
-    out.resize(d, width);
-    // Left factor: K contiguous block gemms tmp_i = u * rho_i (each
-    // block is a d x d sub-matrix at a fixed row offset, so the raw
-    // kernels see packed operands).
-    const Complex *uptr = u.data().data();
-    const Complex *iptr = in.storage().data().data();
-    Complex *tptr = tmp.storage().data().data();
-    for (std::size_t i = 0; i < width; ++i)
-        kernels::gemmDispatch(tptr + i * d * d, uptr, iptr + i * d * d,
-                              d, d, d);
-    // Right factor, batched: out = tmp * u^dagger as ONE gemmAdjB over
-    // the full (K*d) x d stack.
-    kernels::gemmAdjBDispatch(out.storage().data().data(), tptr, uptr,
-                              width * d, d, d);
-    countBatchedGemm(width * d, d, d);
-    countBatchedGemm(width * d, d, d);
-}
-
-double
-panelMaxAbsDiff(const StatePanel &a, const StatePanel &b)
-{
-    qpulseAssert(a.dim() == b.dim() && a.width() == b.width(),
-                 "panelMaxAbsDiff shape mismatch");
-    double worst = 0.0;
-    const auto &da = a.storage().data();
-    const auto &db = b.storage().data();
-    for (std::size_t i = 0; i < da.size(); ++i)
-        worst = std::max(worst, std::abs(da[i] - db[i]));
-    return worst;
 }
 
 } // namespace qpulse

@@ -7,16 +7,12 @@
  * all K states at once is a single gemm (`U * panel`): the SIMD layer
  * streams each row of U exactly once per panel instead of once per
  * shot, and the batch dimension K lands on the contiguous (vectorized)
- * axis of the kernel. A DensityPanel does the same for K density
- * matrices by stacking the d x d blocks VERTICALLY into one
- * (K*d) x d matrix: the left half of the conjugation (U * rho_i) is K
- * contiguous block gemms and the right half (* U^dagger) is one
- * batched gemmAdjB over all K blocks.
+ * axis of the kernel.
  *
- * Both panel products dispatch through the same kernels::activeSimd()
+ * The panel product dispatches through the same kernels::activeSimd()
  * tier as single-state products (src/linalg/simd.h numerics contract:
  * each column of the batched result is bit-identical across
- * QPULSE_THREADS for a fixed dispatch mode) and count their work into
+ * QPULSE_THREADS for a fixed dispatch mode) and counts its work into
  * the linalg.gemm.batched_* telemetry counters.
  */
 #ifndef QPULSE_LINALG_STATE_PANEL_H
@@ -74,72 +70,12 @@ class StatePanel
                      // of every state in the batch.
 };
 
-/** K density matrices stacked vertically: (K*d) x d, block i at rows
- *  [i*d, (i+1)*d). */
-class DensityPanel
-{
-  public:
-    DensityPanel() = default;
-
-    DensityPanel(std::size_t dim, std::size_t width)
-    {
-        resize(dim, width);
-    }
-
-    std::size_t dim() const { return storage_.cols(); }
-    std::size_t width() const { return width_; }
-
-    void resize(std::size_t dim, std::size_t width)
-    {
-        width_ = width;
-        storage_.resize(dim * width, dim);
-    }
-
-    void setZero() { storage_.setZero(); }
-
-    /** Entry (r, c) of block `col`. */
-    Complex &at(std::size_t col, std::size_t r, std::size_t c)
-    {
-        return storage_(col * dim() + r, c);
-    }
-    const Complex &at(std::size_t col, std::size_t r,
-                      std::size_t c) const
-    {
-        return storage_(col * dim() + r, c);
-    }
-
-    /** Overwrite block `col` with the given density matrix. */
-    void setBlock(std::size_t col, const Matrix &rho);
-
-    /** Copy block `col` out into `rho` (resized to dim x dim). */
-    void getBlock(std::size_t col, Matrix &rho) const;
-
-    const Matrix &storage() const { return storage_; }
-    Matrix &storage() { return storage_; }
-
-  private:
-    std::size_t width_ = 0;
-    Matrix storage_; // (width * dim) x dim
-};
-
 /**
  * out = u * in, all columns at once (one gemm of shape
  * d x d x K). `out` must not alias `in`; resized to match.
  */
 void applyPanelInto(StatePanel &out, const Matrix &u,
                     const StatePanel &in);
-
-/**
- * out_i = u * in_i * u^dagger for every block i: K block gemms for the
- * left factor plus ONE batched gemmAdjB of shape (K*d) x d x d for the
- * right factor, staged through `tmp`. Neither `out` nor `tmp` may
- * alias `in` (or each other); both are resized to match.
- */
-void conjugatePanelInto(DensityPanel &out, const Matrix &u,
-                        const DensityPanel &in, DensityPanel &tmp);
-
-/** Max elementwise |a - b| over two same-shape panels. */
-double panelMaxAbsDiff(const StatePanel &a, const StatePanel &b);
 
 } // namespace qpulse
 

@@ -33,24 +33,12 @@ Workspace::statePanel(std::size_t slot, std::size_t dim,
     return p;
 }
 
-DensityPanel &
-Workspace::densityPanel(std::size_t slot, std::size_t dim,
-                        std::size_t width)
-{
-    if (slot >= density_panels_.size())
-        density_panels_.resize(slot + 1);
-    DensityPanel &p = density_panels_[slot];
-    p.resize(dim, width);
-    return p;
-}
-
 void
 Workspace::clear()
 {
     matrices_.clear();
     vectors_.clear();
     state_panels_.clear();
-    density_panels_.clear();
 }
 
 Workspace &

@@ -6,7 +6,7 @@
  * stores persist across calls: the first request for a slot allocates,
  * every later request at the same or smaller shape reuses the existing
  * capacity. Hot kernels (powmInto, the Jacobi solver, the batched
- * evolve loops) thread a Workspace through so their scratch is
+ * state evolution) thread a Workspace through so their scratch is
  * allocated once rather than per call; powmInto is asserted
  * heap-silent after warm-up with a counting allocator in
  * tests/test_kernels.cc.
@@ -46,16 +46,12 @@ class Workspace
 
     /**
      * Scratch state panel for `slot`, resized to dim x width. Panel
-     * slots are sized by dim * width, so the batched evolve loops
-     * reuse the storage of the widest batch they have seen (asserted
-     * in tests/test_batch.cc).
+     * slots are sized by dim * width, so the batched evolve loop
+     * reuses the storage of the widest batch it has seen (asserted in
+     * tests/test_batch.cc).
      */
     StatePanel &statePanel(std::size_t slot, std::size_t dim,
                            std::size_t width);
-
-    /** Scratch density panel for `slot` ((width * dim) x dim). */
-    DensityPanel &densityPanel(std::size_t slot, std::size_t dim,
-                               std::size_t width);
 
     /** Drop all slots and their backing stores. */
     void clear();
@@ -67,7 +63,6 @@ class Workspace
     std::deque<Matrix> matrices_;
     std::deque<Vector> vectors_;
     std::deque<StatePanel> state_panels_;
-    std::deque<DensityPanel> density_panels_;
 };
 
 /**

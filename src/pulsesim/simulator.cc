@@ -503,8 +503,7 @@ namespace {
  * Lindblad step, hoisted out of the sample loop: per transmon a
  * dim x dim matrix of coherence decay factors, the n -> n-1 transfer
  * coefficients, and the lowered index. Applying them per sample is
- * then exp-free. Shared by the single-rho and batched paths so both
- * apply bit-identical damping.
+ * then exp-free.
  */
 struct DecoherenceModel
 {
@@ -571,13 +570,14 @@ struct DecoherenceModel
     }
 
     /**
-     * Operator-split decoherence for one dt on a row-major dim x dim
-     * block: coherence decay followed by the trace-preserving
+     * Operator-split decoherence for one dt on the dim x dim density
+     * matrix: coherence decay followed by the trace-preserving
      * population transfer n -> n-1 (the diagonal decay removed
      * exactly exp(-n g1 dt) from rho(r,r)).
      */
-    void apply(Complex *rho) const
+    void apply(Matrix &rho_matrix) const
     {
+        Complex *rho = rho_matrix.data().data();
         for (std::size_t j = 0; j < numTransmons; ++j) {
             const std::vector<double> &factor = decayFactor[j];
             for (std::size_t r = 0; r < dim; ++r)
@@ -613,9 +613,6 @@ PulseSimulator::evolveLindblad(const Schedule &schedule,
     const auto drives = buildDriveTimeline(schedule, duration, nullptr);
 
     const DecoherenceModel deco(model_);
-    const auto apply_decoherence = [&](Matrix &rho) {
-        deco.apply(rho.data().data());
-    };
 
     Matrix rho = rho0;
     Matrix u_rho, rho_next;
@@ -637,7 +634,7 @@ PulseSimulator::evolveLindblad(const Schedule &schedule,
                 gemmInto(u_rho, step_u, rho);
                 gemmAdjBInto(rho_next, u_rho, step_u);
                 std::swap(rho, rho_next);
-                apply_decoherence(rho);
+                deco.apply(rho);
             }
         }
         return rho;
@@ -651,7 +648,7 @@ PulseSimulator::evolveLindblad(const Schedule &schedule,
         const double t_mid = (static_cast<double>(ts) + 0.5) * kDtNs;
         const Matrix u = stepPropagator(t_mid, step_drives);
         rho = u * rho * u.adjoint();
-        apply_decoherence(rho);
+        deco.apply(rho);
     }
     return rho;
 }
@@ -747,70 +744,6 @@ PulseSimulator::evolveStatesBatched(const Schedule &schedule,
                                     StatePanel &panel) const
 {
     evolveStatesBatched(schedule, panel, tlsWorkspace());
-}
-
-void
-PulseSimulator::evolveLindbladBatched(const Schedule &schedule,
-                                      DensityPanel &panel,
-                                      Workspace &ws) const
-{
-    qpulseRequire(panel.dim() == model_.dim(),
-                  "evolveLindbladBatched dimension mismatch");
-    const std::size_t width = panel.width();
-    if (width == 0)
-        return;
-    telemetry::TraceSpan span("sim.evolve_batched");
-    const long duration = schedule.duration();
-    countBatch(duration, width);
-    const auto drives = buildDriveTimeline(schedule, duration, nullptr);
-
-    const DecoherenceModel deco(model_);
-    const std::size_t dim = model_.dim();
-    // One dt of decoherence on every block of the panel.
-    const auto apply_decoherence_panel = [&](DensityPanel &p) {
-        Complex *base = p.storage().data().data();
-        for (std::size_t i = 0; i < width; ++i)
-            deco.apply(base + i * dim * dim);
-    };
-
-    // Scratch: density-panel slots 0 (ping-pong target) and 1
-    // (conjugation staging), matrix slot 2 for the step propagator.
-    DensityPanel &next = ws.densityPanel(0, dim, width);
-    DensityPanel &stage = ws.densityPanel(1, dim, width);
-    if (cachingEnabled_) {
-        std::unique_ptr<PropagatorCache> local;
-        PropagatorCache *cache = activeCache(local);
-        Matrix &step_u = ws.matrix(2, dim, dim);
-        for (const DriveStep &step : compileSteps(drives, duration)) {
-            checkInterrupt();
-            // The decoherence split interleaves with every sample, so
-            // runs reuse the propagator but still step sample-wise.
-            cache->getOrComputeInto(
-                step.key,
-                [this, &step] {
-                    return stepPropagator(step.tMidNs, step.drives);
-                },
-                step_u);
-            for (long k = 0; k < step.count; ++k) {
-                conjugatePanelInto(next, step_u, panel, stage);
-                std::swap(panel, next);
-                apply_decoherence_panel(panel);
-            }
-        }
-        return;
-    }
-    std::vector<Complex> step_drives(model_.numTransmons());
-    for (long ts = 0; ts < duration; ++ts) {
-        if ((ts % kInterruptStride) == 0)
-            checkInterrupt();
-        for (std::size_t j = 0; j < model_.numTransmons(); ++j)
-            step_drives[j] = drives[j][static_cast<std::size_t>(ts)];
-        const double t_mid = (static_cast<double>(ts) + 0.5) * kDtNs;
-        conjugatePanelInto(next, stepPropagator(t_mid, step_drives),
-                           panel, stage);
-        std::swap(panel, next);
-        apply_decoherence_panel(panel);
-    }
 }
 
 std::vector<double>

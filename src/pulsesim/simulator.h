@@ -174,17 +174,6 @@ class PulseSimulator
                              StatePanel &panel) const;
 
     /**
-     * Batched Lindblad evolution: every d x d block of `panel` is
-     * evolved with T1/T2 decoherence in place — one propagator
-     * computation per sample shared across the batch, with the
-     * two-sided conjugation batched through conjugatePanelInto
-     * (density-panel slots 0-1 of `ws`). Matches per-block
-     * evolveLindblad to <= 1e-12 max-abs.
-     */
-    void evolveLindbladBatched(const Schedule &schedule,
-                               DensityPanel &panel, Workspace &ws) const;
-
-    /**
      * Density-matrix evolution with T1/T2 decoherence. The initial
      * density matrix must match the model dimension.
      */

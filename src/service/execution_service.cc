@@ -405,7 +405,21 @@ ExecutionService::executeJob(PendingJob &job)
         return out;
     }
 
-    // Gate 2: the backend's circuit breaker. Open = fail fast with a
+    // Gate 2: the one backend answers to "default" (or no name). Any
+    // other name fails as an unknown fleet member does, before it can
+    // mint a breaker and a global gauge per client-chosen string.
+    const std::string &name = job.request.backendName;
+    if (!name.empty() && name != "default") {
+        out.status = Status::error(
+            ErrorCode::InvalidArgument,
+            "unknown backend '" + name +
+                "': this service runs one backend, \"default\"");
+        noteTerminal(out.status, /*executed=*/false);
+        h_wall.observe(wallUsSince(t0));
+        return out;
+    }
+
+    // Gate 3: the backend's circuit breaker. Open = fail fast with a
     // structured `unavailable` naming the backend, the breaker state
     // and the cooldown progress, instead of burning the retry budget.
     CircuitBreaker &brk = breaker(job.request.backendName);

@@ -166,7 +166,9 @@ struct JobRequest
     /**
      * Breaker scope: jobs against one backend share one breaker. In
      * fleet mode "default" means "route freely"; any other value pins
-     * the job to that named pool member (no failover).
+     * the job to that named pool member (no failover). A single-backend
+     * service serves only "default" (or an empty name) and fails any
+     * other name with InvalidArgument.
      */
     std::string backendName = "default";
     /** Submitting tenant: quota + weighted-fair lane (fleet mode). */

@@ -8,14 +8,21 @@
  * invalid exemplar per ingest ErrorCode, round-tripped through parse
  * -> validateSchedule), the DocumentFramer, and the RequestFrontEnd
  * streaming loop (partial results, admission, buffer budgets,
- * disconnects, deterministic ingest fault injection).
+ * disconnects and the memory they release — via a live-bytes counting
+ * global allocator — unknown backend names, deterministic ingest fault
+ * injection).
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,10 +35,83 @@
 #include "ingest/openpulse.h"
 #include "pulse/qobj.h"
 #include "service/execution_service.h"
+#include "telemetry/metrics.h"
+
+// ---------------------------------------------------------------------
+// Live-bytes counting allocator: every operator new in this binary
+// records its size in a header in front of the block, and operator
+// delete subtracts it, so tests can assert that memory was released.
+// ---------------------------------------------------------------------
+
+namespace {
+std::atomic<std::int64_t> g_live_bytes{0};
+constexpr std::size_t kSizeHeader = alignof(std::max_align_t);
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    void *block = std::malloc(size + kSizeHeader);
+    if (!block)
+        throw std::bad_alloc();
+    *static_cast<std::size_t *>(block) = size;
+    g_live_bytes.fetch_add(static_cast<std::int64_t>(size),
+                           std::memory_order_relaxed);
+    return static_cast<char *>(block) + kSizeHeader;
+}
+
+void *
+operator new[](std::size_t size)
+{
+    return ::operator new(size);
+}
+
+// The replaced operator new above allocates with std::malloc, so
+// releasing with std::free is correct; GCC cannot see the pairing.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+void
+operator delete(void *p) noexcept
+{
+    if (!p)
+        return;
+    void *block = static_cast<char *>(p) - kSizeHeader;
+    g_live_bytes.fetch_sub(
+        static_cast<std::int64_t>(*static_cast<std::size_t *>(block)),
+        std::memory_order_relaxed);
+    std::free(block);
+}
+
+void
+operator delete[](void *p) noexcept
+{
+    ::operator delete(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    ::operator delete(p);
+}
+
+void
+operator delete[](void *p, std::size_t) noexcept
+{
+    ::operator delete(p);
+}
+
+#pragma GCC diagnostic pop
 
 namespace qpulse {
 namespace ingest {
 namespace {
+
+std::int64_t
+liveBytes()
+{
+    return g_live_bytes.load(std::memory_order_relaxed);
+}
 
 namespace fs = std::filesystem;
 
@@ -658,6 +738,72 @@ TEST(IngestFrontEnd, CloseDisconnectsInFlightRequests)
     const std::size_t before = events.size();
     front.feed(conn, "{\"a\": 1}");
     EXPECT_EQ(events.size(), before);
+}
+
+TEST(IngestFrontEnd, CloseReleasesTheReceiveBuffer)
+{
+    Rig rig;
+    FrontEndPolicy policy = rigPolicy(rig);
+    policy.maxConnectionBufferBytes = 4u << 20;
+    ExecutionService service(rig.backend, rig.sim);
+    RequestFrontEnd front(service, policy);
+    // An unterminated document under the budget: the framer buffers
+    // all of it, waiting for the closing brace that never comes.
+    const std::string partial =
+        "{\"name\": \"" + std::string(1u << 20, 'a');
+    const auto cycle = [&] {
+        const int conn = front.open();
+        front.feed(conn, partial);
+        front.close(conn);
+    };
+    cycle(); // Warm-up: one-time allocations (metrics) land here.
+
+    const std::int64_t before = liveBytes();
+    for (int i = 0; i < 8; ++i)
+        cycle();
+    // Every closed connection must give its buffer back; keeping even
+    // one would leave at least 1 MiB live.
+    EXPECT_LT(liveBytes() - before, std::int64_t{1} << 20);
+}
+
+TEST(IngestFrontEnd, SingleBackendServiceFailsUnknownBackendNames)
+{
+    Rig rig;
+    ExecutionService service(rig.backend, rig.sim);
+    RequestFrontEnd front(service, rigPolicy(rig));
+    std::map<std::string, StreamEvent> last;
+    front.setEventSink(
+        [&](const StreamEvent &e) { last[e.key] = e; });
+
+    const auto envelope = [&](const std::string &backend) {
+        std::string doc = rig.envelopeJson(16, "pin/" + backend);
+        doc.insert(doc.size() - 1, ", \"backend\": \"" + backend + "\"");
+        return doc;
+    };
+    const int conn = front.open();
+    for (const char *backend : {"b0", "b1", "default"})
+        front.feed(conn, envelope(backend));
+    front.finish(conn);
+    front.run();
+
+    for (const char *key : {"pin/b0", "pin/b1"}) {
+        EXPECT_EQ(last[key].kind, StreamEventKind::Failed) << key;
+        EXPECT_STREQ(errorCodeName(last[key].status.code()),
+                     "invalid-argument")
+            << key;
+    }
+    EXPECT_EQ(last["pin/default"].kind, StreamEventKind::Completed);
+
+    // A name the service does not serve leaves no breaker gauge
+    // behind; the one backend's gauge is there.
+    bool sawDefault = false;
+    for (const auto &[name, value] :
+         telemetry::MetricsRegistry::global().snapshot().gauges) {
+        EXPECT_NE(name, "service.breaker.state.b0");
+        EXPECT_NE(name, "service.breaker.state.b1");
+        sawDefault |= name == "service.breaker.state.default";
+    }
+    EXPECT_TRUE(sawDefault);
 }
 
 TEST(IngestFrontEnd, FaultedDeliveryIsDeterministic)

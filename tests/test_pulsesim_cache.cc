@@ -6,8 +6,10 @@
  * exercise frame changes, coupled CR tones and Lindblad decoherence;
  * phase and frequency frame changes on both paths must equal playing
  * hand-rotated samples; the LRU must stay correct under eviction
- * pressure; and the threaded shot loop must be deterministic for a
- * fixed seed regardless of thread count or caching.
+ * pressure; the threaded shot loop must be deterministic for a fixed
+ * seed regardless of thread count or caching; and the AVX2 dispatch
+ * tier must agree with Scalar on whole evolutions, not only on one
+ * kernel call at a time.
  */
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "compile/compiler.h"
+#include "linalg/simd.h"
 #include "pulsesim/simulator.h"
 #include "telemetry/metrics.h"
 
@@ -141,6 +144,57 @@ TEST(PulseSimCache, LindbladMatchesUncachedOnCrEcho)
     EXPECT_LE(maxAbsDiff(cached.evolveLindblad(schedule, rho0),
                          exact.evolveLindblad(schedule, rho0)),
               1e-12);
+}
+
+/** The three CR-echo evolutions, all computed under one SIMD tier. */
+struct CrEchoEvolution
+{
+    Matrix unitary;
+    Vector state;
+    Matrix rho; ///< evolveLindblad with T1/T2.
+};
+
+CrEchoEvolution
+evolveCrEchoUnder(kernels::SimdMode mode, bool caching)
+{
+    const kernels::SimdMode saved = kernels::activeSimd();
+    kernels::setActiveSimd(mode);
+    PulseSimulator pure = crPairSimulator();
+    PulseSimulator lossy = crPairSimulator(50.0, 70.0);
+    pure.setCachingEnabled(caching);
+    lossy.setCachingEnabled(caching);
+    const Schedule schedule = crEchoSchedule();
+    Vector ground(9);
+    ground[0] = Complex{1.0, 0.0};
+    Matrix rho0(9, 9);
+    rho0(0, 0) = Complex{1.0, 0.0};
+    CrEchoEvolution out{pure.evolveUnitary(schedule).unitary,
+                        pure.evolveState(schedule, ground),
+                        lossy.evolveLindblad(schedule, rho0)};
+    kernels::setActiveSimd(saved);
+    return out;
+}
+
+TEST(PulseSimCache, Avx2MatchesScalarEndToEndOnCrEcho)
+{
+    // The tier agreement docs/PERFORMANCE.md promises "on every matrix
+    // this project produces", checked on whole evolutions (eigensolves,
+    // binary powers, long products) on both the cached and the
+    // reference path.
+    if (!kernels::avx2Supported())
+        GTEST_SKIP() << "no AVX2 on this host";
+    for (const bool caching : {true, false}) {
+        const CrEchoEvolution scalar =
+            evolveCrEchoUnder(kernels::SimdMode::Scalar, caching);
+        const CrEchoEvolution avx2 =
+            evolveCrEchoUnder(kernels::SimdMode::Avx2, caching);
+        EXPECT_LE(maxAbsDiff(scalar.unitary, avx2.unitary), 1e-12)
+            << "unitary, caching=" << caching;
+        EXPECT_LE(maxAbsDiff(scalar.state, avx2.state), 1e-12)
+            << "state, caching=" << caching;
+        EXPECT_LE(maxAbsDiff(scalar.rho, avx2.rho), 1e-12)
+            << "lindblad, caching=" << caching;
+    }
 }
 
 TEST(PulseSimCache, FlatTopCollapsesToFewUniquePropagators)
