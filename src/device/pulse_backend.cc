@@ -258,6 +258,18 @@ PulseBackend::gatePulseCount(const Gate &gate) const
     return count;
 }
 
+std::shared_ptr<PropagatorCache>
+runPropagatorCache(const PulseSimulator &sim, const PulseShotOptions &opts)
+{
+    if (!sim.cachingEnabled())
+        return nullptr;
+    if (opts.cache)
+        return opts.cache;
+    if (sim.propagatorCache())
+        return sim.propagatorCache();
+    return std::make_shared<PropagatorCache>();
+}
+
 PulseShotResult
 PulseBackend::runShots(const PulseSimulator &sim,
                        const Schedule &schedule,
@@ -291,12 +303,9 @@ PulseBackend::runShots(const PulseSimulator &sim,
     // caller's simulator: with it off, every shot takes the
     // per-sample reference path.
     PulseSimulator worker = sim;
-    std::shared_ptr<PropagatorCache> cache;
-    if (worker.cachingEnabled()) {
-        cache = opts.cache ? opts.cache
-                           : std::make_shared<PropagatorCache>();
-        worker.setPropagatorCache(cache);
-    }
+    const std::shared_ptr<PropagatorCache> cache =
+        runPropagatorCache(sim, opts);
+    worker.setPropagatorCache(cache);
     // The worker polls the token and any *wall-clock* deadline
     // mid-evolution. Virtual budgets are deliberately not checked
     // inside evolve (setInterrupt drops them): their charge happens at

@@ -39,12 +39,16 @@ struct PulseShotOptions
     std::uint64_t seed = 1;
 
     /**
-     * Cross-shot propagator cache. When null, runShots creates one
-     * internally for the duration of the call (every shot after the
-     * first still hits); pass a caller-owned cache to extend reuse
-     * across schedules, e.g. over an RB sequence batch. Unused when
-     * the simulator has caching disabled (setCachingEnabled(false)):
-     * the shots then run the per-sample reference path.
+     * Cross-shot propagator cache. When null, runShots uses the cache
+     * attached to the simulator (PulseSimulator::setPropagatorCache),
+     * else creates one for the duration of the call (every shot after
+     * the first still hits). ResilientExecutor::run resolves the cache
+     * the same way once per run and shares it between its clean
+     * baseline and every attempt. Pass a caller-owned cache to extend
+     * reuse across schedules, e.g. over an RB sequence batch. Unused
+     * when the simulator has caching disabled
+     * (setCachingEnabled(false)): the shots then run the per-sample
+     * reference path.
      */
     std::shared_ptr<PropagatorCache> cache;
 
@@ -85,6 +89,16 @@ struct PulseShotOptions
      */
     Deadline deadline;
 };
+
+/**
+ * The propagator cache one run on `sim` evolves through: opts.cache if
+ * the caller passed one, else the cache attached to `sim`, else a fresh
+ * cache. Null when `sim` has caching disabled. runShots and
+ * ResilientExecutor::run both pick their cache here.
+ */
+std::shared_ptr<PropagatorCache>
+runPropagatorCache(const PulseSimulator &sim,
+                   const PulseShotOptions &opts);
 
 /** Result of a pulse-level shot run. */
 struct PulseShotResult

@@ -60,13 +60,20 @@ struct Baseline
     double proxy = 0.0;
 };
 
+/**
+ * Evolves through the run's cache (null when caching is off), so every
+ * attempt's runShots hits what this evolution derived.
+ */
 Baseline
-cleanBaseline(const PulseSimulator &sim, const Schedule &schedule)
+cleanBaseline(const PulseSimulator &sim, const Schedule &schedule,
+              const std::shared_ptr<PropagatorCache> &cache)
 {
-    Vector ground(sim.model().dim());
+    PulseSimulator worker = sim;
+    worker.setPropagatorCache(cache);
+    Vector ground(worker.model().dim());
     ground[0] = Complex{1.0, 0.0};
     const std::vector<double> pops =
-        sim.populations(sim.evolveState(schedule, ground));
+        worker.populations(worker.evolveState(schedule, ground));
     Baseline baseline;
     for (std::size_t i = 0; i < pops.size(); ++i)
         if (pops[i] > baseline.proxy) {
@@ -191,8 +198,14 @@ ResilientExecutor::run(const PulseSimulator &sim,
         }
     }
 
+    // --- One propagator cache for the whole run: the clean baselines
+    // and every attempt's runShots share it, so a retry derives nothing
+    // new unless the injector rewrote the schedule.
+    PulseShotOptions shot_opts = opts;
+    shot_opts.cache = runPropagatorCache(sim, opts);
+
     // --- Fidelity-proxy baseline from a clean, fault-free evolution.
-    Baseline baseline = cleanBaseline(sim, *active);
+    Baseline baseline = cleanBaseline(sim, *active, shot_opts.cache);
     if (request.baselineProxy >= 0.0)
         baseline.proxy = request.baselineProxy;
     outcome.baseline = baseline.proxy;
@@ -284,7 +297,7 @@ ResilientExecutor::run(const PulseSimulator &sim,
             }
 
             PulseShotResult result =
-                backend_->runShots(sim, injection.schedule, opts);
+                backend_->runShots(sim, injection.schedule, shot_opts);
             if (injector_)
                 stats.readoutFaultShots +=
                     injector_->applyReadoutFaults(
@@ -373,22 +386,24 @@ ResilientExecutor::run(const PulseSimulator &sim,
         absorbResilienceStats(stats);
         return outcome;
     }
-    if (!success && !on_fallback) {
+    // Streaks are only kept for keys with a fallback: staleness only
+    // matters there, and a key without one (a front-end chunk key is
+    // unique) would otherwise hold an entry forever.
+    if (!success && !on_fallback && request.fallback) {
         registerFailure(request.key);
-        if (request.fallback) {
-            const Status fallback_valid =
-                validateSchedule(*request.fallback, budget);
-            if (fallback_valid.ok()) {
-                on_fallback = true;
-                ++stats.fallbacks;
-                outcome.usedFallback = true;
-                baseline = cleanBaseline(sim, *request.fallback);
-                outcome.baseline = baseline.proxy;
-                success = run_phase(*request.fallback);
-            } else {
-                ++stats.validationRejects;
-                outcome.lastError = fallback_valid;
-            }
+        const Status fallback_valid =
+            validateSchedule(*request.fallback, budget);
+        if (fallback_valid.ok()) {
+            on_fallback = true;
+            ++stats.fallbacks;
+            outcome.usedFallback = true;
+            baseline =
+                cleanBaseline(sim, *request.fallback, shot_opts.cache);
+            outcome.baseline = baseline.proxy;
+            success = run_phase(*request.fallback);
+        } else {
+            ++stats.validationRejects;
+            outcome.lastError = fallback_valid;
         }
     }
 

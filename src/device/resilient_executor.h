@@ -96,8 +96,8 @@ struct ResilientRequest
 {
     Schedule schedule; ///< Primary (optimized/augmented) schedule.
     /**
-     * Identity for stale tracking, e.g. "direct_rx/q0". Empty means
-     * no cross-run tracking.
+     * Identity for stale tracking, e.g. "direct_rx/q0". Only requests
+     * with a fallback are tracked; empty means no cross-run tracking.
      */
     std::string key;
     /** Standard-flow decomposition to degrade to (optional). */
@@ -156,7 +156,12 @@ class ResilientExecutor
         recalibrationHook_ = std::move(hook);
     }
 
-    /** Execute one request (sequential; see class comment). */
+    /**
+     * Execute one request (sequential; see class comment). The clean
+     * baselines and every attempt evolve through one propagator cache,
+     * picked by runPropagatorCache(sim, opts), so the run derives each
+     * propagator once.
+     */
     ResilientOutcome run(const PulseSimulator &sim,
                          const ResilientRequest &request,
                          const PulseShotOptions &opts);

@@ -473,6 +473,33 @@ TEST(PulseSimCache, RunShotsDeterministicAcrossThreadsAndCaching)
     EXPECT_EQ(total, opts.shots);
 }
 
+TEST(PulseSimCache, RunShotsUsesTheSimulatorsAttachedCache)
+{
+    const BackendConfig config = almadenLineConfig(1);
+    const auto backend = makeCalibratedBackend(config);
+    Calibrator calibrator(config);
+    const QubitCalibration cal = calibrator.calibrateQubit(0);
+    PulseSimulator sim(calibrator.qubitModel(0));
+    const auto cache = std::make_shared<PropagatorCache>();
+    sim.setPropagatorCache(cache);
+
+    Schedule schedule("x180");
+    schedule.play(driveChannel(0), cal.x180Pulse());
+    PulseShotOptions opts;
+    opts.shots = 64;
+    opts.seed = 0xCAFE;
+
+    // With no opts.cache, runShots evolves through the attached cache,
+    // so a second run derives nothing and the entries stay there.
+    const PulseShotResult first = backend->runShots(sim, schedule, opts);
+    const PulseShotResult second =
+        backend->runShots(sim, schedule, opts);
+    EXPECT_GT(first.cacheStats.misses, 0u);
+    EXPECT_EQ(second.cacheStats.misses, 0u);
+    EXPECT_EQ(cache->size(), first.cacheStats.misses);
+    EXPECT_EQ(second.counts, first.counts);
+}
+
 TEST(PulseSimCache, ParallelForCoversEveryIndexOnce)
 {
     std::vector<std::atomic<int>> visits(257);

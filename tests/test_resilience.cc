@@ -6,7 +6,8 @@
  * thread counts), bounded retry with terminal-error preservation, the
  * drift watchdog (exactly one recalibration per crossing), graceful
  * degradation to the standard decomposition, fault-plan parsing, the
- * diagnosed env helpers and the RB-under-faults accounting.
+ * diagnosed env helpers, the RB-under-faults accounting and the one
+ * propagator cache an executor run shares across its evolutions.
  */
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "device/resilient_executor.h"
 #include "device/schedule_validation.h"
 #include "rb/randomized_benchmarking.h"
+#include "telemetry/metrics.h"
 
 namespace qpulse {
 namespace {
@@ -480,6 +482,72 @@ TEST(Degradation, InvalidPrimaryFallsBackBitIdentically)
     // markFresh models a successful recalibration of the entry.
     executor.markFresh("direct_rx/q0");
     EXPECT_FALSE(executor.entryStale("direct_rx/q0"));
+}
+
+TEST(Degradation, FailuresWithoutFallbackKeepNoStreak)
+{
+    const Rig rig;
+    FaultPlan plan;
+    plan.transientRate = 1.0;
+    ResilientExecutor executor(rig.backend);
+    executor.setFaultInjector(std::make_shared<FaultInjector>(plan));
+
+    // A unique front-end chunk key with nothing to degrade to: two
+    // failed runs must not leave a streak behind, or a long-running
+    // service would keep one entry per failed chunk forever.
+    ResilientRequest request;
+    request.schedule = rig.x180Schedule();
+    request.key = "ingest/7/0";
+    for (int run = 0; run < 2; ++run)
+        EXPECT_EQ(executor.run(rig.sim, request, shotOptions())
+                      .status.code(),
+                  ErrorCode::RetriesExhausted);
+    EXPECT_FALSE(executor.entryStale(request.key));
+}
+
+TEST(RunCache, BaselineAndEveryAttemptDeriveEachPropagatorOnce)
+{
+    const Rig rig;
+    const Schedule schedule = rig.x180Schedule();
+    const telemetry::Counter &eig_calls =
+        telemetry::MetricsRegistry::global().counter("sim.eig.calls");
+
+    // D: the eigensolves of one cold evolution on a fresh simulator.
+    std::uint64_t start = eig_calls.value();
+    Vector ground(rig.sim.model().dim());
+    ground[0] = Complex{1.0, 0.0};
+    (void)PulseSimulator(rig.sim).evolveState(schedule, ground);
+    const std::uint64_t derivations = eig_calls.value() - start;
+    ASSERT_GT(derivations, 0u);
+
+    const PulseShotOptions opts = shotOptions(128, 1);
+    const PulseShotResult reference =
+        rig.backend->runShots(rig.sim, schedule, opts);
+    ResilientRequest request;
+    request.schedule = schedule;
+
+    // Fault-free: the clean baseline derives every propagator, and
+    // runShots' warm-up and shots only hit.
+    ResilientExecutor executor(rig.backend);
+    start = eig_calls.value();
+    const ResilientOutcome clean = executor.run(rig.sim, request, opts);
+    EXPECT_EQ(eig_calls.value() - start, derivations);
+    EXPECT_TRUE(clean.status.ok()) << clean.status.toString();
+    EXPECT_EQ(clean.stats.attempts, 1);
+    EXPECT_EQ(clean.result.counts, reference.counts);
+
+    // A watchdog that rejects every batch: four runShots calls, and
+    // still no propagator derived twice.
+    DriftWatchdogPolicy reject_all;
+    reject_all.tolerance = -1.0;
+    ResilientExecutor rejecting(rig.backend, RetryPolicy{}, reject_all);
+    start = eig_calls.value();
+    const ResilientOutcome retried =
+        rejecting.run(rig.sim, request, opts);
+    EXPECT_EQ(eig_calls.value() - start, derivations);
+    EXPECT_EQ(retried.stats.attempts, 4);
+    EXPECT_TRUE(retried.degraded);
+    EXPECT_EQ(retried.result.counts, reference.counts);
 }
 
 TEST(RbUnderFaults, BatchedAccountingDeterministicAndOptIn)

@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/constants.h"
 #include "common/status.h"
 #include "compile/compiler.h"
 #include "device/calibration.h"
@@ -32,6 +33,7 @@
 #include "store/artifact_store.h"
 #include "store/persistent_propagator_cache.h"
 #include "store/serde.h"
+#include "telemetry/metrics.h"
 
 namespace qpulse {
 namespace {
@@ -931,6 +933,44 @@ TEST(ServicePersistence, OffByDefaultAndOnViaEnv)
     ASSERT_EQ(again.size(), 1u);
     EXPECT_TRUE(again[0].status.ok());
     EXPECT_GT(second.persistentCache()->persistStats().diskHits, 0u);
+    EXPECT_EQ(again[0].execution.result.counts,
+              outcomes[0].execution.result.counts);
+}
+
+TEST(ServicePersistence, ReopenedStoreServesTheCleanBaselineToo)
+{
+    TempDir dir;
+    EnvGuard guard("QPULSE_CACHE_DIR", dir.str().c_str());
+    const Rig rig;
+    JobRequest job;
+    job.schedule = rig.backend->schedule(
+        makeGate(GateType::DirectRx, {0}, {kPi / 2}));
+    job.key = "direct_rx/q0";
+    job.shots = 64;
+    job.seed = 0xD1;
+
+    std::vector<JobOutcome> outcomes;
+    {
+        ExecutionService first(rig.backend, rig.sim);
+        ASSERT_TRUE(first.submit(job).ok());
+        outcomes = first.drain();
+    }
+    ASSERT_EQ(outcomes.size(), 1u);
+    ASSERT_TRUE(outcomes[0].status.ok())
+        << outcomes[0].status.toString();
+
+    // A second service over the reopened store serves every
+    // propagator of the job from disk: the executor's clean baseline
+    // as well as runShots' warm-up and shots.
+    const telemetry::Counter &eig_calls =
+        telemetry::MetricsRegistry::global().counter("sim.eig.calls");
+    ExecutionService second(rig.backend, rig.sim);
+    const std::uint64_t start = eig_calls.value();
+    ASSERT_TRUE(second.submit(job).ok());
+    const std::vector<JobOutcome> again = second.drain();
+    EXPECT_EQ(eig_calls.value() - start, 0u);
+    ASSERT_EQ(again.size(), 1u);
+    EXPECT_TRUE(again[0].status.ok());
     EXPECT_EQ(again[0].execution.result.counts,
               outcomes[0].execution.result.counts);
 }
