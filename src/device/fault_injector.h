@@ -112,7 +112,20 @@ class FaultInjector
 
     const FaultPlan &plan() const { return plan_; }
 
-    /** What the injector decided for one (run, attempt). */
+    /**
+     * What the injector decided for one (run, attempt).
+     *
+     * `schedule` is one of two things. A corrupted injection carries
+     * an AWG-corrupted copy drawn from the (run, attempt) stream, so
+     * it differs between attempts. Any other injection carries the
+     * clean schedule, with the active drift applied exactly when
+     * `driftApplied` (drift depends on the plan alone). So within a
+     * run, every uncorrupted injection with the same `driftApplied`
+     * yields the same schedule. ResilientExecutor relies on this to
+     * reuse a phase's shot result instead of re-running it, together
+     * with the run's simulator staying fixed for the whole run (the
+     * recalibration hooks only bump cache generations).
+     */
     struct Injection
     {
         bool transient = false; ///< Batch fails transiently.

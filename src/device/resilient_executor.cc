@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <thread>
 
 #include "device/schedule_validation.h"
@@ -219,6 +220,14 @@ ResilientExecutor::run(const PulseSimulator &sim,
     PulseShotResult interrupt_partial;
     double backoff_spent_ms = 0.0; // Cumulative, both phases.
 
+    // runShots is a pure function of (sim, schedule, options) and a
+    // retry keeps the seed, so an attempt that would execute a
+    // schedule its phase already ran is served that complete result
+    // instead.
+    static telemetry::Counter &c_reuses =
+        telemetry::MetricsRegistry::global().counter(
+            "executor.shot_reuses");
+
     // One bounded attempt loop over a schedule; returns true when a
     // result (healthy or accepted-degraded) landed in outcome.result.
     const auto run_phase = [&](const Schedule &schedule) -> bool {
@@ -226,6 +235,11 @@ ResilientExecutor::run(const PulseSimulator &sim,
         bool have_best = false;
         PulseShotResult best;
         double best_proxy = 0.0;
+        // An uncorrupted injection is the phase schedule, drifted iff
+        // driftApplied (FaultInjector::Injection), so it keys a kept
+        // result. Corrupted uploads are random per attempt and never
+        // reuse.
+        std::optional<PulseShotResult> executed[2];
         for (int attempt = 0; attempt < retry_.maxAttempts; ++attempt) {
             interrupt = opts.deadline.check(opts.token);
             if (!interrupt.ok())
@@ -296,8 +310,20 @@ ResilientExecutor::run(const PulseSimulator &sim,
                 }
             }
 
-            PulseShotResult result =
-                backend_->runShots(sim, injection.schedule, shot_opts);
+            std::optional<PulseShotResult> &kept =
+                executed[injection.driftApplied ? 1 : 0];
+            PulseShotResult result;
+            if (!injection.corrupted && kept) {
+                result = *kept;
+                result.cacheStats = PropagatorCacheStats{};
+                c_reuses.increment();
+            } else {
+                result = backend_->runShots(sim, injection.schedule,
+                                            shot_opts);
+                if (!injection.corrupted && !result.partial)
+                    kept = result;
+            }
+            // Readout faults are drawn per attempt, on this copy.
             if (injector_)
                 stats.readoutFaultShots +=
                     injector_->applyReadoutFaults(

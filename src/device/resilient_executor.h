@@ -149,7 +149,9 @@ class ResilientExecutor
     /**
      * Invoked whenever the drift watchdog fires, in addition to the
      * injector's own recalibrate(). Hook a targeted Calibrator refresh
-     * here on a real device.
+     * here on a real device. The hook must not change the simulator
+     * or the backend during a run: a phase reuses its shot results
+     * across the recalibration (see run()).
      */
     void setRecalibrationHook(std::function<void()> hook)
     {
@@ -160,7 +162,9 @@ class ResilientExecutor
      * Execute one request (sequential; see class comment). The clean
      * baselines and every attempt evolve through one propagator cache,
      * picked by runPropagatorCache(sim, opts), so the run derives each
-     * propagator once.
+     * propagator once. An attempt that would run a schedule its phase
+     * already executed reuses that complete shot result
+     * (executor.shot_reuses).
      */
     ResilientOutcome run(const PulseSimulator &sim,
                          const ResilientRequest &request,

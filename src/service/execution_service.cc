@@ -345,6 +345,7 @@ ExecutionService::submit(JobRequest request)
     PendingJob job;
     job.id = nextId_++;
     job.request = std::move(request);
+    job.submitted = std::chrono::steady_clock::now();
     queue_.push_back(std::move(job));
     ++stats_.admitted;
     c_admitted.increment();
@@ -385,7 +386,10 @@ ExecutionService::executeJob(PendingJob &job)
         registry.counter("service.breaker_fastfail");
     static telemetry::Histogram &h_wall =
         registry.histogram("service.job.wall_us");
+    static telemetry::Histogram &h_queue_wait =
+        registry.histogram("service.queue_wait_us");
     const auto t0 = std::chrono::steady_clock::now();
+    h_queue_wait.observe(wallUsSince(job.submitted));
 
     JobOutcome out;
     out.id = job.id;
@@ -511,7 +515,10 @@ ExecutionService::executeFleetJob(PendingJob &job)
         registry.counter("fleet.failovers");
     static telemetry::Histogram &h_wall =
         registry.histogram("service.job.wall_us");
+    static telemetry::Histogram &h_queue_wait =
+        registry.histogram("service.queue_wait_us");
     const auto t0 = std::chrono::steady_clock::now();
+    h_queue_wait.observe(wallUsSince(job.submitted));
 
     JobOutcome out;
     out.id = job.id;

@@ -55,6 +55,7 @@
 #ifndef QPULSE_SERVICE_EXECUTION_SERVICE_H
 #define QPULSE_SERVICE_EXECUTION_SERVICE_H
 
+#include <chrono>
 #include <deque>
 #include <map>
 #include <memory>
@@ -385,6 +386,9 @@ class ExecutionService
     {
         std::uint64_t id = 0;
         JobRequest request;
+        /** Stamped at submit; the queue wait ends when execution
+         *  starts (service.queue_wait_us). */
+        std::chrono::steady_clock::time_point submitted;
     };
 
     JobOutcome executeJob(PendingJob &job);

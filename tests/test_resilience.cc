@@ -6,8 +6,9 @@
  * thread counts), bounded retry with terminal-error preservation, the
  * drift watchdog (exactly one recalibration per crossing), graceful
  * degradation to the standard decomposition, fault-plan parsing, the
- * diagnosed env helpers, the RB-under-faults accounting and the one
- * propagator cache an executor run shares across its evolutions.
+ * diagnosed env helpers, the RB-under-faults accounting, the one
+ * propagator cache an executor run shares across its evolutions, and
+ * the shot results a phase reuses instead of re-running a schedule.
  */
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "common/env.h"
 #include "common/status.h"
@@ -23,6 +25,7 @@
 #include "device/resilient_executor.h"
 #include "device/schedule_validation.h"
 #include "rb/randomized_benchmarking.h"
+#include "store/serde.h"
 #include "telemetry/metrics.h"
 
 namespace qpulse {
@@ -71,6 +74,15 @@ shotOptions(long shots = 256, std::size_t max_threads = 0)
     opts.seed = 0xB0B;
     opts.maxThreads = max_threads;
     return opts;
+}
+
+/** A drift watchdog whose proxy check fails every batch. */
+DriftWatchdogPolicy
+rejectEveryBatch()
+{
+    DriftWatchdogPolicy watchdog;
+    watchdog.tolerance = -1.0;
+    return watchdog;
 }
 
 TEST(Status, TaxonomyAndThrow)
@@ -286,6 +298,56 @@ TEST(FaultInjection, DecisionsDeterministicAcrossInstances)
     EXPECT_EQ(a.stats().toString(), b.stats().toString());
 }
 
+TEST(FaultInjection, UncorruptedInjectionsOfOneDriftStateAreIdentical)
+{
+    // The executor reuses a phase's shot result when an attempt would
+    // execute a schedule it already ran, keyed on driftApplied alone.
+    // That needs this contract: within a run, every uncorrupted
+    // injection with the same driftApplied yields the same schedule.
+    const Rig rig;
+    FaultPlan plan;
+    plan.transientRate = 0.2;
+    plan.timeoutRate = 0.1;
+    plan.awgNanRate = 0.15;
+    plan.awgDropRate = 0.15;
+    plan.driftRate = 0.5;
+    plan.driftFreqKhz = 4000.0;
+    plan.driftAmpError = 0.2;
+
+    FaultInjector injector(plan);
+    const Schedule clean = rig.x180Schedule();
+    const std::uint64_t clean_hash = store::hashSchedule(clean);
+    int drifted = 0, uncorrupted = 0;
+    for (std::uint64_t run = 0; run < 24; ++run) {
+        std::optional<std::uint64_t> drifted_hash;
+        for (int attempt = 0; attempt < 6; ++attempt) {
+            // A mid-run recalibration clears the spike for the rest
+            // of the run, as the drift watchdog's refresh does.
+            if (attempt == 3)
+                injector.recalibrate();
+            const auto injection = injector.inject(clean, run, attempt);
+            if (injection.corrupted)
+                continue;
+            ++uncorrupted;
+            const std::uint64_t hash =
+                store::hashSchedule(injection.schedule);
+            if (!injection.driftApplied) {
+                EXPECT_EQ(hash, clean_hash);
+                continue;
+            }
+            ++drifted;
+            EXPECT_NE(hash, clean_hash);
+            if (!drifted_hash)
+                drifted_hash = hash;
+            EXPECT_EQ(hash, *drifted_hash)
+                << "run " << run << " attempt " << attempt;
+        }
+    }
+    // Both kinds of uncorrupted injection were exercised.
+    EXPECT_GT(drifted, 0);
+    EXPECT_GT(uncorrupted, drifted);
+}
+
 TEST(FaultInjection, ExecutorBitIdenticalAcrossThreadCounts)
 {
     const Rig rig;
@@ -298,23 +360,43 @@ TEST(FaultInjection, ExecutorBitIdenticalAcrossThreadCounts)
     plan.driftAmpError = 0.2;
     plan.readoutFlipRate = 0.05;
 
-    const auto run_all = [&](std::size_t max_threads) {
-        ResilientExecutor executor(rig.backend);
-        executor.setFaultInjector(
-            std::make_shared<FaultInjector>(plan));
-        ResilientRequest request;
-        request.schedule = rig.x180Schedule();
-        request.key = "x180/q0";
-        request.fallback = rig.twoX90Schedule();
+    const telemetry::Counter &reuses =
+        telemetry::MetricsRegistry::global().counter(
+            "executor.shot_reuses");
+    // The default watchdog, then one rejecting every batch, whose
+    // retries repeat schedules and so reuse shot results.
+    const DriftWatchdogPolicy watchdogs[] = {DriftWatchdogPolicy{},
+                                             rejectEveryBatch()};
+    const auto run_all = [&](std::size_t max_threads,
+                             std::vector<std::uint64_t> &reused) {
         std::vector<ResilientOutcome> outcomes;
-        for (int run = 0; run < 3; ++run)
-            outcomes.push_back(executor.run(
-                rig.sim, request, shotOptions(192, max_threads)));
+        for (const DriftWatchdogPolicy &watchdog : watchdogs) {
+            ResilientExecutor executor(rig.backend, RetryPolicy{},
+                                       watchdog);
+            executor.setFaultInjector(
+                std::make_shared<FaultInjector>(plan));
+            ResilientRequest request;
+            request.schedule = rig.x180Schedule();
+            request.key = "x180/q0";
+            request.fallback = rig.twoX90Schedule();
+            for (int run = 0; run < 3; ++run) {
+                const std::uint64_t start = reuses.value();
+                outcomes.push_back(executor.run(
+                    rig.sim, request, shotOptions(192, max_threads)));
+                reused.push_back(reuses.value() - start);
+            }
+        }
         return outcomes;
     };
 
-    const auto sequential = run_all(1);
-    const auto threaded = run_all(8);
+    std::vector<std::uint64_t> sequential_reuses, threaded_reuses;
+    const auto sequential = run_all(1, sequential_reuses);
+    const auto threaded = run_all(8, threaded_reuses);
+    EXPECT_EQ(sequential_reuses, threaded_reuses);
+    std::uint64_t total_reuses = 0;
+    for (const std::uint64_t n : sequential_reuses)
+        total_reuses += n;
+    EXPECT_GT(total_reuses, 0u); // The comparison is not vacuous.
     ASSERT_EQ(sequential.size(), threaded.size());
     for (std::size_t i = 0; i < sequential.size(); ++i) {
         EXPECT_EQ(sequential[i].status.code(),
@@ -536,8 +618,8 @@ TEST(RunCache, BaselineAndEveryAttemptDeriveEachPropagatorOnce)
     EXPECT_EQ(clean.stats.attempts, 1);
     EXPECT_EQ(clean.result.counts, reference.counts);
 
-    // A watchdog that rejects every batch: four runShots calls, and
-    // still no propagator derived twice.
+    // A watchdog that rejects every batch: four attempts, one runShots
+    // call, and still no propagator derived twice.
     DriftWatchdogPolicy reject_all;
     reject_all.tolerance = -1.0;
     ResilientExecutor rejecting(rig.backend, RetryPolicy{}, reject_all);
@@ -548,6 +630,152 @@ TEST(RunCache, BaselineAndEveryAttemptDeriveEachPropagatorOnce)
     EXPECT_EQ(retried.stats.attempts, 4);
     EXPECT_TRUE(retried.degraded);
     EXPECT_EQ(retried.result.counts, reference.counts);
+}
+
+/** backend.runs and executor.shot_reuses added by one executor run. */
+struct ShotWork
+{
+    std::uint64_t runs = 0;
+    std::uint64_t reuses = 0;
+};
+
+ShotWork
+shotWorkOf(ResilientExecutor &executor, const Rig &rig,
+           const PulseShotOptions &opts, ResilientOutcome &outcome)
+{
+    telemetry::MetricsRegistry &registry =
+        telemetry::MetricsRegistry::global();
+    const telemetry::Counter &runs = registry.counter("backend.runs");
+    const telemetry::Counter &reuses =
+        registry.counter("executor.shot_reuses");
+    const std::uint64_t runs0 = runs.value();
+    const std::uint64_t reuses0 = reuses.value();
+    ResilientRequest request;
+    request.schedule = rig.x180Schedule();
+    outcome = executor.run(rig.sim, request, opts);
+    return {runs.value() - runs0, reuses.value() - reuses0};
+}
+
+/** The eigensolves of one cold evolution on a fresh simulator. */
+std::uint64_t
+coldDerivations(const Rig &rig, const Schedule &schedule)
+{
+    const telemetry::Counter &eig_calls =
+        telemetry::MetricsRegistry::global().counter("sim.eig.calls");
+    const std::uint64_t start = eig_calls.value();
+    Vector ground(rig.sim.model().dim());
+    ground[0] = Complex{1.0, 0.0};
+    (void)PulseSimulator(rig.sim).evolveState(schedule, ground);
+    return eig_calls.value() - start;
+}
+
+TEST(ShotReuse, IdenticalRetriesRunTheScheduleOnce)
+{
+    // No faults, and a watchdog that rejects every batch: the four
+    // attempts would run one schedule with one seed four times.
+    const Rig rig;
+    const PulseShotOptions opts = shotOptions(128, 1);
+    const PulseShotResult reference =
+        rig.backend->runShots(rig.sim, rig.x180Schedule(), opts);
+
+    ResilientExecutor executor(rig.backend, RetryPolicy{},
+                               rejectEveryBatch());
+    ResilientOutcome outcome;
+    const ShotWork work = shotWorkOf(executor, rig, opts, outcome);
+    EXPECT_EQ(work.runs, 1u);
+    EXPECT_EQ(work.reuses, 3u);
+    EXPECT_EQ(outcome.stats.attempts, 4);
+    EXPECT_TRUE(outcome.degraded);
+    EXPECT_TRUE(outcome.status.ok()) << outcome.status.toString();
+    EXPECT_EQ(outcome.result.counts, reference.counts);
+
+    // Under a virtual-time deadline too, and a reuse charges nothing:
+    // the budget pays for the one runShots call alone.
+    const auto one_run = static_cast<std::uint64_t>(
+        rig.x180Schedule().duration() * opts.shots);
+    PulseShotOptions virtual_opts = opts;
+    virtual_opts.deadline = Deadline::virtualBudget(4 * one_run);
+    const ShotWork virtual_work =
+        shotWorkOf(executor, rig, virtual_opts, outcome);
+    EXPECT_EQ(virtual_work.runs, 1u);
+    EXPECT_EQ(virtual_work.reuses, 3u);
+    EXPECT_EQ(virtual_opts.deadline.remainingUnits(), 3 * one_run);
+    EXPECT_EQ(outcome.stats.attempts, 4);
+    EXPECT_TRUE(outcome.status.ok()) << outcome.status.toString();
+    EXPECT_FALSE(outcome.result.partial);
+    EXPECT_EQ(outcome.result.counts, reference.counts);
+}
+
+TEST(ShotReuse, ChangedSchedulesStillRun)
+{
+    const Rig rig;
+    const PulseShotOptions opts = shotOptions(128, 1);
+
+    // A drift spike: the first attempt runs the drifted schedule, the
+    // recalibration clears it, and the second runs the clean one. The
+    // last two attempts repeat the second.
+    FaultPlan drift;
+    drift.driftRate = 1.0;
+    drift.driftFreqKhz = 8000.0;
+    drift.driftAmpError = 0.3;
+    const auto drifted = FaultInjector(drift).inject(rig.x180Schedule(),
+                                                     0, 0);
+    ASSERT_TRUE(drifted.driftApplied);
+    const std::uint64_t clean_derivations =
+        coldDerivations(rig, rig.x180Schedule());
+    const std::uint64_t drifted_derivations =
+        coldDerivations(rig, drifted.schedule);
+    ASSERT_GT(clean_derivations, 0u);
+    ASSERT_GT(drifted_derivations, 0u);
+    ResilientExecutor drifting(rig.backend, RetryPolicy{},
+                               rejectEveryBatch());
+    drifting.setFaultInjector(std::make_shared<FaultInjector>(drift));
+    const telemetry::Counter &eig_calls =
+        telemetry::MetricsRegistry::global().counter("sim.eig.calls");
+    const std::uint64_t eig_start = eig_calls.value();
+    ResilientOutcome outcome;
+    ShotWork work = shotWorkOf(drifting, rig, opts, outcome);
+    EXPECT_EQ(work.runs, 2u);
+    EXPECT_EQ(work.reuses, 2u);
+    EXPECT_EQ(outcome.stats.attempts, 4);
+    // The clean baseline and the drifted attempt derive their
+    // propagators; the clean attempt's runShots after the
+    // recalibration only hits the run's cache.
+    EXPECT_EQ(eig_calls.value() - eig_start,
+              clean_derivations + drifted_derivations);
+
+    // Every upload loses a random chunk of samples but passes the
+    // validation gate: each attempt executes its own corrupted copy.
+    FaultPlan drop;
+    drop.awgDropRate = 1.0;
+    ResilientExecutor dropping(rig.backend, RetryPolicy{},
+                               rejectEveryBatch());
+    dropping.setFaultInjector(std::make_shared<FaultInjector>(drop));
+    work = shotWorkOf(dropping, rig, opts, outcome);
+    EXPECT_EQ(work.runs, 4u);
+    EXPECT_EQ(work.reuses, 0u);
+    EXPECT_EQ(outcome.stats.attempts, 4);
+    EXPECT_EQ(outcome.stats.validationRejects, 0);
+}
+
+TEST(ShotReuse, ReadoutFaultsStayPerAttempt)
+{
+    // Readout faults are drawn per (run, attempt) on each attempt's
+    // own copy of the counts, reused or not. The values are pinned
+    // from an executor that re-ran every attempt.
+    const Rig rig;
+    FaultPlan plan;
+    plan.readoutFlipRate = 0.2;
+    ResilientExecutor executor(rig.backend, RetryPolicy{},
+                               rejectEveryBatch());
+    executor.setFaultInjector(std::make_shared<FaultInjector>(plan));
+    ResilientOutcome outcome;
+    const ShotWork work =
+        shotWorkOf(executor, rig, shotOptions(128, 1), outcome);
+    EXPECT_EQ(work.runs + work.reuses, 4u);
+    EXPECT_EQ(outcome.result.counts, (std::vector<long>{6, 111, 11}));
+    EXPECT_EQ(outcome.stats.readoutFaultShots, 96);
+    EXPECT_TRUE(outcome.degraded);
 }
 
 TEST(RbUnderFaults, BatchedAccountingDeterministicAndOptIn)

@@ -7,8 +7,9 @@
  * validation codes (empty-schedule / zero-duration-play), the
  * per-backend circuit breaker state machine, and the ExecutionService
  * itself — admission control (reject vs shed), priority draining,
- * wedged-backend fast fail, and the virtual-time determinism contract
- * (bit-identical stats and outcomes across thread counts).
+ * the queue-wait histogram, wedged-backend fast fail, and the
+ * virtual-time determinism contract (bit-identical stats and outcomes
+ * across thread counts).
  */
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include "device/schedule_validation.h"
 #include "service/circuit_breaker.h"
 #include "service/execution_service.h"
+#include "telemetry/metrics.h"
 
 namespace qpulse {
 namespace {
@@ -592,6 +594,37 @@ TEST(Service, AdmissionShedsLowestPriorityMostRecentFirst)
             EXPECT_TRUE(out.executed);
             EXPECT_TRUE(out.status.ok()) << out.status.toString();
         }
+}
+
+TEST(Service, QueueWaitObservedForEveryDrainedJob)
+{
+    // Every job that leaves the queue records its submit-to-execution
+    // wait once, on both job paths, a job failing a gate included.
+    // Refused submissions never queued and record nothing.
+    const Rig rig;
+    const telemetry::Histogram &waits =
+        telemetry::MetricsRegistry::global().histogram(
+            "service.queue_wait_us");
+    auto pool = std::make_shared<BackendPool>();
+    pool->addBackend("b0", rig.backend, rig.sim);
+    ExecutionService single(rig.backend, rig.sim, smallQueuePolicy(3));
+    ExecutionService fleet(pool, smallQueuePolicy(3));
+    for (ExecutionService *service : {&single, &fleet}) {
+        JobRequest unknown = makeJob(rig, 1);
+        unknown.backendName = "nowhere";
+        EXPECT_TRUE(service->submit(makeJob(rig, 1)).ok());
+        EXPECT_TRUE(service->submit(std::move(unknown)).ok());
+        EXPECT_TRUE(service->submit(makeJob(rig, 1)).ok());
+        EXPECT_EQ(service->submit(makeJob(rig, 1)).code(),
+                  ErrorCode::ResourceExhausted);
+
+        const std::uint64_t before = waits.snapshot().count;
+        const std::vector<JobOutcome> outcomes = service->drain();
+        ASSERT_EQ(outcomes.size(), 3u);
+        EXPECT_EQ(outcomes[1].status.code(),
+                  ErrorCode::InvalidArgument);
+        EXPECT_EQ(waits.snapshot().count - before, 3u);
+    }
 }
 
 TEST(Service, CancelledBeforeAdmissionNeverTakesASlot)
