@@ -1,6 +1,6 @@
 /**
  * @file
- * Fleet bench: drive the fleet-mode ExecutionService over an 8-member
+ * Fleet bench: drive the ExecutionService over an 8-member
  * BackendPool with independent seed-derived fault plans and emit
  * BENCH_fleet.json.
  *
@@ -28,7 +28,9 @@
  * generous afterMsOrBudget, the breaker cooldown counts denied calls,
  * and probe seeds derive from probe ordinals, so the printed
  * `determinism-fingerprint:` line is bit-identical across
- * QPULSE_THREADS under QPULSE_VIRTUAL_TIME=1 (CI diffs it at 1 vs 8).
+ * QPULSE_THREADS under QPULSE_VIRTUAL_TIME=1 (CI diffs it at 1 vs 8
+ * and compares the one-thread line with
+ * .github/determinism-fingerprints.txt).
  */
 #include <cstdio>
 #include <string>
@@ -116,9 +118,6 @@ fleetServicePolicy()
 {
     ServicePolicy policy;
     policy.queueCapacity = 4096;
-    policy.retry.maxAttempts = 2;
-    policy.breaker.window = 4;
-    policy.breaker.minSamples = 2;
     policy.fleet.failoverBudget = 5;
     // 16 workload tenants with mixed weights; t00 runs over-quota to
     // exercise admission. "ops" is deliberately light so maintenance

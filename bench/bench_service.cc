@@ -12,17 +12,21 @@
  *     terminates the job at the service gate without touching the
  *     backend.
  *  3. Wedged backend — 100% injected timeouts: the circuit breaker
- *     trips after the failure window fills and the rest of the job set
- *     fast-fails with `unavailable` instead of burning retry budgets.
- *  4. Recovery — the faults clear; half-open probes succeed, the
- *     breaker closes, and subsequent jobs complete.
+ *     trips after the failure window fills, the pool quarantines its
+ *     one member, and the rest of the job set fast-fails with
+ *     `unavailable` instead of burning retry budgets.
+ *  4. Recovery — the faults clear. The pool's 8-shot health probes,
+ *     not real jobs, are the half-open trials: once they succeed the
+ *     breaker closes, the member is readmitted and subsequent jobs
+ *     complete.
  *
  * Every deadline is a virtual-time budget (or a generous
  * afterMsOrBudget that never fires), and the breaker cooldown is
  * counted in denied calls, so the service counters and the printed
  * `determinism-fingerprint:` line are bit-identical across
  * QPULSE_THREADS settings. CI runs this bench at QPULSE_THREADS=1 and
- * =8 under QPULSE_VIRTUAL_TIME=1 and diffs the fingerprint lines.
+ * =8 under QPULSE_VIRTUAL_TIME=1, diffs the fingerprint lines, and
+ * compares the one-thread line with .github/determinism-fingerprints.txt.
  */
 #include <cstdio>
 #include <string>
@@ -177,7 +181,8 @@ main()
     // first and fast-fails most of the second.
     FaultPlan wedged;
     wedged.timeoutRate = 1.0;
-    service.setFaultInjector(std::make_shared<FaultInjector>(wedged));
+    service.pool().setFaultInjector(
+        "default", std::make_shared<FaultInjector>(wedged));
     for (int batch = 0; batch < 2; ++batch) {
         for (int i = 0; i < 4; ++i)
             (void)service.submit(
@@ -185,9 +190,10 @@ main()
         drainInto();
     }
 
-    // Phase 4: faults clear. Cooldown denials, then successful
-    // half-open probes close the breaker and the tail completes.
-    service.setFaultInjector(nullptr);
+    // Phase 4: faults clear. The probe pump spends the cooldown, then
+    // successful half-open probes close the breaker, readmit the
+    // member, and the tail completes.
+    service.pool().setFaultInjector("default", nullptr);
     for (int i = 0; i < 4; ++i)
         (void)service.submit(makeJob(s, /*priority=*/0, generous(s)));
     drainInto();

@@ -54,10 +54,11 @@ validateProbePolicy(const ProbePolicy &policy)
     return Status::okStatus();
 }
 
-/** True when `code` says something about backend health. The same
- *  classes the service's breaker accounting uses: a deadline expiry
- *  is a failure (a healthy backend finishes inside its budget);
- *  cancellation and validation rejects record nothing. */
+/** True when `code` says something about backend health: a deadline
+ *  expiry is a failure (a healthy backend finishes inside its budget,
+ *  and a wedged one must trip its breaker so the queue fails fast
+ *  instead of timing out job by job); cancellation and validation
+ *  rejects record nothing. */
 bool
 healthFailure(ErrorCode code)
 {

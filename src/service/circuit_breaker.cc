@@ -54,18 +54,23 @@ validateBreakerPolicy(const CircuitBreakerPolicy &policy)
 }
 
 std::string
+breakerStateDetail(const CircuitBreaker &breaker)
+{
+    std::string detail =
+        std::string("circuit breaker ") + breakerStateName(breaker.state());
+    if (breaker.state() == BreakerState::Open)
+        detail += " (" + std::to_string(breaker.cooldownRemaining()) +
+                  " more cooldown denials until the half-open probe)";
+    return detail;
+}
+
+std::string
 breakerDenialMessage(const std::string &backendName,
                      const CircuitBreaker &breaker)
 {
-    std::string message = "backend '" + backendName +
-                          "' unavailable: circuit breaker " +
-                          breakerStateName(breaker.state());
-    if (breaker.state() == BreakerState::Open)
-        message += " (" +
-                   std::to_string(breaker.cooldownRemaining()) +
-                   " more denied jobs until the half-open probe)";
-    message += "; failing fast";
-    return message;
+    return "backend '" + backendName +
+           "' unavailable: " + breakerStateDetail(breaker) +
+           "; failing fast";
 }
 
 CircuitBreaker::CircuitBreaker(CircuitBreakerPolicy policy)

@@ -71,12 +71,17 @@ Status validateBreakerPolicy(const CircuitBreakerPolicy &policy);
 class CircuitBreaker;
 
 /**
+ * "circuit breaker <state>", plus — while Open — how many more
+ * cooldown denials remain before the half-open probe.
+ */
+std::string breakerStateDetail(const CircuitBreaker &breaker);
+
+/**
  * The structured fast-fail message for a job denied by `breaker`:
- * names the backend, the breaker state and — while Open — how many
- * more denied jobs remain before the half-open probe, so an
- * `unavailable` Status tells the caller *which* backend refused and
- * how far through its cooldown it is. Call after allow() returned
- * false (the denial just counted is already reflected).
+ * names the backend and its breakerStateDetail, so an `unavailable`
+ * Status tells the caller *which* backend refused and how far through
+ * its cooldown it is. Call after allow() returned false (the denial
+ * just counted is already reflected).
  */
 std::string breakerDenialMessage(const std::string &backendName,
                                  const CircuitBreaker &breaker);

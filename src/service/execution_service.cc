@@ -8,8 +8,6 @@
 #include "common/env.h"
 #include "common/thread_pool.h"
 #include "compile/compile_cache.h"
-#include "store/persistent_propagator_cache.h"
-#include "store/serde.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -38,17 +36,15 @@ resolveCapacity(const ServicePolicy &policy)
 
 /**
  * Construction-time policy validation: a service must refuse to start
- * with a breaker that can never trip/close or a fleet scheduler whose
- * shares are degenerate, instead of misbehaving silently later.
+ * with a breaker that can never trip/close or a scheduler whose shares
+ * are degenerate, instead of misbehaving silently later.
  */
 Status
-validateServicePolicy(const ServicePolicy &policy, bool fleet)
+validateServicePolicy(const ServicePolicy &policy)
 {
     if (Status breakerStatus = validateBreakerPolicy(policy.breaker);
         !breakerStatus.ok())
         return breakerStatus;
-    if (!fleet)
-        return Status::okStatus();
     if (policy.fleet.failoverBudget < 1)
         return Status::error(
             ErrorCode::InvalidArgument,
@@ -66,6 +62,46 @@ validateServicePolicy(const ServicePolicy &policy, bool fleet)
                 "FleetPolicy: tenant '" + entry.first +
                     "' weight must be > 0 for weighted-fair dequeue");
     return Status::okStatus();
+}
+
+/** The pool of one behind the single-backend constructor. */
+std::shared_ptr<BackendPool>
+poolOfOne(std::shared_ptr<const PulseBackend> backend,
+          PulseSimulator sim, const ServicePolicy &policy)
+{
+    BackendPool::Policies policies;
+    policies.retry = policy.retry;
+    policies.watchdog = policy.watchdog;
+    policies.degrade = policy.degrade;
+    policies.breaker = policy.breaker;
+    policies.artifactStore = policy.artifactStore;
+    policies.compileMode = policy.compileMode;
+    policies.compileCache = policy.compileCache;
+    auto pool = std::make_shared<BackendPool>(std::move(policies));
+    pool->addBackend("default", std::move(backend), std::move(sim));
+    return pool;
+}
+
+/**
+ * The fast-fail message when no member is routable: every member with
+ * its admin state, and for a quarantined one its breaker state and the
+ * cooldown the probe pump has yet to spend.
+ */
+std::string
+noRoutableBackendMessage(const BackendPool &pool)
+{
+    std::string members;
+    for (const std::string &name : pool.names()) {
+        if (!members.empty())
+            members += "; ";
+        const BackendAdminState admin = pool.adminState(name);
+        members += "'" + name + "' " + backendAdminStateName(admin);
+        if (admin == BackendAdminState::Quarantined)
+            members += ", " + breakerStateDetail(pool.breaker(name));
+    }
+    if (members.empty())
+        members = "the pool has no members";
+    return "no routable backend (" + members + "): failing fast";
 }
 
 /**
@@ -94,105 +130,20 @@ failoverEligible(ErrorCode code)
 ExecutionService::ExecutionService(
     std::shared_ptr<const PulseBackend> backend, PulseSimulator sim,
     ServicePolicy policy)
-    : backend_(std::move(backend)), sim_(std::move(sim)),
-      policy_(policy), capacity_(resolveCapacity(policy))
+    : ExecutionService(poolOfOne(std::move(backend), std::move(sim),
+                                 policy),
+                       policy)
 {
-    throwIfError(validateServicePolicy(policy_, /*fleet=*/false));
-    executor_ = std::make_unique<ResilientExecutor>(
-        backend_, policy_.retry, policy_.watchdog, policy_.degrade);
-    artifactStore_ = policy_.artifactStore
-                         ? policy_.artifactStore
-                         : store::ArtifactStore::openFromEnv();
-    if (artifactStore_)
-        persistCache_ =
-            std::make_shared<store::PersistentPropagatorCache>(
-                artifactStore_,
-                store::mixHash(sim_->basisVersion(), recalEpoch_),
-                store::simConfigFingerprint(*sim_));
-    // Circuit-carrying jobs compile through a memoized two-tier cache:
-    // the memory tier always exists; the persistent tier rides the
-    // same artifact store as the propagators.
-    compileCache_ = policy_.compileCache
-                        ? policy_.compileCache
-                        : std::make_shared<CompileCache>(
-                              CompileCache::kDefaultCapacity,
-                              artifactStore_);
-    compiler_ = std::make_unique<PulseCompiler>(backend_,
-                                                policy_.compileMode);
-    compiler_->setCompileCache(compileCache_);
-    compiler_->setCompileGeneration(
-        calibrationGeneration(backend_->library(), recalEpoch_));
-    // Composite hook: a recalibration means the calibration the
-    // persisted propagators were derived under is gone — retire the
-    // generation before any user-visible bookkeeping runs.
-    executor_->setRecalibrationHook([this] { onRecalibration(); });
-}
-
-void
-ExecutionService::onRecalibration()
-{
-    // The epoch always advances: compiled schedules keyed under the
-    // old calibration generation must miss even when persistence is
-    // off (the memory tier invalidates by the same unreachability).
-    ++recalEpoch_;
-    if (persistCache_)
-        persistCache_->setGeneration(
-            store::mixHash(sim_->basisVersion(), recalEpoch_));
-    if (compiler_)
-        compiler_->setCompileGeneration(
-            calibrationGeneration(backend_->library(), recalEpoch_));
-    // A fresh snapshot marks the recalibration point for the next
-    // process's bootstrap (newest-wins on the fixed snapshot key).
-    if (artifactStore_ && backend_)
-        writeCalibrationSnapshot(*artifactStore_, backend_->library());
-    if (userRecalHook_)
-        userRecalHook_();
-}
-
-std::shared_ptr<store::ArtifactStore>
-ExecutionService::artifactStore() const
-{
-    return pool_ != nullptr ? pool_->artifactStore() : artifactStore_;
-}
-
-std::shared_ptr<CompileCache>
-ExecutionService::compileCache() const
-{
-    return pool_ != nullptr ? pool_->compileCache() : compileCache_;
-}
-
-Status
-ExecutionService::flushPersistence()
-{
-    if (pool_ != nullptr)
-        return pool_->flushPersistence();
-    Status first = persistCache_ ? persistCache_->flush()
-                                 : Status::okStatus();
-    if (compileCache_) {
-        const Status compile = compileCache_->flush();
-        if (!compile.ok() && first.ok())
-            first = compile;
-    }
-    return first;
 }
 
 ExecutionService::ExecutionService(std::shared_ptr<BackendPool> pool,
                                    ServicePolicy policy)
-    : policy_(policy), capacity_(resolveCapacity(policy)),
+    : policy_(std::move(policy)), capacity_(resolveCapacity(policy_)),
       pool_(std::move(pool))
 {
     qpulseRequire(pool_ != nullptr,
-                  "ExecutionService: fleet constructor needs a "
-                  "non-null BackendPool");
-    throwIfError(validateServicePolicy(policy_, /*fleet=*/true));
-}
-
-BackendPool &
-ExecutionService::pool()
-{
-    qpulseRequire(pool_ != nullptr,
-                  "ExecutionService::pool: not a fleet-mode service");
-    return *pool_;
+                  "ExecutionService: needs a non-null BackendPool");
+    throwIfError(validateServicePolicy(policy_));
 }
 
 const TenantQuota &
@@ -214,19 +165,8 @@ ExecutionService::queuedForTenant(const std::string &tenant) const
     return count;
 }
 
-CircuitBreaker &
-ExecutionService::breaker(const std::string &backendName)
-{
-    auto it = breakers_.find(backendName);
-    if (it == breakers_.end())
-        it = breakers_
-                 .emplace(backendName, CircuitBreaker(policy_.breaker))
-                 .first;
-    return it->second;
-}
-
 void
-ExecutionService::noteTerminal(const Status &status, bool /*executed*/)
+ExecutionService::noteTerminal(const Status &status)
 {
     telemetry::MetricsRegistry &registry =
         telemetry::MetricsRegistry::global();
@@ -271,6 +211,8 @@ ExecutionService::submit(JobRequest request)
         registry.counter("service.rejected");
     static telemetry::Counter &c_shed =
         registry.counter("service.shed");
+    static telemetry::Counter &c_tenant_rejected =
+        registry.counter("service.tenant_rejected");
     static telemetry::Gauge &g_depth =
         registry.gauge("service.queue_depth");
 
@@ -280,29 +222,25 @@ ExecutionService::submit(JobRequest request)
     // A job whose token/deadline already fired never takes a slot.
     if (Status gate = request.deadline.check(request.token);
         !gate.ok()) {
-        noteTerminal(gate, /*executed=*/false);
+        noteTerminal(gate);
         return gate;
     }
 
-    // Fleet tenant quota: one tenant may never crowd the shared queue
-    // past its cap, however fast it submits — capacity left open this
-    // way is what keeps other tenants' jobs admissible.
-    if (pool_ != nullptr) {
-        static telemetry::Counter &c_tenant_rejected =
-            registry.counter("service.tenant_rejected");
-        const TenantQuota &quota = tenantQuota(request.tenant);
-        if (quota.maxQueued > 0 &&
-            queuedForTenant(request.tenant) >= quota.maxQueued) {
-            ++stats_.rejected;
-            ++stats_.tenantRejected;
-            c_rejected.increment();
-            c_tenant_rejected.increment();
-            return Status::error(
-                ErrorCode::ResourceExhausted,
-                "tenant '" + request.tenant + "' is at its quota (" +
-                    std::to_string(quota.maxQueued) +
-                    " queued jobs): admission refused");
-        }
+    // Tenant quota: one tenant may never crowd the shared queue past
+    // its cap, however fast it submits — capacity left open this way
+    // is what keeps other tenants' jobs admissible.
+    const TenantQuota &quota = tenantQuota(request.tenant);
+    if (quota.maxQueued > 0 &&
+        queuedForTenant(request.tenant) >= quota.maxQueued) {
+        ++stats_.rejected;
+        ++stats_.tenantRejected;
+        c_rejected.increment();
+        c_tenant_rejected.increment();
+        return Status::error(
+            ErrorCode::ResourceExhausted,
+            "tenant '" + request.tenant + "' is at its quota (" +
+                std::to_string(quota.maxQueued) +
+                " queued jobs): admission refused");
     }
 
     if (queue_.size() >= capacity_) {
@@ -331,6 +269,7 @@ ExecutionService::submit(JobRequest request)
         out.id = victim->id;
         out.key = victim->request.key;
         out.priority = victim->request.priority;
+        out.tenant = victim->request.tenant;
         out.shed = true;
         out.status = Status::error(
             ErrorCode::ResourceExhausted,
@@ -384,133 +323,6 @@ ExecutionService::executeJob(PendingJob &job)
         telemetry::MetricsRegistry::global();
     static telemetry::Counter &c_fastfail =
         registry.counter("service.breaker_fastfail");
-    static telemetry::Histogram &h_wall =
-        registry.histogram("service.job.wall_us");
-    static telemetry::Histogram &h_queue_wait =
-        registry.histogram("service.queue_wait_us");
-    const auto t0 = std::chrono::steady_clock::now();
-    h_queue_wait.observe(wallUsSince(job.submitted));
-
-    JobOutcome out;
-    out.id = job.id;
-    out.key = job.request.key;
-    out.priority = job.request.priority;
-    out.tenant = job.request.tenant;
-    out.backend = job.request.backendName;
-
-    // Gate 1: a cancelled or expired job terminates without touching
-    // the backend (and without charging the breaker either way).
-    if (Status gate =
-            job.request.deadline.check(job.request.token);
-        !gate.ok()) {
-        out.status = std::move(gate);
-        noteTerminal(out.status, /*executed=*/false);
-        h_wall.observe(wallUsSince(t0));
-        return out;
-    }
-
-    // Gate 2: the one backend answers to "default" (or no name). Any
-    // other name fails as an unknown fleet member does, before it can
-    // mint a breaker and a global gauge per client-chosen string.
-    const std::string &name = job.request.backendName;
-    if (!name.empty() && name != "default") {
-        out.status = Status::error(
-            ErrorCode::InvalidArgument,
-            "unknown backend '" + name +
-                "': this service runs one backend, \"default\"");
-        noteTerminal(out.status, /*executed=*/false);
-        h_wall.observe(wallUsSince(t0));
-        return out;
-    }
-
-    // Gate 3: the backend's circuit breaker. Open = fail fast with a
-    // structured `unavailable` naming the backend, the breaker state
-    // and the cooldown progress, instead of burning the retry budget.
-    CircuitBreaker &brk = breaker(job.request.backendName);
-    telemetry::Gauge &g_state = registry.gauge(
-        "service.breaker.state." + job.request.backendName);
-    if (!brk.allow()) {
-        out.breakerFastFail = true;
-        out.status = Status::error(
-            ErrorCode::Unavailable,
-            breakerDenialMessage(job.request.backendName, brk));
-        ++stats_.breakerFastFails;
-        c_fastfail.increment();
-        g_state.set(brk.stateValue());
-        h_wall.observe(wallUsSince(t0));
-        return out;
-    }
-
-    ResilientRequest request;
-    request.schedule = job.request.schedule;
-    request.key = job.request.key;
-    request.fallback = job.request.fallback;
-    request.baselineProxy = job.request.baselineProxy;
-
-    // Circuit-carrying job: lower it through the memoized compile
-    // cache (the drain-time precompile usually makes this a hit). A
-    // compile failure terminates the job here — it never reaches the
-    // backend, and the breaker records nothing (a bad circuit says
-    // nothing about backend health).
-    if (job.request.circuit) {
-        if (Status compiled = compileCircuit(
-                *compiler_, *job.request.circuit, request.schedule);
-            !compiled.ok()) {
-            out.status = std::move(compiled);
-            noteTerminal(out.status, /*executed=*/false);
-            h_wall.observe(wallUsSince(t0));
-            return out;
-        }
-    }
-
-    PulseShotOptions opts;
-    opts.shots = job.request.shots;
-    opts.seed = job.request.seed;
-    opts.maxThreads = policy_.maxThreads;
-    opts.token = job.request.token;
-    opts.deadline = job.request.deadline;
-    // Persistence on: propagator derivations go through the disk-
-    // backed cache (memory hit -> disk hit -> derive and write back).
-    if (persistCache_)
-        opts.cache = persistCache_;
-
-    out.execution = executor_->run(*sim_, request, opts);
-    out.executed = true;
-    out.status = out.execution.status;
-
-    // Breaker accounting: backend-health outcomes only. A deadline
-    // expiry counts as a failure — a healthy backend finishes inside
-    // its budget, and a wedged one (100% timeouts) must trip the
-    // breaker so the rest of the queue fails fast instead of timing
-    // out job by job. Cancellation and validation rejects say nothing
-    // about backend health and record neither.
-    switch (out.status.code()) {
-      case ErrorCode::Ok:
-        brk.recordSuccess();
-        break;
-      case ErrorCode::TransientFailure:
-      case ErrorCode::Timeout:
-      case ErrorCode::RetriesExhausted:
-      case ErrorCode::DeadlineExceeded:
-        brk.recordFailure();
-        break;
-      default:
-        break;
-    }
-    g_state.set(brk.stateValue());
-    noteTerminal(out.status, /*executed=*/true);
-    h_wall.observe(wallUsSince(t0));
-    return out;
-}
-
-JobOutcome
-ExecutionService::executeFleetJob(PendingJob &job)
-{
-    telemetry::TraceSpan span("service.job");
-    telemetry::MetricsRegistry &registry =
-        telemetry::MetricsRegistry::global();
-    static telemetry::Counter &c_fastfail =
-        registry.counter("service.breaker_fastfail");
     static telemetry::Counter &c_failovers =
         registry.counter("fleet.failovers");
     static telemetry::Histogram &h_wall =
@@ -526,12 +338,13 @@ ExecutionService::executeFleetJob(PendingJob &job)
     out.priority = job.request.priority;
     out.tenant = job.request.tenant;
 
-    // Gate 1: cancellation/deadline, as in single-backend mode.
+    // Gate: a cancelled or expired job terminates without touching a
+    // backend (and without charging a breaker either way).
     if (Status gate =
             job.request.deadline.check(job.request.token);
         !gate.ok()) {
         out.status = std::move(gate);
-        noteTerminal(out.status, /*executed=*/false);
+        noteTerminal(out.status);
         h_wall.observe(wallUsSince(t0));
         return out;
     }
@@ -548,7 +361,7 @@ ExecutionService::executeFleetJob(PendingJob &job)
             out.status = Status::error(
                 ErrorCode::InvalidArgument,
                 "unknown backend '" + name + "': not in the fleet");
-            noteTerminal(out.status, /*executed=*/false);
+            noteTerminal(out.status);
             h_wall.observe(wallUsSince(t0));
             return out;
         }
@@ -576,10 +389,8 @@ ExecutionService::executeFleetJob(PendingJob &job)
 
     if (candidates.empty()) {
         out.breakerFastFail = true;
-        out.status = Status::error(
-            ErrorCode::Unavailable,
-            "no active backends in the fleet (all quarantined or "
-            "draining): failing fast");
+        out.status = Status::error(ErrorCode::Unavailable,
+                                   noRoutableBackendMessage(*pool_));
         ++stats_.breakerFastFails;
         c_fastfail.increment();
         h_wall.observe(wallUsSince(t0));
@@ -672,7 +483,7 @@ ExecutionService::executeFleetJob(PendingJob &job)
         return out;
     }
 
-    noteTerminal(out.status, out.executed);
+    noteTerminal(out.status);
     h_wall.observe(wallUsSince(t0));
     return out;
 }
@@ -680,19 +491,14 @@ ExecutionService::executeFleetJob(PendingJob &job)
 void
 ExecutionService::precompileQueued(std::vector<PendingJob> &jobs)
 {
-    // The compiler the drain will (first) lower against: the service's
-    // own in single-backend mode, the healthiest routable member's in
-    // fleet mode (failover hops recompile per member, but a shared
-    // calibration generation makes those hops cache hits).
-    const PulseCompiler *compiler = compiler_.get();
-    if (pool_ != nullptr) {
-        const std::vector<std::string> order = pool_->routingOrder();
-        if (order.empty())
-            return;
-        compiler = &pool_->compiler(order.front());
-    }
-    if (compiler == nullptr)
+    // The compiler the drain will (first) lower against: the
+    // healthiest routable member's (failover hops recompile per
+    // member, but a shared calibration generation makes those hops
+    // cache hits).
+    const std::vector<std::string> order = pool_->routingOrder();
+    if (order.empty())
         return;
+    const PulseCompiler &compiler = pool_->compiler(order.front());
 
     // Dedup BEFORE fanning out: each distinct CompileKey compiles
     // exactly once, so the compile.cache.* counters are thread-count
@@ -706,7 +512,7 @@ ExecutionService::precompileQueued(std::vector<PendingJob> &jobs)
     for (const PendingJob &job : jobs) {
         if (!job.request.circuit)
             continue;
-        if (seen.insert(compiler->cacheKey(*job.request.circuit))
+        if (seen.insert(compiler.cacheKey(*job.request.circuit))
                 .second)
             distinct.push_back(&*job.request.circuit);
     }
@@ -718,7 +524,7 @@ ExecutionService::precompileQueued(std::vector<PendingJob> &jobs)
         distinct.size(),
         [&](std::size_t i) {
             Schedule lowered;
-            (void)compileCircuit(*compiler, *distinct[i], lowered);
+            (void)compileCircuit(compiler, *distinct[i], lowered);
         },
         policy_.maxThreads);
 }
@@ -745,73 +551,51 @@ ExecutionService::drain()
     outcomes.reserve(outcomes.size() + jobs.size());
     long seq = 0;
 
-    if (pool_ == nullptr) {
-        // Highest priority first; submission order among equals. The
-        // sort key is total, so the execution order — and every
-        // counter derived from it — is deterministic.
-        std::sort(jobs.begin(), jobs.end(),
-                  [](const PendingJob &a, const PendingJob &b) {
-                      if (a.request.priority != b.request.priority)
-                          return a.request.priority >
-                                 b.request.priority;
-                      return a.id < b.id;
-                  });
-        for (PendingJob &job : jobs) {
-            JobOutcome out = executeJob(job);
-            out.drainSeq = seq++;
-            outcomes.push_back(std::move(out));
-        }
-    } else {
-        // Weighted-fair interleave across tenants: each dequeue goes
-        // to the tenant with the smallest virtual finish time
-        // (jobs served / weight; ties to the lexicographically first
-        // tenant), priority order within the tenant. A heavy tenant
-        // gets proportionally more slots but can never lock the
-        // lighter ones out of the drain.
-        std::map<std::string, std::deque<PendingJob>> lanes;
-        {
-            std::sort(jobs.begin(), jobs.end(),
-                      [](const PendingJob &a, const PendingJob &b) {
-                          if (a.request.priority !=
-                              b.request.priority)
-                              return a.request.priority >
-                                     b.request.priority;
-                          return a.id < b.id;
-                      });
-            for (PendingJob &job : jobs)
-                lanes[job.request.tenant].push_back(std::move(job));
-        }
-        std::map<std::string, long> served;
+    // Weighted-fair interleave across tenants: each dequeue goes to
+    // the tenant with the smallest virtual finish time (jobs served /
+    // weight; ties to the lexicographically first tenant), priority
+    // order within the tenant and submission order among equals. A
+    // heavy tenant gets proportionally more slots but can never lock
+    // the lighter ones out of the drain. The sort key is total, so
+    // the execution order — and every counter derived from it — is
+    // deterministic.
+    std::sort(jobs.begin(), jobs.end(),
+              [](const PendingJob &a, const PendingJob &b) {
+                  if (a.request.priority != b.request.priority)
+                      return a.request.priority > b.request.priority;
+                  return a.id < b.id;
+              });
+    std::map<std::string, std::deque<PendingJob>> lanes;
+    for (PendingJob &job : jobs)
+        lanes[job.request.tenant].push_back(std::move(job));
+    std::map<std::string, long> served;
 
-        // Give quarantined members a recovery pump before routing —
-        // probes, not scheduled jobs, are their way back in.
-        pool_->pumpProbes();
+    // Give quarantined members a recovery pump before routing —
+    // probes, not scheduled jobs, are their way back in.
+    pool_->pumpProbes();
 
-        while (!lanes.empty()) {
-            auto next = lanes.end();
-            double nextFinish = 0.0;
-            for (auto it = lanes.begin(); it != lanes.end(); ++it) {
-                const double weight =
-                    tenantQuota(it->first).weight;
-                const double finish =
-                    static_cast<double>(served[it->first] + 1) /
-                    weight;
-                if (next == lanes.end() || finish < nextFinish) {
-                    next = it;
-                    nextFinish = finish;
-                }
+    while (!lanes.empty()) {
+        auto next = lanes.end();
+        double nextFinish = 0.0;
+        for (auto it = lanes.begin(); it != lanes.end(); ++it) {
+            const double finish =
+                static_cast<double>(served[it->first] + 1) /
+                tenantQuota(it->first).weight;
+            if (next == lanes.end() || finish < nextFinish) {
+                next = it;
+                nextFinish = finish;
             }
-            PendingJob job = std::move(next->second.front());
-            next->second.pop_front();
-            ++served[next->first];
-            if (next->second.empty())
-                lanes.erase(next);
-
-            JobOutcome out = executeFleetJob(job);
-            out.drainSeq = seq++;
-            outcomes.push_back(std::move(out));
-            pool_->pumpProbes();
         }
+        PendingJob job = std::move(next->second.front());
+        next->second.pop_front();
+        ++served[next->first];
+        if (next->second.empty())
+            lanes.erase(next);
+
+        JobOutcome out = executeJob(job);
+        out.drainSeq = seq++;
+        outcomes.push_back(std::move(out));
+        pool_->pumpProbes();
     }
 
     std::sort(outcomes.begin(), outcomes.end(),

@@ -1,7 +1,7 @@
 /**
  * @file
- * ExecutionService: the admission-controlled job layer over the
- * resilient execution stack.
+ * ExecutionService: the admission-controlled job layer over a
+ * BackendPool.
  *
  * A production pulse backend is a shared resource: clients submit jobs
  * faster than the device can run them, some jobs matter more than
@@ -13,44 +13,46 @@
  *        v                   (resource-exhausted) or reject the
  *   drain()                  newcomer when nothing outranks it
  *        |
- *        v per job, priority order
+ *        v per job, weighted-fair across tenants, priority order
  *   CancelToken/Deadline gate --> cancelled / deadline-exceeded
  *        |
  *        v
- *   CircuitBreaker::allow() --> unavailable (fast fail, no retries)
- *        |
+ *   BackendPool::routingOrder --> unavailable (fast fail, no retries)
+ *        |                        when no member is routable
  *        v
- *   ResilientExecutor::run --> validate / inject / retry /
- *        |                     recalibrate / degrade, with the token
- *        v                     and deadline threaded down to the shot
- *   JobOutcome                 loop and the simulator evolve loops
+ *   BackendPool::runOn --> validate / inject / retry / recalibrate /
+ *        |                 degrade on the member's ResilientExecutor,
+ *        v                 token and deadline threaded down to the
+ *   JobOutcome             shot loop and the simulator evolve loops
+ *
+ * There is one job path. A single backend is a pool of one member
+ * named "default": the single-backend constructor builds that pool,
+ * so every service routes, fails over, quarantines and recovers the
+ * same way (docs/ROBUSTNESS.md sections 5 and 6). Jobs are admitted
+ * per tenant against a quota, dequeued weighted-fair across tenants,
+ * routed to the healthiest active member, and failed over to the next
+ * candidate (up to FleetPolicy::failoverBudget distinct members) when
+ * a hop fails with a backend-health code. Every hop is recorded as a
+ * FailoverHop breadcrumb on the JobOutcome, and the terminal Status
+ * message carries the full path. A member whose breaker trips is
+ * quarantined and only rejoins routing after deterministic half-open
+ * health probes succeed; jobs fail fast while no member is routable.
+ * Pinned jobs (backendName other than "default") run only on that
+ * member and fail fast against it when it is not active, with a
+ * Status naming the member and its breaker state.
  *
  * Deadlines expire to a structured `deadline-exceeded` Status carrying
  * the *partial result* — the shots completed before expiry — rather
  * than discarding finished work. Under QPULSE_VIRTUAL_TIME=1 deadlines
  * built with Deadline::afterMsOrBudget become simulated-sample budgets
  * charged deterministically at shot-batch granularity, so every
- * counter and partial result is bit-identical across QPULSE_THREADS.
+ * counter, routing decision and partial result is bit-identical
+ * across QPULSE_THREADS.
  *
  * The service is sequential by design: submit()/drain() run on one
- * thread (the ResilientExecutor beneath is sequential state); the
- * parallelism lives inside each job's shot loop. Telemetry: the
- * service.* counters/gauges/spans registered in docs/OBSERVABILITY.md.
- *
- * **Fleet mode.** Constructed over a BackendPool instead of a single
- * backend, the service becomes a fleet scheduler (docs/ROBUSTNESS.md
- * section 8): jobs are admitted per tenant against a quota, dequeued
- * weighted-fair across tenants, routed to the healthiest active
- * backend (BackendPool::routingOrder), and failed over to the next
- * candidate — up to FleetPolicy::failoverBudget distinct backends —
- * when a hop fails with a backend-health code. Every hop is recorded
- * as a FailoverHop breadcrumb on the JobOutcome, and the terminal
- * Status message carries the full path. A backend whose breaker trips
- * is quarantined and only rejoins routing after deterministic
- * half-open health probes succeed; pinned jobs (backendName other
- * than "default") fail fast against a non-active backend with a
- * Status naming the backend and its breaker state. All of it replays
- * bit-identically across QPULSE_THREADS under QPULSE_VIRTUAL_TIME=1.
+ * thread (the pool beneath is sequential state); the parallelism
+ * lives inside each job's shot loop. Telemetry: the service.* and
+ * fleet.* counters/gauges/spans registered in docs/OBSERVABILITY.md.
  */
 #ifndef QPULSE_SERVICE_EXECUTION_SERVICE_H
 #define QPULSE_SERVICE_EXECUTION_SERVICE_H
@@ -74,7 +76,7 @@ namespace qpulse {
 
 class CompileCache;
 
-/** Per-tenant admission quota and fair-share weight (fleet mode). */
+/** Per-tenant admission quota and fair-share weight. */
 struct TenantQuota
 {
     /** Weighted-fair dequeue share; must be > 0. */
@@ -83,7 +85,7 @@ struct TenantQuota
     std::size_t maxQueued = 0;
 };
 
-/** Fleet-scheduling policy (read only by pool-backed services). */
+/** Routing and tenant scheduling, read by every service. */
 struct FleetPolicy
 {
     /** Route failed jobs to the next-healthiest backend. */
@@ -96,7 +98,15 @@ struct FleetPolicy
     std::map<std::string, TenantQuota> tenants;
 };
 
-/** Service-wide policy knobs. */
+/**
+ * Service-wide policy knobs. `queueCapacity`, `maxThreads` and `fleet`
+ * configure every service. The rest — `retry`, `watchdog`, `degrade`,
+ * `breaker`, `artifactStore`, `compileMode` and `compileCache` —
+ * configure only the pool of one that the single-backend constructor
+ * builds (they become its BackendPool::Policies); a service over a
+ * caller's pool ignores them, because the pool's own policies govern
+ * its members.
+ */
 struct ServicePolicy
 {
     /**
@@ -105,41 +115,35 @@ struct ServicePolicy
      */
     std::size_t queueCapacity = 0;
 
-    /** Policies forwarded to the per-service ResilientExecutor. */
+    /** The member's ResilientExecutor policies (pool of one only). */
     RetryPolicy retry;
     DriftWatchdogPolicy watchdog;
     DegradePolicy degrade;
 
-    /** Per-backend circuit-breaker policy. */
+    /** The member's circuit-breaker policy (pool of one only). */
     CircuitBreakerPolicy breaker;
 
     /** Thread cap forwarded to every job's shot loop (0 = pool). */
     std::size_t maxThreads = 0;
 
-    /** Fleet scheduling knobs; ignored by single-backend services. */
+    /** Routing, failover and tenant scheduling knobs. */
     FleetPolicy fleet;
 
     /**
-     * Persistent artifact store for the propagator disk tier (null:
-     * resolved from QPULSE_CACHE_DIR at construction; still null
-     * after that means persistence stays off and the service behaves
-     * bit-identically to one without a store). Fleet-mode services
-     * ignore this — the BackendPool owns the shared store there
-     * (BackendPool::Policies::artifactStore).
+     * Persistent artifact store for the propagator and compile disk
+     * tiers (pool of one only; null: resolved from QPULSE_CACHE_DIR
+     * by the pool, and still null after that means persistence stays
+     * off). See BackendPool::Policies::artifactStore.
      */
     std::shared_ptr<store::ArtifactStore> artifactStore;
 
-    /** Compile mode for circuit-carrying jobs (single-backend mode;
-     *  fleet members compile via BackendPool::Policies::compileMode). */
+    /** Compile mode for circuit-carrying jobs (pool of one only). */
     CompileMode compileMode = CompileMode::Optimized;
 
     /**
-     * Two-tier compile cache for circuit-carrying jobs (null: the
-     * service builds one over its artifact store — the memory tier
-     * always exists; the persistent tier only with a store). Pass a
-     * shared instance to pool compile results across services.
-     * Fleet-mode services ignore this — the BackendPool owns the
-     * shared cache there (BackendPool::Policies::compileCache).
+     * Two-tier compile cache for circuit-carrying jobs (pool of one
+     * only; null: the pool builds one over its artifact store). Pass
+     * a shared instance to pool compile results across services.
      */
     std::shared_ptr<CompileCache> compileCache;
 };
@@ -153,11 +157,11 @@ struct JobRequest
      * When set, `schedule` is ignored: the service lowers the circuit
      * through its memoized compile cache at drain time — distinct
      * pending circuits compile concurrently on the shared ThreadPool,
-     * duplicates coalesce to one compile (single-flight), and fleet
-     * failover recompiles per hop through each member's compiler (a
-     * shared calibration generation makes the hop compile a cache
-     * hit). A compile whose validation fails terminates the job with
-     * that structured Status before anything executes.
+     * duplicates coalesce to one compile (single-flight), and failover
+     * recompiles per hop through each member's compiler (a shared
+     * calibration generation makes the hop compile a cache hit). A
+     * compile whose validation fails terminates the job with that
+     * structured Status before anything executes.
      */
     std::optional<QuantumCircuit> circuit;
     /** Standard-flow decomposition to degrade to (optional). */
@@ -165,14 +169,14 @@ struct JobRequest
     /** Stale-tracking identity (ResilientRequest::key). */
     std::string key;
     /**
-     * Breaker scope: jobs against one backend share one breaker. In
-     * fleet mode "default" means "route freely"; any other value pins
-     * the job to that named pool member (no failover). A single-backend
-     * service serves only "default" (or an empty name) and fails any
-     * other name with InvalidArgument.
+     * "default" (or empty) routes freely across the pool; any other
+     * value pins the job to that named member (no failover), and a
+     * name the pool does not hold fails with InvalidArgument. The
+     * single-backend constructor's one member is itself named
+     * "default", so there both spellings reach it.
      */
     std::string backendName = "default";
-    /** Submitting tenant: quota + weighted-fair lane (fleet mode). */
+    /** Submitting tenant: quota + weighted-fair lane. */
     std::string tenant = "default";
     long shots = 256;
     std::uint64_t seed = 1;
@@ -186,7 +190,7 @@ struct JobRequest
     double baselineProxy = -1.0;
 };
 
-/** One hop of a fleet job's routing path (failover breadcrumb). */
+/** One hop of a job's routing path (failover breadcrumb). */
 struct FailoverHop
 {
     std::string backend;            ///< Pool member tried.
@@ -210,15 +214,15 @@ struct JobOutcome
     ResilientOutcome execution;
     bool executed = false;       ///< Reached the executor.
     bool shed = false;           ///< Evicted by admission control.
-    bool breakerFastFail = false; ///< Denied by an Open breaker.
+    bool breakerFastFail = false; ///< No routable member took it.
 
     /** Backend that produced the terminal outcome ("" = none ran). */
     std::string backend;
-    /** Submitting tenant (scheduling lane in fleet mode). */
+    /** Submitting tenant (its scheduling lane). */
     std::string tenant;
     /** Execution order within its drain; -1 = never dequeued (shed). */
     long drainSeq = -1;
-    /** Fleet routing breadcrumbs, one entry per backend tried. */
+    /** Routing breadcrumbs, one entry per backend tried. */
     std::vector<FailoverHop> path;
 };
 
@@ -248,90 +252,49 @@ class ExecutionService
 {
   public:
     /**
-     * The service owns a simulator copy and a ResilientExecutor over
-     * `backend`. Sequential use only (see file comment).
-     * Throws StatusError on a degenerate policy (validateBreakerPolicy
-     * and the fleet checks), so a service never starts with a breaker
-     * or scheduler that silently cannot do its job.
+     * Single backend: builds a BackendPool of one member named
+     * "default" over `backend` and `sim`, from the policy's pool
+     * fields (ServicePolicy), and schedules over it like the pool
+     * constructor below. Reach the member through pool() under
+     * "default". Sequential use only (see file comment). Throws
+     * StatusError on a degenerate policy (validateBreakerPolicy and
+     * the FleetPolicy checks), so a service never starts with a
+     * breaker or scheduler that silently cannot do its job.
      */
     ExecutionService(std::shared_ptr<const PulseBackend> backend,
                      PulseSimulator sim, ServicePolicy policy = {});
 
     /**
-     * Fleet mode: the service schedules over a shared BackendPool —
-     * health-aware routing, cross-backend failover, quarantine and
-     * weighted-fair tenant dequeue (file comment). The pool is shared
-     * so callers can administer it (drain/readmit, fault injectors)
-     * alongside the service. Same policy validation as above.
+     * Schedule over a shared BackendPool — health-aware routing,
+     * cross-backend failover, quarantine and weighted-fair tenant
+     * dequeue (file comment). The pool is shared so callers can
+     * administer it (drain/readmit, fault injectors) alongside the
+     * service. Same policy validation as above.
      */
     ExecutionService(std::shared_ptr<BackendPool> pool,
                      ServicePolicy policy = {});
 
-    /** True when this service schedules over a BackendPool. */
-    bool fleetMode() const { return pool_ != nullptr; }
+    /** The pool this service schedules over. */
+    BackendPool &pool() { return *pool_; }
 
-    /** The fleet (fleet mode only; fatals otherwise). */
-    BackendPool &pool();
-
-    /** Attach the fault source (single-backend mode only; fleet
-     *  members get injectors via BackendPool::setFaultInjector). */
-    void setFaultInjector(std::shared_ptr<FaultInjector> injector)
+    /** The pool's artifact store (null: persistence disabled). */
+    std::shared_ptr<store::ArtifactStore> artifactStore() const
     {
-        executor().setFaultInjector(std::move(injector));
+        return pool_->artifactStore();
+    }
+
+    /** The pool's compile cache, shared by every member (never null). */
+    std::shared_ptr<CompileCache> compileCache() const
+    {
+        return pool_->compileCache();
     }
 
     /**
-     * Drift-watchdog recalibration hook (single-backend mode). The
-     * service keeps its own composite hook installed on the executor
-     * — a recalibration first retires the persisted-propagator
-     * generation (docs/PERSISTENCE.md), then runs this user hook.
+     * Push every member's queued propagator write-backs and the
+     * compile cache's to disk. drain() already calls this at the end
+     * of each drain; call it directly before a planned process exit.
      */
-    void setRecalibrationHook(std::function<void()> hook)
-    {
-        executor(); // Fatals in fleet mode, as before.
-        userRecalHook_ = std::move(hook);
-    }
-
-    /** This service's artifact store (null: persistence disabled;
-     *  fleet mode: the pool's store). */
-    std::shared_ptr<store::ArtifactStore> artifactStore() const;
-
-    /**
-     * The single-backend persistent propagator cache (null when
-     * persistence is off or in fleet mode — fleet members keep
-     * per-member caches inside the BackendPool).
-     */
-    const std::shared_ptr<store::PersistentPropagatorCache> &
-    persistentCache() const
-    {
-        return persistCache_;
-    }
-
-    /**
-     * The compile cache circuit-carrying jobs go through: this
-     * service's own in single-backend mode, the pool's shared one in
-     * fleet mode. Never null.
-     */
-    std::shared_ptr<CompileCache> compileCache() const;
-
-    /** The single-backend compiler (fatals in fleet mode: each pool
-     *  member owns its own — BackendPool::compiler). */
-    PulseCompiler &compiler()
-    {
-        qpulseRequire(compiler_ != nullptr,
-                      "ExecutionService::compiler: fleet-mode "
-                      "services keep per-backend compilers inside "
-                      "the BackendPool");
-        return *compiler_;
-    }
-
-    /**
-     * Push every queued propagator write-back to disk — this
-     * service's cache, or every pool member's in fleet mode. drain()
-     * already calls this at the end of each drain; call it directly
-     * before a planned process exit.
-     */
-    Status flushPersistence();
+    Status flushPersistence() { return pool_->flushPersistence(); }
 
     /**
      * Admission control. Queue has room: admit, return Ok. Queue full:
@@ -339,20 +302,19 @@ class ExecutionService
      * job, that job is shed (most-recently-submitted among ties) and
      * recorded as a resource-exhausted JobOutcome; otherwise the
      * newcomer is rejected with resource-exhausted. A job whose token
-     * or deadline already fired is refused up front with its reason.
+     * or deadline already fired, or whose tenant is at its quota, is
+     * refused up front with its reason.
      */
     Status submit(JobRequest request);
 
     /**
      * Execute every queued job and return all outcomes — executed,
      * shed and fast-failed — sorted by submission id. Clears the
-     * queue. Single-backend mode runs highest priority first
-     * (submission order among equals). Fleet mode interleaves tenants
-     * weighted-fair — each dequeue goes to the tenant with the
-     * smallest virtual finish time (jobs served / weight), priority
-     * order within the tenant — and pumps the quarantine probe loop
-     * between jobs. JobOutcome::drainSeq records the actual execution
-     * order for both modes.
+     * queue. Tenants interleave weighted-fair — each dequeue goes to
+     * the tenant with the smallest virtual finish time (jobs served /
+     * weight), priority order within the tenant (submission order
+     * among equals) — and the quarantine probe loop is pumped between
+     * jobs. JobOutcome::drainSeq records the actual execution order.
      */
     std::vector<JobOutcome> drain();
 
@@ -361,18 +323,10 @@ class ExecutionService
 
     const ServiceStats &stats() const { return stats_; }
 
-    /** The breaker gating `backendName` (created on first use). */
-    CircuitBreaker &breaker(const std::string &backendName);
-
-    /** The single-backend executor (fatals in fleet mode: each pool
-     *  member owns its own). */
-    ResilientExecutor &executor()
+    /** The breaker of pool member `backendName`. */
+    const CircuitBreaker &breaker(const std::string &backendName) const
     {
-        qpulseRequire(executor_ != nullptr,
-                      "ExecutionService::executor: fleet-mode "
-                      "services keep per-backend executors inside "
-                      "the BackendPool");
-        return *executor_;
+        return pool_->breaker(backendName);
     }
 
     /** Effective quota for `tenant` (override or the default). */
@@ -392,16 +346,13 @@ class ExecutionService
     };
 
     JobOutcome executeJob(PendingJob &job);
-    JobOutcome executeFleetJob(PendingJob &job);
-    void noteTerminal(const Status &status, bool executed);
-    /** Composite recalibration handler: retire the persisted
-     *  generation, then run the user hook (single-backend mode). */
-    void onRecalibration();
+    void noteTerminal(const Status &status);
     /**
      * Drain-time warm-up: compile every distinct pending circuit
-     * concurrently on the shared ThreadPool (deduped by CompileKey
-     * first, so counters stay deterministic: one miss per distinct
-     * key regardless of thread count). Compile errors are swallowed
+     * concurrently on the shared ThreadPool through the healthiest
+     * routable member's compiler (deduped by CompileKey first, so
+     * counters stay deterministic: one miss per distinct key
+     * regardless of thread count). Compile errors are swallowed
      * here — the per-job compile in executeJob reports them with the
      * job's identity attached.
      */
@@ -415,21 +366,11 @@ class ExecutionService
                                  const QuantumCircuit &circuit,
                                  Schedule &out);
 
-    std::shared_ptr<const PulseBackend> backend_;
-    std::optional<PulseSimulator> sim_;   ///< Single-backend mode.
     ServicePolicy policy_;
     std::size_t capacity_ = 0;
-    std::unique_ptr<ResilientExecutor> executor_; ///< Single-backend.
-    std::unique_ptr<PulseCompiler> compiler_;     ///< Single-backend.
-    std::shared_ptr<CompileCache> compileCache_;  ///< Single-backend.
-    std::shared_ptr<BackendPool> pool_;           ///< Fleet mode.
-    std::shared_ptr<store::ArtifactStore> artifactStore_;
-    std::shared_ptr<store::PersistentPropagatorCache> persistCache_;
-    std::function<void()> userRecalHook_;
-    std::uint64_t recalEpoch_ = 0; ///< Keys the persist generation.
+    std::shared_ptr<BackendPool> pool_;
     std::deque<PendingJob> queue_;
     std::vector<JobOutcome> shedOutcomes_; ///< Victims since last drain.
-    std::map<std::string, CircuitBreaker> breakers_;
     ServiceStats stats_;
     std::uint64_t nextId_ = 0;
 };

@@ -390,13 +390,14 @@ TEST(CompileCacheService, WatchdogRecalibrationInvalidates)
     policy.maxThreads = 1;
     ExecutionService service(rig.backend, rig.sim, policy);
     ASSERT_NE(service.compileCache(), nullptr);
-    const std::uint64_t gen0 = service.compiler().compileGeneration();
+    const std::uint64_t gen0 = service.pool().compileGeneration("default");
 
     FaultPlan plan;
     plan.driftRate = 1.0;
     plan.driftFreqKhz = 8000.0;
     plan.driftAmpError = 0.3;
-    service.setFaultInjector(std::make_shared<FaultInjector>(plan));
+    service.pool().setFaultInjector(
+        "default", std::make_shared<FaultInjector>(plan));
 
     ASSERT_TRUE(service.submit(circuitJob(/*shots=*/512)).ok());
     const std::vector<JobOutcome> outcomes = service.drain();
@@ -407,7 +408,7 @@ TEST(CompileCacheService, WatchdogRecalibrationInvalidates)
 
     // The watchdog recalibration advanced the compile generation, so
     // the same circuit misses (its old schedule is unreachable).
-    EXPECT_NE(service.compiler().compileGeneration(), gen0);
+    EXPECT_NE(service.pool().compileGeneration("default"), gen0);
     const std::uint64_t misses_before =
         service.compileCache()->stats().misses;
     ASSERT_TRUE(service.submit(circuitJob()).ok());

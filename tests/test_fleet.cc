@@ -3,9 +3,10 @@
  * Tests for the fault-tolerant backend fleet: BackendPool health
  * scoring and routing order, quarantine on breaker trip, probe-driven
  * recovery (and its admin-path exclusivity), graceful drain/readmit,
- * and the fleet-mode ExecutionService — cross-backend failover with
- * breadcrumbs, pinned jobs, per-tenant quotas, weighted-fair dequeue,
- * and the virtual-time determinism contract across thread counts.
+ * and the ExecutionService over a pool — cross-backend failover with
+ * breadcrumbs, pinned jobs, the no-routable-member fast fail,
+ * per-tenant quotas, weighted-fair dequeue, and the virtual-time
+ * determinism contract across thread counts.
  */
 #include <gtest/gtest.h>
 
@@ -347,7 +348,7 @@ TEST(FleetPool, DrainLifecycleAndInvalidTransitions)
 }
 
 // ---------------------------------------------------------------------
-// Fleet-mode ExecutionService: failover, pinning, tenants.
+// ExecutionService over a pool: failover, pinning, tenants.
 
 ServicePolicy
 fleetServicePolicy(std::size_t capacity = 64)
@@ -702,19 +703,30 @@ TEST(FleetService, VirtualTimeFleetRunsBitIdenticalAcrossThreads)
     EXPECT_GT(seq.failovers, 0);
 }
 
-TEST(FleetService, LegacyAccessorsFatalInFleetMode)
+TEST(FleetService, NoRoutableMemberFastFailNamesEveryMember)
 {
     const Substrate sub;
-    auto pool = makePool(sub, 1, poolPolicies());
+    auto pool = makePool(sub, 2, poolPolicies());
+    wedgeUntilQuarantined(*pool, sub, "b0");
+    wedgeUntilQuarantined(*pool, sub, "b1");
+    ASSERT_TRUE(pool->routingOrder().empty());
     ExecutionService service(pool, fleetServicePolicy());
-    EXPECT_TRUE(service.fleetMode());
-    EXPECT_THROW(service.executor(), FatalError);
-    EXPECT_THROW(service.setFaultInjector(nullptr), FatalError);
 
-    ExecutionService legacy(sub.backend, sub.sim,
-                            fleetServicePolicy());
-    EXPECT_FALSE(legacy.fleetMode());
-    EXPECT_THROW(legacy.pool(), FatalError);
+    // The pump before the job spends one of each member's two
+    // cooldown denials; the free-routed job then has nowhere to go.
+    EXPECT_TRUE(service.submit(fleetJob(sub)).ok());
+    const std::vector<JobOutcome> outcomes = service.drain();
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_EQ(outcomes[0].status.code(), ErrorCode::Unavailable);
+    EXPECT_TRUE(outcomes[0].breakerFastFail);
+    EXPECT_FALSE(outcomes[0].executed);
+    const std::string &message = outcomes[0].status.message();
+    for (const char *name : {"'b0' quarantined", "'b1' quarantined"})
+        EXPECT_NE(message.find(name), std::string::npos) << message;
+    EXPECT_NE(message.find("circuit breaker open (1 more cooldown "
+                           "denials"),
+              std::string::npos)
+        << message;
 }
 
 } // namespace

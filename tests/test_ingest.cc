@@ -66,6 +66,25 @@ operator new[](std::size_t size)
     return ::operator new(size);
 }
 
+// The nothrow forms must carry the header too (std::stable_sort's
+// temporary buffer comes from one): a sanitizer runtime supplies its
+// own nothrow new, whose blocks the delete below would misread.
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    try {
+        return ::operator new(size);
+    } catch (const std::bad_alloc &) {
+        return nullptr;
+    }
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    return ::operator new(size, std::nothrow);
+}
+
 // The replaced operator new above allocates with std::malloc, so
 // releasing with std::free is correct; GCC cannot see the pairing.
 #pragma GCC diagnostic push
@@ -97,6 +116,18 @@ operator delete(void *p, std::size_t) noexcept
 
 void
 operator delete[](void *p, std::size_t) noexcept
+{
+    ::operator delete(p);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    ::operator delete(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
 {
     ::operator delete(p);
 }
@@ -795,13 +826,13 @@ TEST(IngestFrontEnd, SingleBackendServiceFailsUnknownBackendNames)
     EXPECT_EQ(last["pin/default"].kind, StreamEventKind::Completed);
 
     // A name the service does not serve leaves no breaker gauge
-    // behind; the one backend's gauge is there.
+    // behind; the one member's gauge is there.
     bool sawDefault = false;
     for (const auto &[name, value] :
          telemetry::MetricsRegistry::global().snapshot().gauges) {
-        EXPECT_NE(name, "service.breaker.state.b0");
-        EXPECT_NE(name, "service.breaker.state.b1");
-        sawDefault |= name == "service.breaker.state.default";
+        EXPECT_NE(name, "fleet.breaker.state.b0");
+        EXPECT_NE(name, "fleet.breaker.state.b1");
+        sawDefault |= name == "fleet.breaker.state.default";
     }
     EXPECT_TRUE(sawDefault);
 }

@@ -596,11 +596,32 @@ TEST(Service, AdmissionShedsLowestPriorityMostRecentFirst)
         }
 }
 
+TEST(Service, ShedOutcomeCarriesItsTenant)
+{
+    const Rig rig;
+    ExecutionService service(rig.backend, rig.sim,
+                             smallQueuePolicy(2));
+    for (int i = 0; i < 2; ++i) {
+        JobRequest job = makeJob(rig, 0);
+        job.tenant = "alice";
+        EXPECT_TRUE(service.submit(std::move(job)).ok());
+    }
+    JobRequest urgent = makeJob(rig, 5);
+    urgent.tenant = "bob";
+    EXPECT_TRUE(service.submit(std::move(urgent)).ok());
+    EXPECT_EQ(service.stats().shed, 1);
+
+    const std::vector<JobOutcome> outcomes = service.drain();
+    ASSERT_EQ(outcomes.size(), 3u);
+    ASSERT_TRUE(outcomes[1].shed);
+    EXPECT_EQ(outcomes[1].tenant, "alice");
+}
+
 TEST(Service, QueueWaitObservedForEveryDrainedJob)
 {
     // Every job that leaves the queue records its submit-to-execution
-    // wait once, on both job paths, a job failing a gate included.
-    // Refused submissions never queued and record nothing.
+    // wait once, behind either constructor, a job failing a gate
+    // included. Refused submissions never queued and record nothing.
     const Rig rig;
     const telemetry::Histogram &waits =
         telemetry::MetricsRegistry::global().histogram(
@@ -655,7 +676,8 @@ TEST(Service, WedgedBackendTripsBreakerAndFastFailsTheQueue)
     policy.breaker.openFailureRate = 0.5;
     policy.breaker.cooldownDenials = 3;
     ExecutionService service(rig.backend, rig.sim, policy);
-    service.setFaultInjector(std::make_shared<FaultInjector>(plan));
+    service.pool().setFaultInjector(
+        "default", std::make_shared<FaultInjector>(plan));
 
     for (int i = 0; i < 10; ++i)
         EXPECT_TRUE(service.submit(makeJob(rig, 0, 16)).ok());
@@ -691,39 +713,48 @@ TEST(Service, UnavailableStatusNamesBackendStateAndCooldown)
     policy.breaker.openFailureRate = 0.5;
     policy.breaker.cooldownDenials = 3;
     ExecutionService service(rig.backend, rig.sim, policy);
-    service.setFaultInjector(
-        std::make_shared<FaultInjector>([] {
+    service.pool().setFaultInjector(
+        "default", std::make_shared<FaultInjector>([] {
             FaultPlan plan;
             plan.timeoutRate = 1.0;
             return plan;
         }()));
 
-    // Two failed jobs trip the breaker; the third is denied.
+    // Two failed jobs trip the breaker and quarantine the one member;
+    // the probe pump after the second spends one cooldown denial, and
+    // the third job finds nothing routable.
     for (int i = 0; i < 3; ++i)
         EXPECT_TRUE(service.submit(makeJob(rig, 0, 16)).ok());
     const std::vector<JobOutcome> outcomes = service.drain();
     ASSERT_EQ(outcomes.size(), 3u);
     const JobOutcome &denied = outcomes[2];
     ASSERT_TRUE(denied.breakerFastFail);
+    EXPECT_FALSE(denied.executed);
     EXPECT_EQ(denied.status.code(), ErrorCode::Unavailable);
-    // The satellite contract: the message carries the backend name,
-    // the breaker state, and the cooldown progress.
+    // The message carries the backend name, its admin state, the
+    // breaker state and the cooldown progress.
     const std::string &message = denied.status.message();
-    EXPECT_NE(message.find("backend 'default'"), std::string::npos)
+    EXPECT_NE(message.find("'default'"), std::string::npos) << message;
+    EXPECT_NE(message.find("quarantined"), std::string::npos)
         << message;
     EXPECT_NE(message.find("circuit breaker open"),
               std::string::npos)
         << message;
-    EXPECT_NE(message.find("2 more denied jobs"), std::string::npos)
+    EXPECT_NE(message.find("2 more cooldown denials"),
+              std::string::npos)
         << message;
-    EXPECT_EQ(service.breaker("default").cooldownRemaining(), 2);
+    // The pump after the third job spent one more.
+    EXPECT_EQ(service.breaker("default").cooldownRemaining(), 1);
 }
 
 TEST(Service, HalfOpenProbeFailureReopensAndRestartsCooldown)
 {
-    // Deterministic breaker trajectory under virtual time: trip ->
-    // cooldown (counted in denied jobs) -> half-open probe fails ->
-    // re-open with a fresh cooldown -> fault clears -> probes close.
+    // Deterministic recovery trajectory of a single backend under
+    // virtual time: trip -> quarantine -> the probe pump spends the
+    // cooldown -> half-open probe fails -> re-open with a fresh
+    // cooldown -> fault clears -> probes close the breaker and
+    // readmit the member. Jobs never serve as probes: while the
+    // member is quarantined every job fails fast without running.
     EnvGuard guard("QPULSE_VIRTUAL_TIME", "1");
     const Rig rig;
     ServicePolicy policy = smallQueuePolicy(16);
@@ -734,58 +765,59 @@ TEST(Service, HalfOpenProbeFailureReopensAndRestartsCooldown)
     policy.breaker.cooldownDenials = 2;
     policy.breaker.halfOpenSuccesses = 2;
     ExecutionService service(rig.backend, rig.sim, policy);
+    BackendPool &pool = service.pool();
     FaultPlan wedged;
     wedged.timeoutRate = 1.0;
-    service.setFaultInjector(
-        std::make_shared<FaultInjector>(wedged));
+    pool.setFaultInjector("default",
+                          std::make_shared<FaultInjector>(wedged));
 
     const auto drainCodes = [&](int jobs) {
         for (int i = 0; i < jobs; ++i)
             EXPECT_TRUE(service.submit(makeJob(rig, 0, 16)).ok());
         std::vector<ErrorCode> codes;
-        for (const JobOutcome &out : service.drain())
+        for (const JobOutcome &out : service.drain()) {
             codes.push_back(out.status.code());
+            if (out.status.code() == ErrorCode::Unavailable) {
+                EXPECT_FALSE(out.executed);
+            }
+        }
         return codes;
     };
+    const std::vector<ErrorCode> unavailable{ErrorCode::Unavailable};
 
-    // Trip: two retries-exhausted jobs open the breaker.
+    // Trip: two retries-exhausted jobs open the breaker and the
+    // member leaves routing.
     EXPECT_EQ(drainCodes(2),
               (std::vector<ErrorCode>{ErrorCode::RetriesExhausted,
                                       ErrorCode::RetriesExhausted}));
+    EXPECT_EQ(pool.adminState("default"),
+              BackendAdminState::Quarantined);
+    EXPECT_EQ(pool.stats().quarantines, 1);
+
+    // Quarantined: each job fails fast while the pump spends the
+    // cooldown and runs half-open probes, which fail (still wedged)
+    // and restart the cooldown.
+    EXPECT_EQ(drainCodes(1), unavailable);
+    EXPECT_EQ(drainCodes(1), unavailable);
+    EXPECT_EQ(drainCodes(1), unavailable);
+    EXPECT_EQ(pool.stats().probes, 2);
+    EXPECT_EQ(pool.stats().probeFailures, 2);
     EXPECT_EQ(service.breaker("default").state(), BreakerState::Open);
-    EXPECT_EQ(service.breaker("default").cooldownRemaining(), 2);
 
-    // Cooldown accounting: each denied job spends one denial.
-    EXPECT_EQ(drainCodes(1),
-              (std::vector<ErrorCode>{ErrorCode::Unavailable}));
-    EXPECT_EQ(service.breaker("default").cooldownRemaining(), 1);
-    EXPECT_EQ(drainCodes(1),
-              (std::vector<ErrorCode>{ErrorCode::Unavailable}));
-    EXPECT_EQ(service.breaker("default").cooldownRemaining(), 0);
-    EXPECT_EQ(service.stats().breakerFastFails, 2);
-
-    // Cooldown spent: the next job is the half-open probe. Still
-    // wedged, it fails — the breaker re-opens and the cooldown
-    // restarts in full.
-    EXPECT_EQ(drainCodes(1),
-              (std::vector<ErrorCode>{ErrorCode::RetriesExhausted}));
-    EXPECT_EQ(service.breaker("default").state(), BreakerState::Open);
-    EXPECT_EQ(service.breaker("default").cooldownRemaining(), 2);
-
-    // The fault clears; the same path now closes the breaker: two
-    // denials, then two successful probes.
-    service.setFaultInjector(nullptr);
+    // The fault clears: two successful probes close the breaker and
+    // readmit the member, and the next job completes.
+    pool.setFaultInjector("default", nullptr);
     EXPECT_EQ(drainCodes(2),
               (std::vector<ErrorCode>{ErrorCode::Unavailable,
                                       ErrorCode::Unavailable}));
-    EXPECT_EQ(drainCodes(1),
-              (std::vector<ErrorCode>{ErrorCode::Ok}));
-    EXPECT_EQ(service.breaker("default").state(),
-              BreakerState::HalfOpen);
-    EXPECT_EQ(drainCodes(1),
-              (std::vector<ErrorCode>{ErrorCode::Ok}));
+    EXPECT_EQ(pool.stats().probes, 4);
+    EXPECT_EQ(pool.stats().readmissions, 1);
     EXPECT_EQ(service.breaker("default").state(),
               BreakerState::Closed);
+    EXPECT_EQ(pool.adminState("default"), BackendAdminState::Active);
+    EXPECT_EQ(drainCodes(1),
+              (std::vector<ErrorCode>{ErrorCode::Ok}));
+    EXPECT_EQ(service.stats().breakerFastFails, 5);
 }
 
 TEST(Service, SaturationIsBitIdenticalAcrossThreadCountsUnderVirtualTime)

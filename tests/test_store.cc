@@ -905,14 +905,14 @@ TEST(ServicePersistence, OffByDefaultAndOnViaEnv)
     {
         EnvGuard guard("QPULSE_CACHE_DIR", nullptr);
         ExecutionService service(rig.backend, rig.sim);
-        EXPECT_EQ(service.persistentCache(), nullptr);
+        EXPECT_EQ(service.pool().persistentCache("default"), nullptr);
         EXPECT_EQ(service.artifactStore(), nullptr);
         EXPECT_TRUE(service.flushPersistence().ok());
     }
     TempDir dir;
     EnvGuard guard("QPULSE_CACHE_DIR", dir.str().c_str());
     ExecutionService service(rig.backend, rig.sim);
-    ASSERT_NE(service.persistentCache(), nullptr);
+    ASSERT_NE(service.pool().persistentCache("default"), nullptr);
     ASSERT_NE(service.artifactStore(), nullptr);
 
     ASSERT_TRUE(service.submit(x180Job(rig)).ok());
@@ -927,12 +927,13 @@ TEST(ServicePersistence, OffByDefaultAndOnViaEnv)
     // A second service ("new process") over the same directory serves
     // the same job from disk.
     ExecutionService second(rig.backend, rig.sim);
-    ASSERT_NE(second.persistentCache(), nullptr);
+    const auto second_cache = second.pool().persistentCache("default");
+    ASSERT_NE(second_cache, nullptr);
     ASSERT_TRUE(second.submit(x180Job(rig)).ok());
     const std::vector<JobOutcome> again = second.drain();
     ASSERT_EQ(again.size(), 1u);
     EXPECT_TRUE(again[0].status.ok());
-    EXPECT_GT(second.persistentCache()->persistStats().diskHits, 0u);
+    EXPECT_GT(second_cache->persistStats().diskHits, 0u);
     EXPECT_EQ(again[0].execution.result.counts,
               outcomes[0].execution.result.counts);
 }
@@ -985,17 +986,16 @@ TEST(ServicePersistence, WatchdogRecalibrationBumpsGeneration)
     policy.watchdog.tolerance = 0.1;
     policy.watchdog.maxRecalibrations = 2;
     ExecutionService service(rig.backend, rig.sim, policy);
-    ASSERT_NE(service.persistentCache(), nullptr);
-    const std::uint64_t gen0 =
-        service.persistentCache()->generation();
+    const auto cache = service.pool().persistentCache("default");
+    ASSERT_NE(cache, nullptr);
+    const std::uint64_t gen0 = cache->generation();
 
     FaultPlan plan;
     plan.driftRate = 1.0;
     plan.driftFreqKhz = 8000.0;
     plan.driftAmpError = 0.3;
-    service.setFaultInjector(std::make_shared<FaultInjector>(plan));
-    int hook_calls = 0;
-    service.setRecalibrationHook([&hook_calls] { ++hook_calls; });
+    service.pool().setFaultInjector(
+        "default", std::make_shared<FaultInjector>(plan));
 
     ASSERT_TRUE(service.submit(x180Job(rig, /*shots=*/512)).ok());
     const std::vector<JobOutcome> outcomes = service.drain();
@@ -1003,9 +1003,9 @@ TEST(ServicePersistence, WatchdogRecalibrationBumpsGeneration)
     EXPECT_TRUE(outcomes[0].status.ok())
         << outcomes[0].status.toString();
     EXPECT_EQ(outcomes[0].execution.stats.recalibrations, 1);
-    // The recalibration retired the generation AND ran the user hook.
-    EXPECT_NE(service.persistentCache()->generation(), gen0);
-    EXPECT_EQ(hook_calls, 1);
+    // The pool counted the recalibration and retired the generation.
+    EXPECT_NE(cache->generation(), gen0);
+    EXPECT_EQ(service.pool().stats().recalibrations, 1);
 }
 
 TEST(FleetPersistence, DrainReadmitInvalidatesPerMember)
