@@ -28,48 +28,6 @@ PropagatorCache::PropagatorCache(std::size_t capacity)
                   "PropagatorCache capacity must be >= 1");
 }
 
-Matrix
-PropagatorCache::getOrCompute(const PropagatorKey &key,
-                              const std::function<Matrix()> &compute)
-{
-    static telemetry::Counter &c_hits =
-        cacheCounter("pulsesim.cache.hits");
-    static telemetry::Counter &c_misses =
-        cacheCounter("pulsesim.cache.misses");
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = index_.find(key);
-        if (it != index_.end()) {
-            ++stats_.hits;
-            c_hits.increment();
-            lru_.splice(lru_.begin(), lru_, it->second);
-            return it->second->value;
-        }
-        ++stats_.misses;
-        c_misses.increment();
-    }
-
-    // Compute outside the lock so concurrent shots never serialize on
-    // the eigendecomposition. Two threads may race to compute the same
-    // key; both results are identical and the second insert is a no-op.
-    Matrix value = compute();
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (index_.find(key) == index_.end()) {
-        lru_.push_front(Entry{key, value});
-        index_[key] = lru_.begin();
-        if (index_.size() > capacity_) {
-            ++stats_.evictions;
-            static telemetry::Counter &c_evictions =
-                cacheCounter("pulsesim.cache.evictions");
-            c_evictions.increment();
-            index_.erase(lru_.back().key);
-            lru_.pop_back();
-        }
-    }
-    return value;
-}
-
 void
 PropagatorCache::getOrComputeInto(const PropagatorKey &key,
                                   const std::function<Matrix()> &compute,
@@ -93,8 +51,9 @@ PropagatorCache::getOrComputeInto(const PropagatorKey &key,
         c_misses.increment();
     }
 
-    // Same race policy as getOrCompute: compute outside the lock,
-    // duplicate inserts are identical no-ops.
+    // Compute outside the lock so concurrent shots never serialize on
+    // the eigendecomposition. Two threads may race to compute the same
+    // key; both results are identical and the second insert is a no-op.
     out = compute();
 
     std::lock_guard<std::mutex> lock(mutex_);
@@ -132,13 +91,6 @@ PropagatorCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return stats_;
-}
-
-void
-PropagatorCache::resetStats()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_ = PropagatorCacheStats{};
 }
 
 PropagatorCacheStats

@@ -15,12 +15,16 @@
  * propagator in a bounded, LRU-evicting hash map.
  *
  * Quantization uses an absolute quantum of kDriveQuantum (1e-13) per
- * real component. Two samples that collide on a key differ by at most
- * half a quantum per component, which perturbs the step propagator by
- * ||dH|| * dt ~ 1e-13 * 0.22 ns < 1e-13 in max-abs — an order of
- * magnitude below the 1e-12 agreement budget (docs/PERFORMANCE.md
- * derives the bound). Samples that are bit-identical (the common case)
- * hit the cache with zero error.
+ * real component, rounded with llround. Two samples that share a key
+ * lie in one rounding bin, so they differ by less than one full
+ * quantum per component, and a hit is served the propagator of
+ * whichever sample missed first. A collided sample, one served a
+ * propagator derived for a different drive, is therefore off by at
+ * most ||dH|| * dt per step: about 7e-14 for a d = 3 transmon driven
+ * at 0.25 GHz (docs/PERFORMANCE.md derives the bound). The errors add
+ * once per collided sample, so a whole evolution is within
+ * (collided samples) x (per-step bound). Samples that are
+ * bit-identical (the common case) hit the cache with zero error.
  *
  * Thread safety: all methods are mutex-protected, so one cache can be
  * shared by concurrent shots drawing from the same schedule.
@@ -28,7 +32,7 @@
  * Lock order (shared with PersistentPropagatorCache, src/store): the
  * LRU mutex `mutex_` here and the derived class's persist-queue mutex
  * are BOTH leaf locks — no code path holds one while acquiring the
- * other. getOrCompute* releases `mutex_` before invoking the compute
+ * other. getOrComputeInto releases `mutex_` before invoking the compute
  * factory (which, in the persistent adapter, takes the queue mutex to
  * enqueue a write-back), and re-acquires it only after the factory
  * returns. Combined stats snapshots (snapshotAndReset here, then the
@@ -121,20 +125,12 @@ class PropagatorCache
 
     /**
      * Look up `key`, computing and inserting via `compute` on a miss.
-     * The factory runs outside the lock-free fast path but inside a
-     * single-threaded critical section per cache; it must not reenter
-     * the cache. Virtual so PersistentPropagatorCache (src/store) can
+     * The cached (or freshly computed) value is copy-assigned into
+     * `out`, reusing `out`'s backing store when its capacity suffices,
+     * so every hit inside a warm evolve loop is heap-silent. The
+     * factory runs with the lock released; it must not reenter the
+     * cache. Virtual so PersistentPropagatorCache (src/store) can
      * interpose a disk tier between the memory miss and the factory.
-     */
-    virtual Matrix getOrCompute(const PropagatorKey &key,
-                                const std::function<Matrix()> &compute);
-
-    /**
-     * Allocation-aware variant of getOrCompute: the cached (or freshly
-     * computed) value is copy-assigned into `out`, reusing `out`'s
-     * backing store when its capacity suffices. Inside a warm evolve
-     * loop every hit is therefore heap-silent, where the by-value
-     * overload pays one matrix allocation per lookup.
      */
     virtual void getOrComputeInto(const PropagatorKey &key,
                                   const std::function<Matrix()> &compute,
@@ -151,14 +147,10 @@ class PropagatorCache
     /** Snapshot of the hit/miss/eviction counters. */
     PropagatorCacheStats stats() const;
 
-    /** Reset the counters (entries are preserved). */
-    void resetStats();
-
     /**
      * Atomically snapshot *and* zero the counters under one lock
-     * acquisition. A telemetry flush that did stats() followed by
-     * resetStats() would lose every event landing between the two
-     * calls under concurrent evolve*; this read-and-clear cannot.
+     * acquisition, so a telemetry flush under concurrent evolve* calls
+     * loses no event between the read and the clear.
      */
     PropagatorCacheStats snapshotAndReset();
 

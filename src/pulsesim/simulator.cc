@@ -319,18 +319,6 @@ PulseSimulator::throwIfInterrupted() const
             "wall-clock deadline passed mid-evolution"));
 }
 
-PropagatorCache *
-PulseSimulator::activeCache(
-    std::unique_ptr<PropagatorCache> &local) const
-{
-    if (!cachingEnabled_)
-        return nullptr;
-    if (cache_)
-        return cache_.get();
-    local = std::make_unique<PropagatorCache>();
-    return local.get();
-}
-
 Matrix
 PulseSimulator::stepPropagator(double t_mid_ns,
                                const std::vector<Complex> &drives) const
@@ -364,6 +352,45 @@ PulseSimulator::stepPropagator(double t_mid_ns,
     return expMinusIHt(h, kDtNs, kEigFloorTol);
 }
 
+template <typename Apply>
+void
+PulseSimulator::walkSteps(const Schedule &schedule, long duration,
+                          std::vector<double> *frame_out,
+                          Apply &&apply) const
+{
+    const auto drives = buildDriveTimeline(schedule, duration, frame_out);
+    if (cachingEnabled_) {
+        std::unique_ptr<PropagatorCache> local;
+        PropagatorCache *cache = cache_.get();
+        if (!cache) {
+            local = std::make_unique<PropagatorCache>();
+            cache = local.get();
+        }
+        Matrix step_u;
+        for (const DriveStep &step : compileSteps(drives, duration)) {
+            checkInterrupt();
+            cache->getOrComputeInto(
+                step.key,
+                [this, &step] {
+                    return stepPropagator(step.tMidNs, step.drives);
+                },
+                step_u);
+            apply(step_u, step.count);
+        }
+        return;
+    }
+    // Per-sample exact reference: one propagator per AWG sample.
+    std::vector<Complex> sample(model_.numTransmons());
+    for (long ts = 0; ts < duration; ++ts) {
+        if ((ts % kInterruptStride) == 0)
+            checkInterrupt();
+        for (std::size_t j = 0; j < model_.numTransmons(); ++j)
+            sample[j] = drives[j][static_cast<std::size_t>(ts)];
+        const double t_mid = (static_cast<double>(ts) + 0.5) * kDtNs;
+        apply(stepPropagator(t_mid, sample), 1L);
+    }
+}
+
 UnitaryResult
 PulseSimulator::evolveUnitary(const Schedule &schedule) const
 {
@@ -375,43 +402,16 @@ PulseSimulator::evolveUnitary(const Schedule &schedule) const
     countEvolve(c_calls, duration);
     UnitaryResult result;
     result.duration = duration;
-    std::vector<double> frames;
-    const auto drives = buildDriveTimeline(schedule, duration, &frames);
-    result.framePhase = frames;
-
     Matrix u = Matrix::identity(model_.dim());
-    if (cachingEnabled_) {
-        std::unique_ptr<PropagatorCache> local;
-        PropagatorCache *cache = activeCache(local);
-        Workspace pow_ws;
-        Matrix step_u, u_pow, u_next;
-        for (const DriveStep &step : compileSteps(drives, duration)) {
-            checkInterrupt();
-            cache->getOrComputeInto(
-                step.key,
-                [this, &step] {
-                    return stepPropagator(step.tMidNs, step.drives);
-                },
-                step_u);
-            powmInto(u_pow, step_u, static_cast<std::uint64_t>(step.count),
-                     pow_ws);
-            gemmInto(u_next, u_pow, u);
-            std::swap(u, u_next);
-        }
-    } else {
-        // Per-sample exact reference: one propagator per AWG sample.
-        std::vector<Complex> step_drives(model_.numTransmons());
-        for (long ts = 0; ts < duration; ++ts) {
-            if ((ts % kInterruptStride) == 0)
-                checkInterrupt();
-            for (std::size_t j = 0; j < model_.numTransmons(); ++j)
-                step_drives[j] =
-                    drives[j][static_cast<std::size_t>(ts)];
-            const double t_mid =
-                (static_cast<double>(ts) + 0.5) * kDtNs;
-            u = stepPropagator(t_mid, step_drives) * u;
-        }
-    }
+    Workspace pow_ws;
+    Matrix u_pow, u_next;
+    walkSteps(schedule, duration, &result.framePhase,
+              [&](const Matrix &step_u, long count) {
+                  powmInto(u_pow, step_u,
+                           static_cast<std::uint64_t>(count), pow_ws);
+                  gemmInto(u_next, u_pow, u);
+                  std::swap(u, u_next);
+              });
     result.unitary = std::move(u);
     return result;
 }
@@ -451,48 +451,27 @@ PulseSimulator::evolveState(const Schedule &schedule,
             "sim.evolve_state.calls");
     const long duration = schedule.duration();
     countEvolve(c_calls, duration);
-    const auto drives = buildDriveTimeline(schedule, duration, nullptr);
-
     Vector state = initial;
     Vector state_next;
-    if (cachingEnabled_) {
-        std::unique_ptr<PropagatorCache> local;
-        PropagatorCache *cache = activeCache(local);
-        Workspace pow_ws;
-        Matrix step_u, u_pow;
-        for (const DriveStep &step : compileSteps(drives, duration)) {
-            checkInterrupt();
-            cache->getOrComputeInto(
-                step.key,
-                [this, &step] {
-                    return stepPropagator(step.tMidNs, step.drives);
-                },
-                step_u);
-            // Long runs (idle stretches, flat-tops): binary powering
-            // costs log2(count) matmuls instead of count matvecs.
-            if (step.count >= 8) {
-                powmInto(u_pow, step_u,
-                         static_cast<std::uint64_t>(step.count), pow_ws);
-                applyInto(state_next, u_pow, state);
-                std::swap(state, state_next);
-            } else {
-                for (long k = 0; k < step.count; ++k) {
-                    applyInto(state_next, step_u, state);
-                    std::swap(state, state_next);
-                }
-            }
-        }
-        return state;
-    }
-    std::vector<Complex> step_drives(model_.numTransmons());
-    for (long ts = 0; ts < duration; ++ts) {
-        if ((ts % kInterruptStride) == 0)
-            checkInterrupt();
-        for (std::size_t j = 0; j < model_.numTransmons(); ++j)
-            step_drives[j] = drives[j][static_cast<std::size_t>(ts)];
-        const double t_mid = (static_cast<double>(ts) + 0.5) * kDtNs;
-        state = stepPropagator(t_mid, step_drives).apply(state);
-    }
+    Workspace pow_ws;
+    Matrix u_pow;
+    walkSteps(schedule, duration, nullptr,
+              [&](const Matrix &step_u, long count) {
+                  // Long runs (idle stretches, flat-tops): binary
+                  // powering costs log2(count) matmuls instead of
+                  // count matvecs.
+                  if (count >= 8) {
+                      powmInto(u_pow, step_u,
+                               static_cast<std::uint64_t>(count), pow_ws);
+                      applyInto(state_next, u_pow, state);
+                      std::swap(state, state_next);
+                      return;
+                  }
+                  for (long k = 0; k < count; ++k) {
+                      applyInto(state_next, step_u, state);
+                      std::swap(state, state_next);
+                  }
+              });
     return state;
 }
 
@@ -610,46 +589,20 @@ PulseSimulator::evolveLindblad(const Schedule &schedule,
             "sim.evolve_lindblad.calls");
     const long duration = schedule.duration();
     countEvolve(c_calls, duration);
-    const auto drives = buildDriveTimeline(schedule, duration, nullptr);
-
     const DecoherenceModel deco(model_);
-
     Matrix rho = rho0;
     Matrix u_rho, rho_next;
-    if (cachingEnabled_) {
-        std::unique_ptr<PropagatorCache> local;
-        PropagatorCache *cache = activeCache(local);
-        Matrix step_u;
-        for (const DriveStep &step : compileSteps(drives, duration)) {
-            checkInterrupt();
-            // The decoherence split interleaves with every sample, so
-            // runs reuse the propagator but still step sample-wise.
-            cache->getOrComputeInto(
-                step.key,
-                [this, &step] {
-                    return stepPropagator(step.tMidNs, step.drives);
-                },
-                step_u);
-            for (long k = 0; k < step.count; ++k) {
-                gemmInto(u_rho, step_u, rho);
-                gemmAdjBInto(rho_next, u_rho, step_u);
-                std::swap(rho, rho_next);
-                deco.apply(rho);
-            }
-        }
-        return rho;
-    }
-    std::vector<Complex> step_drives(model_.numTransmons());
-    for (long ts = 0; ts < duration; ++ts) {
-        if ((ts % kInterruptStride) == 0)
-            checkInterrupt();
-        for (std::size_t j = 0; j < model_.numTransmons(); ++j)
-            step_drives[j] = drives[j][static_cast<std::size_t>(ts)];
-        const double t_mid = (static_cast<double>(ts) + 0.5) * kDtNs;
-        const Matrix u = stepPropagator(t_mid, step_drives);
-        rho = u * rho * u.adjoint();
-        deco.apply(rho);
-    }
+    // The decoherence split interleaves with every sample, so runs
+    // reuse the propagator but still step sample-wise.
+    walkSteps(schedule, duration, nullptr,
+              [&](const Matrix &u, long count) {
+                  for (long k = 0; k < count; ++k) {
+                      gemmInto(u_rho, u, rho);
+                      gemmAdjBInto(rho_next, u_rho, u);
+                      std::swap(rho, rho_next);
+                      deco.apply(rho);
+                  }
+              });
     return rho;
 }
 
@@ -691,52 +644,29 @@ PulseSimulator::evolveStatesBatched(const Schedule &schedule,
     telemetry::TraceSpan span("sim.evolve_batched");
     const long duration = schedule.duration();
     countBatch(duration, width);
-    const auto drives = buildDriveTimeline(schedule, duration, nullptr);
-
     const std::size_t dim = model_.dim();
     // Scratch: state-panel slot 0 (ping-pong target) plus matrix slots
-    // 0-3 (0-1 are powmInto's, 2-3 hold the step propagator and its
-    // binary power), all reusing their capacity across calls.
+    // 0-2 (0-1 are powmInto's, 2 holds the binary power), all reusing
+    // their capacity across calls.
     StatePanel &next = ws.statePanel(0, dim, width);
-    if (cachingEnabled_) {
-        std::unique_ptr<PropagatorCache> local;
-        PropagatorCache *cache = activeCache(local);
-        Matrix &step_u = ws.matrix(2, dim, dim);
-        Matrix &u_pow = ws.matrix(3, dim, dim);
-        for (const DriveStep &step : compileSteps(drives, duration)) {
-            checkInterrupt();
-            cache->getOrComputeInto(
-                step.key,
-                [this, &step] {
-                    return stepPropagator(step.tMidNs, step.drives);
-                },
-                step_u);
-            // Long runs (idle stretches, flat-tops): binary powering
-            // costs log2(count) matmuls instead of count panel gemms.
-            if (step.count >= 8) {
-                powmInto(u_pow, step_u,
-                         static_cast<std::uint64_t>(step.count), ws);
-                applyPanelInto(next, u_pow, panel);
-                std::swap(panel, next);
-            } else {
-                for (long k = 0; k < step.count; ++k) {
-                    applyPanelInto(next, step_u, panel);
-                    std::swap(panel, next);
-                }
-            }
-        }
-        return;
-    }
-    std::vector<Complex> step_drives(model_.numTransmons());
-    for (long ts = 0; ts < duration; ++ts) {
-        if ((ts % kInterruptStride) == 0)
-            checkInterrupt();
-        for (std::size_t j = 0; j < model_.numTransmons(); ++j)
-            step_drives[j] = drives[j][static_cast<std::size_t>(ts)];
-        const double t_mid = (static_cast<double>(ts) + 0.5) * kDtNs;
-        applyPanelInto(next, stepPropagator(t_mid, step_drives), panel);
-        std::swap(panel, next);
-    }
+    Matrix &u_pow = ws.matrix(2, dim, dim);
+    walkSteps(schedule, duration, nullptr,
+              [&](const Matrix &step_u, long count) {
+                  // Long runs (idle stretches, flat-tops): binary
+                  // powering costs log2(count) matmuls instead of
+                  // count panel gemms.
+                  if (count >= 8) {
+                      powmInto(u_pow, step_u,
+                               static_cast<std::uint64_t>(count), ws);
+                      applyPanelInto(next, u_pow, panel);
+                      std::swap(panel, next);
+                      return;
+                  }
+                  for (long k = 0; k < count; ++k) {
+                      applyPanelInto(next, step_u, panel);
+                      std::swap(panel, next);
+                  }
+              });
 }
 
 void

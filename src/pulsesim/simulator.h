@@ -15,14 +15,16 @@
  * the unitary step followed by an amplitude-damping/dephasing step of
  * the same duration.
  *
- * Performance model (docs/PERFORMANCE.md): per-sample propagators are
- * memoized in a PropagatorCache keyed on the quantized drive vector,
- * and runs of identical consecutive samples (flat-tops, constant CR
- * tones, idle stretches) collapse into one cached propagator applied
- * repeatedly. Attaching a caller-owned cache with setPropagatorCache
- * extends the reuse across calls, making repeated execution of the
- * same schedule (shots, ZNE stretch sweeps, RB sequences) near-free
- * after the first pass.
+ * Performance model (docs/PERFORMANCE.md): every evolve entry point
+ * runs one loop, the private step walker, and differs from the others
+ * only in how it applies each (propagator, count) step. The walker's
+ * default step source run-length-encodes the timeline, so runs of
+ * identical consecutive samples (flat-tops, constant CR tones, idle
+ * stretches) become one step, and serves each step's propagator from
+ * a PropagatorCache keyed on the quantized drive vector. Attaching a
+ * caller-owned cache with setPropagatorCache extends the reuse across
+ * calls, making repeated execution of the same schedule (shots, ZNE
+ * stretch sweeps, RB sequences) near-free after the first pass.
  */
 #ifndef QPULSE_PULSESIM_SIMULATOR_H
 #define QPULSE_PULSESIM_SIMULATOR_H
@@ -85,20 +87,21 @@ class PulseSimulator
     }
 
     /**
-     * Disable (or re-enable) propagator memoization entirely. With
-     * caching off every evolve call takes the per-sample exact
-     * reference path — one stepPropagator eigendecomposition per AWG
-     * sample — the oracle that correctness tests and perf benches
-     * compare the cached path against.
+     * Choose the step walker's step source. With caching off every
+     * evolve call walks the per-sample exact reference — one
+     * stepPropagator eigendecomposition per AWG sample, each applied
+     * once, through the same applier as the cached steps — the oracle
+     * that correctness tests and perf benches compare the cached
+     * source against.
      */
     void setCachingEnabled(bool enabled) { cachingEnabled_ = enabled; }
     bool cachingEnabled() const { return cachingEnabled_; }
 
     /**
      * Attach a cooperative interrupt to this simulator instance: the
-     * evolve loops poll the token — and a *wall-clock* deadline —
+     * step walker polls the token — and a *wall-clock* deadline —
      * every kInterruptStride AWG samples (per collapsed run on the
-     * cached path) and throw a StatusError carrying the structured
+     * cached source) and throw a StatusError carrying the structured
      * Cancelled / DeadlineExceeded reason mid-evolution. Virtual-time
      * deadlines are deliberately ignored here: their budget is charged
      * deterministically at shot-batch admission (PulseBackend), and an
@@ -115,7 +118,7 @@ class PulseSimulator
                          !wallDeadline_.unlimited();
     }
 
-    /** Samples between interrupt polls on the per-sample paths. */
+    /** Samples between interrupt polls on the reference source. */
     static constexpr long kInterruptStride = 256;
 
     /**
@@ -160,11 +163,10 @@ class PulseSimulator
      * (linalg/state_panel.h). Matches per-column evolveState to
      * <= 1e-12 max-abs (pinned in tests/test_batch.cc); within one
      * dispatch mode the result is deterministic, so it is bit-identical
-     * across QPULSE_THREADS. Interrupt polling keeps evolveState's
-     * stride semantics (kInterruptStride samples per poll, per
-     * collapsed run on the cached path). `ws` provides panel scratch
-     * (state-panel slot 0), reused across calls at the widest width
-     * seen.
+     * across QPULSE_THREADS. Interrupt polling is the step walker's,
+     * as for every entry point. `ws` provides panel scratch
+     * (state-panel slot 0, matrix slots 0-2), reused across calls at
+     * the widest width seen.
      */
     void evolveStatesBatched(const Schedule &schedule, StatePanel &panel,
                              Workspace &ws) const;
@@ -209,27 +211,32 @@ class PulseSimulator
                           double t_mid_ns) const;
 
     /**
-     * Run-length-encode the drive timeline into DriveSteps (caching
-     * path only).
+     * Run-length-encode the drive timeline into DriveSteps (cached
+     * source only).
      */
     std::vector<DriveStep> compileSteps(
         const std::vector<std::vector<Complex>> &drives,
         long duration) const;
 
     /**
-     * The cache to use for one evolve call: the attached cross-call
-     * cache if set, else `local` (per-call memoization), else null
-     * when caching is disabled.
-     */
-    PropagatorCache *activeCache(
-        std::unique_ptr<PropagatorCache> &local) const;
-
-    /**
      * Exact propagator exp(-i H(t_mid) dt) of one AWG sample: cache
-     * values on the cached path, every step of the reference path.
+     * values on the cached source, every step of the reference source.
      */
     Matrix stepPropagator(double t_mid_ns,
                           const std::vector<Complex> &drives) const;
+
+    /**
+     * The one evolution loop: builds the drive timeline (frames into
+     * `frame_out` when non-null) and calls `apply(step_u, count)` per
+     * step in time order. Cached source: each compileSteps run, its
+     * propagator from the attached cache, else one local to the call,
+     * polling the interrupt per run. Reference source: each sample's
+     * exact stepPropagator with count 1, polling every
+     * kInterruptStride samples.
+     */
+    template <typename Apply>
+    void walkSteps(const Schedule &schedule, long duration,
+                   std::vector<double> *frame_out, Apply &&apply) const;
 
     /** Slow half of checkInterrupt: throws if the interrupt fired. */
     void throwIfInterrupted() const;

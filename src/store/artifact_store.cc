@@ -12,7 +12,6 @@
 #include <unistd.h>
 
 #include "common/env.h"
-#include "pulse/schedule.h"
 #include "store/serde.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -721,26 +720,6 @@ ArtifactStore::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return stats_;
-}
-
-Status
-putSchedule(ArtifactStore &store, const ArtifactKey &key,
-            const Schedule &schedule)
-{
-    ByteWriter w;
-    serializeSchedule(schedule, w);
-    return store.put(key, w.bytes());
-}
-
-Status
-getSchedule(ArtifactStore &store, const ArtifactKey &key,
-            Schedule &out)
-{
-    ArtifactView view;
-    if (Status s = store.get(key, view); !s.ok())
-        return s;
-    ByteReader r(view.data, view.size);
-    return deserializeSchedule(r, out);
 }
 
 Status

@@ -64,7 +64,6 @@
 
 namespace qpulse {
 
-class Schedule;
 struct PulseLibrary;
 
 namespace store {
@@ -270,12 +269,6 @@ class ArtifactStore
     StoreStats stats_;
     mutable std::mutex mutex_;
 };
-
-/** Serialize-and-put / get-and-deserialize conveniences. */
-Status putSchedule(ArtifactStore &store, const ArtifactKey &key,
-                   const Schedule &schedule);
-Status getSchedule(ArtifactStore &store, const ArtifactKey &key,
-                   Schedule &out);
 
 /**
  * CalibrationSnapshot conveniences (serialized PulseLibrary). The

@@ -139,27 +139,13 @@ PersistentPropagatorCache::queueWriteBack(const PropagatorKey &key,
         flush(); // Outside persistMutex_; flush re-acquires it.
 }
 
-Matrix
-PersistentPropagatorCache::getOrCompute(
-    const PropagatorKey &key, const std::function<Matrix()> &compute)
-{
-    // The base class handles the memory tier and runs this factory
-    // with its LRU mutex released (the lock-order contract).
-    return PropagatorCache::getOrCompute(key, [&]() -> Matrix {
-        Matrix value;
-        if (loadFromDisk(key, value))
-            return value;
-        value = compute();
-        queueWriteBack(key, value);
-        return value;
-    });
-}
-
 void
 PersistentPropagatorCache::getOrComputeInto(
     const PropagatorKey &key, const std::function<Matrix()> &compute,
     Matrix &out)
 {
+    // The base class handles the memory tier and runs this factory
+    // with its LRU mutex released (the lock-order contract).
     PropagatorCache::getOrComputeInto(
         key,
         [&]() -> Matrix {

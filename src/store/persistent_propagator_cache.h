@@ -76,9 +76,6 @@ class PersistentPropagatorCache : public PropagatorCache
     /** Queue length at which derive paths trigger an inline flush. */
     static constexpr std::size_t kAutoFlushEntries = 256;
 
-    Matrix getOrCompute(const PropagatorKey &key,
-                        const std::function<Matrix()> &compute) override;
-
     void getOrComputeInto(const PropagatorKey &key,
                           const std::function<Matrix()> &compute,
                           Matrix &out) override;

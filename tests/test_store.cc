@@ -836,7 +836,7 @@ TEST(PersistentCache, CorruptRecordsFallBackToDerivation)
 
 /**
  * Lock-order regression (run under TSan in CI): concurrent evolve
- * traffic through getOrCompute, a snapshot thread taking the
+ * traffic through getOrComputeInto, a snapshot thread taking the
  * documented LRU-then-persist sequence, and a flush thread draining
  * the write-back queue. The contract in propagator_cache.h says both
  * mutexes are leaf locks — any nesting regression deadlocks or races
@@ -859,12 +859,16 @@ TEST(PersistentCache, ConcurrentEvolveSnapshotAndFlushAreClean)
             for (int i = 0; i < kIterations; ++i) {
                 PropagatorKey key;
                 key.words = {t, i % 64, (t * 7 + i) % 16};
-                Matrix value = cache->getOrCompute(key, [&] {
-                    Matrix m(2, 2);
-                    m(0, 0) = Complex(t, i);
-                    m(1, 1) = Complex(i, -t);
-                    return m;
-                });
+                Matrix value;
+                cache->getOrComputeInto(
+                    key,
+                    [&] {
+                        Matrix m(2, 2);
+                        m(0, 0) = Complex(t, i);
+                        m(1, 1) = Complex(i, -t);
+                        return m;
+                    },
+                    value);
                 ASSERT_EQ(value.rows(), 2u);
             }
         });

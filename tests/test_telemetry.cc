@@ -320,8 +320,9 @@ TEST(Instrumentation, CacheSnapshotAndResetIsAtomicReadAndClear)
     PropagatorKey key;
     key.words = {1, 2, 3};
     const auto compute = [] { return Matrix::identity(2); };
-    cache.getOrCompute(key, compute); // miss
-    cache.getOrCompute(key, compute); // hit
+    Matrix value;
+    cache.getOrComputeInto(key, compute, value); // miss
+    cache.getOrComputeInto(key, compute, value); // hit
 
     const PropagatorCacheStats taken = cache.snapshotAndReset();
     EXPECT_EQ(taken.hits, 1u);
