@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Work-counter ratchet over the traced end-to-end legs.
+"""Work-counter ratchet and counts pin over the traced end-to-end legs.
 
-The traced leg of bench_e2e (`run.py --trace 1`) caps its shot loops at
-one thread, so its per-job work counters are exact functions of the
-code and the seed. .github/e2e-work-counters.json holds them for every
-workload at seed 7; git history of that file is the work trajectory.
+Shot loops run on one thread, so the per-job work counters of bench_e2e's
+traced leg (`run.py --trace 1`) are exact functions of the code and the
+seed. .github/e2e-work-counters.json holds them for every workload at
+seed 7; git history of that file is the work trajectory. It also pins
+each workload's counts_digest, the digest of the counts a fixed prefix
+of its jobs returned, so a change that moves any job's counts fails.
 
 Usage, from the root of a checkout, after saving each workload's
 traced output as e2e-<workload>-trace.txt:
@@ -15,8 +17,9 @@ traced output as e2e-<workload>-trace.txt:
     python3 .github/e2e_ratchet.py --update   # rewrite the file
 
 A counter worse than the file by more than 1e-9 relative, in the
-direction BENCHMARK.json's per_layer entry gives, fails the check. An
-improved counter is printed with a reminder to update the file.
+direction BENCHMARK.json's per_layer entry gives, fails the check, and
+so does a counts_digest other than the file's. An improved counter is
+printed with a reminder to update the file.
 """
 
 import argparse
@@ -43,7 +46,8 @@ RELATIVE_TOLERANCE = 1e-9
 
 
 def traced_leg(workload):
-    """SIMD tier and counters from a saved `run.py --trace 1` output."""
+    """SIMD tier, counts digest and counters from a saved
+    `run.py --trace 1` output."""
     path = os.path.join(ROOT, "e2e-%s-trace.txt" % workload)
     with open(path) as f:
         lines = f.read().splitlines()
@@ -52,7 +56,7 @@ def traced_leg(workload):
     if host["seed"] != SEED or host["trace"] != 1:
         sys.exit("%s: expected the traced leg at seed %d" % (path, SEED))
     metrics = json.loads(lines[-1])["metrics"]
-    leg = {"simd": host["simd"]}
+    leg = {"simd": host["simd"], "counts_digest": host["counts_digest"]}
     leg.update({name: metrics[name]["value"] for name in COUNTERS})
     return leg
 
@@ -81,11 +85,15 @@ def main():
     with open(COUNTERS_FILE) as f:
         pinned = json.load(f)["workloads"]
     better = directions()
-    worse, improved = [], []
+    changed, worse, improved = [], [], []
     for workload, leg in legs.items():
         if leg["simd"] != pinned[workload]["simd"]:
             print("note: %s ran on SIMD tier %s, the file holds %s"
                   % (workload, leg["simd"], pinned[workload]["simd"]))
+        if leg["counts_digest"] != pinned[workload]["counts_digest"]:
+            changed.append("%s counts_digest: %s -> %s"
+                           % (workload, pinned[workload]["counts_digest"],
+                              leg["counts_digest"]))
         for name in COUNTERS:
             old, new = pinned[workload][name], leg[name]
             # Positive gain means the counter got better.
@@ -99,11 +107,13 @@ def main():
         print("improved " + row)
     if improved:
         print("update the file: python3 .github/e2e_ratchet.py --update")
+    for row in changed:
+        print("CHANGED " + row)
     for row in worse:
         print("WORSE " + row)
-    if worse:
+    if changed or worse:
         return 1
-    print("work counters no worse than %s"
+    print("counts digests equal and work counters no worse than %s"
           % os.path.relpath(COUNTERS_FILE, ROOT))
     return 0
 

@@ -3,9 +3,9 @@
  * Pulse-simulator hot-path performance bench: times single-qubit,
  * CR-pair and Lindblad evolutions with the propagator cache off (the
  * per-sample reference path) and on, and the repeated-schedule shot
- * workload (PulseBackend::runShots) in the legacy configuration (no
- * cache, looped shots, one thread, scalar dispatch) versus the
- * optimized one (shared cache, batched shots, four threads). Results —
+ * workload in the legacy configuration (a per-shot loop with no cache
+ * and scalar dispatch) versus PulseBackend::runShots (shared cache,
+ * batched shots). Results —
  * wall times, cache hit rates, speedups and cached-vs-uncached
  * agreement — are printed as a table and written machine-readably to
  * BENCH_pulsesim.json for regression tracking.
@@ -25,7 +25,6 @@
 
 #include "bench_util.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
 #include "linalg/simd.h"
 #include "linalg/state_panel.h"
 
@@ -262,7 +261,7 @@ void
 writeJson(const std::vector<EvolveRow> &rows,
           const std::vector<KernelRow> &kernels, const BatchedRow &batched,
           long shots, double baseline_ms, double optimized_ms,
-          double shot_hit_rate, std::size_t threads)
+          double shot_hit_rate)
 {
     std::FILE *out = bench::openBenchJson("BENCH_pulsesim.json");
     if (out == nullptr)
@@ -270,7 +269,6 @@ writeJson(const std::vector<EvolveRow> &rows,
     const double shot_speedup = baseline_ms / optimized_ms;
     std::fprintf(out, "{\n");
     bench::writeBenchHeader(out, "pulsesim");
-    std::fprintf(out, "  \"threads\": %zu,\n", threads);
     std::fprintf(out, "  \"workloads\": [\n");
     for (std::size_t k = 0; k < rows.size(); ++k) {
         const EvolveRow &row = rows[k];
@@ -335,13 +333,9 @@ int
 main()
 {
     bench::banner(
-        "Pulse-simulator perf: propagator cache + threaded shots",
+        "Pulse-simulator perf: propagator cache + batched shots",
         "repeated-schedule shot workload >= 5x faster with the cache "
         "on; cached == uncached to 1e-12");
-
-    const std::size_t threads = ThreadPool::global().size();
-    std::printf("thread pool size: %zu (QPULSE_THREADS overrides)\n\n",
-                threads);
 
     // --- Workload construction (calibration excluded from timings).
     const BackendConfig pair_config = almadenLineConfig(2);
@@ -419,42 +413,49 @@ main()
                 batched.maxDiff <= 1e-12 ? "PASS" : "FAIL");
 
     // --- Repeated-schedule shot workload: the original acceptance
-    // criterion. Legacy baseline = the seed code path (no memoization,
-    // looped per-shot evolution, one thread, scalar dispatch) so the 5x
-    // gate keeps measuring against the same pre-cache baseline;
-    // optimized = shared cache + batched panels + up to four threads.
+    // criterion. Legacy baseline = the seed code path, run here as its
+    // own per-shot loop (no memoization, one evolveState per shot,
+    // scalar dispatch, then the shot's Rng(deriveSeed(seed, shot))
+    // draw) so the 5x gate keeps measuring against the same pre-cache
+    // baseline; optimized = runShots with the cache and 64-wide panels.
+    const long shots = 192;
+    const std::uint64_t shot_seed = 7;
     PulseSimulator shot_sim_legacy(calibrator.qubitModel(0));
     shot_sim_legacy.setCachingEnabled(false);
-    const PulseSimulator shot_sim(calibrator.qubitModel(0));
-    PulseShotOptions legacy;
-    legacy.shots = 192;
-    legacy.seed = 7;
-    legacy.batchWidth = 1;
-    legacy.maxThreads = 1;
     const kernels::SimdMode dispatch_mode = kernels::activeSimd();
     kernels::setActiveSimd(kernels::SimdMode::Scalar);
     auto start = Clock::now();
-    const PulseShotResult base =
-        backend->runShots(shot_sim_legacy, x_schedule, legacy);
+    std::vector<long> base_counts(shot_sim_legacy.model().dim(), 0);
+    {
+        Vector ground(shot_sim_legacy.model().dim());
+        ground[0] = Complex{1.0, 0.0};
+        for (long shot = 0; shot < shots; ++shot) {
+            const Vector out = shot_sim_legacy.evolveState(x_schedule,
+                                                           ground);
+            Rng rng(Rng::deriveSeed(shot_seed,
+                                    static_cast<std::uint64_t>(shot)));
+            ++base_counts[rng.discrete(shot_sim_legacy.populations(out))];
+        }
+    }
     const double baseline_ms = elapsedMs(start);
     kernels::setActiveSimd(dispatch_mode);
 
+    const PulseSimulator shot_sim(calibrator.qubitModel(0));
     PulseShotOptions fast;
-    fast.shots = 192;
-    fast.seed = 7;
-    fast.maxThreads = 4;
+    fast.shots = shots;
+    fast.seed = shot_seed;
     start = Clock::now();
     const PulseShotResult opt =
         backend->runShots(shot_sim, x_schedule, fast);
     const double optimized_ms = elapsedMs(start);
 
-    bool counts_match = base.counts == opt.counts;
+    const bool counts_match = base_counts == opt.counts;
     const double shot_speedup = baseline_ms / optimized_ms;
     std::printf("repeated-schedule shots (%ld shots of x180):\n",
-                legacy.shots);
-    std::printf("  legacy (no cache, looped, 1 thread): %8.1f ms\n",
+                shots);
+    std::printf("  legacy (no cache, per-shot loop): %8.1f ms\n",
                 baseline_ms);
-    std::printf("  optimized (cache, <=4 threads):      %8.1f ms "
+    std::printf("  optimized (runShots, cache):      %8.1f ms "
                 "(hit rate %.1f%%)\n",
                 optimized_ms, 100.0 * opt.cacheStats.hitRate());
     std::printf("  speedup: %.1fx (acceptance: >= 5x) %s\n",
@@ -463,8 +464,8 @@ main()
                 counts_match ? "yes" : "NO (BUG)");
 
     bench::printTelemetry();
-    writeJson(rows, kernel_rows, batched, legacy.shots, baseline_ms,
-              optimized_ms, opt.cacheStats.hitRate(), threads);
+    writeJson(rows, kernel_rows, batched, shots, baseline_ms,
+              optimized_ms, opt.cacheStats.hitRate());
     return shot_speedup >= 5.0 && batched.speedup() >= 3.0 &&
                    batched.maxDiff <= 1e-12 && counts_match
                ? 0

@@ -15,8 +15,8 @@
  *  - wall-clock: a steady_clock expiry. Honest about real latency, but
  *    inherently scheduling-dependent — two runs with different thread
  *    counts can complete different amounts of work before expiry.
- *  - virtual time: a budget of simulated AWG samples, charged at batch
- *    granularity *before* any parallel work is dispatched. Expiry is a
+ *  - virtual time: a budget of simulated AWG samples, charged one
+ *    shot batch at a time just before the batch runs. Expiry is a
  *    pure function of the workload, so partial results, shed counters
  *    and every telemetry export stay bit-identical across
  *    QPULSE_THREADS settings — the determinism contract the
@@ -150,8 +150,8 @@ class Deadline
      * after it is refused. Wall-clock mode: charges nothing, returns
      * !expired(). Unlimited: always true.
      *
-     * Call sequentially (e.g. per shot batch, before dispatching the
-     * parallel loop) when the admitted set must be deterministic.
+     * Call sequentially (e.g. per shot batch, just before it runs)
+     * when the admitted set must be deterministic.
      */
     bool tryCharge(std::uint64_t units) const;
 

@@ -40,13 +40,6 @@ envLong(const char *name, long fallback, long lo, long hi)
     return parsed;
 }
 
-std::size_t
-envBatchWidth()
-{
-    return static_cast<std::size_t>(
-        envLong("QPULSE_BATCH", 64, 1, 4096));
-}
-
 std::optional<std::string>
 envString(const char *name)
 {

@@ -4,8 +4,8 @@
  *
  * Every QPULSE_* knob goes through these helpers so that a typo'd or
  * out-of-range value produces a one-line stderr warning instead of a
- * silent fallback: QPULSE_THREADS (thread_pool.cc), QPULSE_BATCH
- * (envBatchWidth below), QPULSE_SERVICE_QUEUE (execution_service.cc),
+ * silent fallback: QPULSE_THREADS (thread_pool.cc),
+ * QPULSE_SERVICE_QUEUE (execution_service.cc),
  * QPULSE_FAULT_PLAN (fault_injector.cc), QPULSE_CACHE_DIR /
  * QPULSE_CACHE_MAX_BYTES (src/store), QPULSE_INGEST_MAX_BYTES
  * (src/ingest). QPULSE_SANITIZE is consumed
@@ -34,16 +34,6 @@ long envLong(const char *name, long fallback, long lo, long hi);
 
 /** Raw string value of an environment variable, if set and non-empty. */
 std::optional<std::string> envString(const char *name);
-
-/**
- * Diagnosed QPULSE_BATCH parse: the default StatePanel width used by
- * PulseBackend::runShots when PulseShotOptions::batchWidth is 0.
- * Unset -> 64; garbage -> 64 with a warning; out-of-range values are
- * clamped to [1, 4096] with a warning — the same contract as
- * QPULSE_THREADS. Re-read on every call (not cached) so tests can
- * flip the variable between runs.
- */
-std::size_t envBatchWidth();
 
 /**
  * QPULSE_CACHE_DIR: directory of the persistent artifact store

@@ -1,8 +1,10 @@
 /**
  * @file
  * Shared worker-thread pool for the embarrassingly parallel loops in
- * qpulse: shot sampling, ZNE stretch sweeps, RB sequence batches and
- * the per-point sweeps in the figure benches.
+ * qpulse. Parallelism runs across independent schedules, never inside
+ * one run's shots: the service's drain-time precompile, ZNE stretch
+ * sweeps, RB sequence batches and the per-point sweeps in the figure
+ * benches. PulseBackend::runShots runs on its calling thread.
  *
  * The pool is a process-wide singleton sized from
  * std::thread::hardware_concurrency(), overridable with the

@@ -10,9 +10,9 @@
  * chain drops or flips outcomes. FaultInjector models all of these as
  * a *deterministic, seed-derived* fault plan: every decision is drawn
  * from an Rng stream derived (splitmix64, Rng::deriveSeed) from the
- * plan seed and the (run, attempt) coordinates — the same determinism
- * contract as the shot loop — so a fault-injected run is bit-identical
- * across thread counts and reruns.
+ * plan seed and the (run, attempt) coordinates — the same derivation
+ * the shot loop uses per shot — so a fault-injected run is
+ * bit-identical across thread counts and reruns.
  *
  * Plans come from code or from the QPULSE_FAULT_PLAN environment spec
  * (grammar in docs/ROBUSTNESS.md), e.g.
@@ -102,8 +102,7 @@ struct FaultPlan
  * Draws deterministic fault decisions from a FaultPlan.
  *
  * Not thread-safe: one injector belongs to one (sequential) execution
- * loop. The shot-level parallelism below it is unaffected because the
- * injector only acts at batch granularity.
+ * loop, and the shot loop below it runs on the same thread.
  */
 class FaultInjector
 {

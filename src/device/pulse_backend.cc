@@ -1,18 +1,25 @@
 #include "device/pulse_backend.h"
 
-#include <atomic>
 #include <cmath>
-#include <mutex>
 
 #include "common/constants.h"
-#include "common/env.h"
-#include "common/thread_pool.h"
 #include "device/schedule_validation.h"
 #include "synth/euler.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace qpulse {
+
+namespace {
+
+/**
+ * Ground states runShots evolves together in one StatePanel. Panel
+ * boundaries fall at the same shot indices for every run, so every
+ * shot's final state, and with it its draw, is reproducible.
+ */
+constexpr std::size_t kShotPanelWidth = 64;
+
+} // namespace
 
 PulseBackend::PulseBackend(PulseLibrary library)
     : library_(std::move(library))
@@ -293,24 +300,21 @@ PulseBackend::runShots(const PulseSimulator &sim,
     // saturated envelopes, unknown channels, non-monotonic times)
     // must never reach the quantized cache keys or the
     // eigendecomposition hot path — reject it with its structured
-    // reason here, once per batch, before any evolution.
+    // reason here, once per run, before any evolution.
     throwIfError(validateSchedule(schedule, library_.config));
 
     // Work on a copy so the shot run can attach its cache without
     // mutating the caller's simulator (the copy is a few small
-    // matrices). Concurrent const evolve calls on one simulator are
-    // safe; the shared cache is internally locked. Caching follows the
-    // caller's simulator: with it off, every shot takes the
-    // per-sample reference path.
+    // matrices). Caching follows the caller's simulator: with it off,
+    // every shot takes the per-sample reference path.
     PulseSimulator worker = sim;
     const std::shared_ptr<PropagatorCache> cache =
         runPropagatorCache(sim, opts);
     worker.setPropagatorCache(cache);
     // The worker polls the token and any *wall-clock* deadline
     // mid-evolution. Virtual budgets are deliberately not checked
-    // inside evolve (setInterrupt drops them): their charge happens at
-    // batch admission below, and an admitted batch must run to
-    // completion or the partial counts would depend on scheduling.
+    // inside evolve (setInterrupt drops them): the loop below charges
+    // them per batch, and an admitted batch runs to completion.
     worker.setInterrupt(opts.token, opts.deadline);
     const PropagatorCacheStats before =
         cache ? cache->stats() : PropagatorCacheStats{};
@@ -340,147 +344,57 @@ PulseBackend::runShots(const PulseSimulator &sim,
         return result;
     }
 
+    const std::size_t shots = static_cast<std::size_t>(opts.shots);
+    // Shots run in order, in a fixed number of batches: each batch is
+    // one "backend.shot_batch" span and one virtual-time charge. Each
+    // batch evolves as panels of at most kShotPanelWidth ground states,
+    // then draws shot s from its own Rng(deriveSeed(seed, s)) stream.
+    const std::size_t batches = std::min(shots, kShotBatches);
+    const std::uint64_t sample_cost = static_cast<std::uint64_t>(
+        std::max<long>(schedule.duration(), 1));
     try {
         result.populations =
             worker.populations(worker.evolveState(schedule, ground));
+        c_batches.add(batches);
+
+        Workspace &ws = tlsWorkspace();
+        Vector &shot_state = ws.vector(0, dim);
+        for (std::size_t batch = 0; batch < batches; ++batch) {
+            const std::size_t begin = batch * shots / batches;
+            const std::size_t end = (batch + 1) * shots / batches;
+            if (opts.deadline.isVirtual() &&
+                !opts.deadline.tryCharge((end - begin) * sample_cost)) {
+                finishInterrupted(Status::error(
+                    ErrorCode::DeadlineExceeded,
+                    "virtual-time budget exhausted after " +
+                        std::to_string(result.shotsCompleted) + " of " +
+                        std::to_string(opts.shots) + " shots"));
+                break;
+            }
+            telemetry::TraceSpan batch_span("backend.shot_batch");
+            for (std::size_t shot = begin; shot < end;) {
+                worker.checkInterrupt();
+                const std::size_t width =
+                    std::min(kShotPanelWidth, end - shot);
+                StatePanel &panel = ws.statePanel(1, dim, width);
+                panel.fillColumns(ground);
+                worker.evolveStatesBatched(schedule, panel, ws);
+                for (std::size_t c = 0; c < width; ++c, ++shot) {
+                    panel.getColumn(c, shot_state);
+                    Rng rng(Rng::deriveSeed(opts.seed, shot));
+                    ++result.counts[rng.discrete(
+                        worker.populations(shot_state))];
+                    ++result.shotsCompleted;
+                }
+            }
+        }
     } catch (const StatusError &err) {
+        // An interrupt keeps the shots already drawn (they are
+        // complete, valid draws); anything else propagates.
         if (err.code() != ErrorCode::Cancelled &&
             err.code() != ErrorCode::DeadlineExceeded)
             throw;
         finishInterrupted(err.status());
-        return result;
-    }
-
-    std::vector<std::atomic<long>> counts(dim);
-    const std::size_t shots = static_cast<std::size_t>(opts.shots);
-    // Shots are dispatched in a fixed number of batches (independent
-    // of the worker count) so that (a) every "backend.shot_batch"
-    // span covers enough work to be visible in a trace and (b) the
-    // batch counter is bit-identical across QPULSE_THREADS settings.
-    const std::size_t batches = std::min(shots, kShotBatches);
-    c_batches.add(batches);
-
-    // Panel width for the batched evolution inside each shot chunk:
-    // the option wins, then the QPULSE_BATCH environment knob (warn-
-    // and-clamp diagnosed parse, common/env.h), then the default.
-    // Width 1 selects the looped per-shot reference path.
-    const std::size_t batch_width =
-        opts.batchWidth > 0 ? opts.batchWidth : envBatchWidth();
-
-    // Virtual-time admission: charge every batch's simulated-sample
-    // cost sequentially, *before* the parallel dispatch, so the set of
-    // admitted batches — and with it shotsCompleted and the partial
-    // counts — is a pure function of the workload, bit-identical
-    // across maxThreads settings. Wall-clock/unlimited deadlines admit
-    // everything here; the per-shot checks inside the batch body (and
-    // the worker's mid-evolve polls) bound them instead.
-    const std::uint64_t sample_cost = static_cast<std::uint64_t>(
-        std::max<long>(schedule.duration(), 1));
-    std::vector<char> admitted(batches, 1);
-    if (opts.deadline.isVirtual())
-        for (std::size_t batch = 0; batch < batches; ++batch) {
-            const std::uint64_t batch_shots = static_cast<std::uint64_t>(
-                (batch + 1) * shots / batches - batch * shots / batches);
-            admitted[batch] =
-                opts.deadline.tryCharge(batch_shots * sample_cost) ? 1
-                                                                   : 0;
-        }
-
-    std::atomic<long> completed{0};
-    std::atomic<bool> interrupted{false};
-    std::mutex interrupt_mutex;
-    Status interrupt_reason;
-    parallelFor(
-        batches,
-        [&](std::size_t batch) {
-            if (!admitted[batch])
-                return; // Refused at virtual admission: never starts.
-            telemetry::TraceSpan batch_span("backend.shot_batch");
-            const std::size_t begin = batch * shots / batches;
-            const std::size_t end = (batch + 1) * shots / batches;
-            try {
-                // Commit one shot's draw into the shared tallies.
-                const auto commitShot = [&](std::size_t shot,
-                                            const Vector &out) {
-                    Rng rng(Rng::deriveSeed(opts.seed, shot));
-                    const std::size_t outcome =
-                        rng.discrete(worker.populations(out));
-                    counts[outcome].fetch_add(1,
-                                              std::memory_order_relaxed);
-                    completed.fetch_add(1, std::memory_order_relaxed);
-                };
-                if (batch_width <= 1) {
-                    // Looped per-shot reference path (QPULSE_BATCH=1).
-                    for (std::size_t shot = begin; shot < end; ++shot) {
-                        worker.checkInterrupt();
-                        // Every shot re-evolves the schedule: with the
-                        // cache hot this is matvec-only, and per-shot
-                        // noise sources can slot in here without
-                        // changing the sampling contract. The seed
-                        // derivation stays per-shot, so sampled counts
-                        // are independent of the batching.
-                        const Vector out =
-                            worker.evolveState(schedule, ground);
-                        commitShot(shot, out);
-                    }
-                } else {
-                    // Batched path: pack up to batch_width ground
-                    // states into one panel and evolve them through
-                    // the schedule together — one propagator
-                    // computation per sample shared by the whole
-                    // panel. Per-shot RNG streams are untouched (the
-                    // seed still derives from the absolute shot
-                    // index), so counts are independent of the panel
-                    // width and of maxThreads. The per-thread
-                    // workspace reuses the panel storage across chunks.
-                    Workspace &ws = tlsWorkspace();
-                    Vector &shot_state = ws.vector(0, dim);
-                    std::size_t shot = begin;
-                    while (shot < end) {
-                        worker.checkInterrupt();
-                        const std::size_t width =
-                            std::min(batch_width, end - shot);
-                        StatePanel &panel =
-                            ws.statePanel(1, dim, width);
-                        panel.fillColumns(ground);
-                        worker.evolveStatesBatched(schedule, panel,
-                                                   ws);
-                        for (std::size_t c = 0; c < width;
-                             ++c, ++shot) {
-                            panel.getColumn(c, shot_state);
-                            commitShot(shot, shot_state);
-                        }
-                    }
-                }
-            } catch (const StatusError &err) {
-                // An interrupt mid-batch keeps the shots already
-                // sampled (they are complete, valid draws) and records
-                // the first reason; anything else propagates.
-                if (err.code() != ErrorCode::Cancelled &&
-                    err.code() != ErrorCode::DeadlineExceeded)
-                    throw;
-                std::lock_guard<std::mutex> lock(interrupt_mutex);
-                if (!interrupted.load(std::memory_order_relaxed)) {
-                    interrupt_reason = err.status();
-                    interrupted.store(true, std::memory_order_relaxed);
-                }
-            }
-        },
-        opts.maxThreads);
-
-    for (std::size_t i = 0; i < dim; ++i)
-        result.counts[i] = counts[i].load(std::memory_order_relaxed);
-    result.shotsCompleted = completed.load(std::memory_order_relaxed);
-    if (interrupted.load(std::memory_order_relaxed)) {
-        finishInterrupted(interrupt_reason);
-    } else if (result.shotsCompleted < opts.shots) {
-        // Only virtual admission refusals can get here: deterministic
-        // partial result, flagged with the budget's structured reason.
-        finishInterrupted(Status::error(
-            ErrorCode::DeadlineExceeded,
-            "virtual-time budget exhausted after " +
-                std::to_string(result.shotsCompleted) + " of " +
-                std::to_string(opts.shots) + " shots"));
     }
     if (cache) {
         const PropagatorCacheStats after = cache->stats();

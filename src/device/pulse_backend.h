@@ -25,14 +25,14 @@
 
 namespace qpulse {
 
-/** Options for pulse-level shot execution (PulseBackend::runShots). */
 /**
- * Shots are chunked into at most this many batches regardless of the
- * worker count, so shot-batch spans and counters stay deterministic
- * across QPULSE_THREADS settings (docs/OBSERVABILITY.md).
+ * runShots runs at most this many shot batches, in shot order. A batch
+ * is the unit of one "backend.shot_batch" span and of one virtual-time
+ * charge (docs/OBSERVABILITY.md).
  */
 inline constexpr std::size_t kShotBatches = 64;
 
+/** Options for pulse-level shot execution (PulseBackend::runShots). */
 struct PulseShotOptions
 {
     long shots = 1024;
@@ -53,39 +53,19 @@ struct PulseShotOptions
     std::shared_ptr<PropagatorCache> cache;
 
     /**
-     * Thread cap for the shot loop: 0 = the global pool's size, 1 =
-     * sequential. Results are identical for every setting — each shot
-     * draws from its own Rng(deriveSeed(seed, shot)) stream.
-     */
-    std::size_t maxThreads = 0;
-
-    /**
-     * Maximum states packed into one StatePanel per evolution
-     * (pulsesim/simulator.h, evolveStatesBatched): the per-sample
-     * propagators are computed once per panel and applied to all K
-     * resident states as a single gemm. 0 = the QPULSE_BATCH
-     * environment default (64); 1 = the looped per-shot path. Panel
-     * boundaries are a pure function of shot indices, so counts and
-     * counters stay bit-identical across maxThreads settings whatever
-     * the width.
-     */
-    std::size_t batchWidth = 0;
-
-    /**
      * Cooperative cancellation. The default token is inert (free to
      * check, can never fire); pass CancelToken::make() and cancel it
-     * from another thread to wind the run down between shots / every
+     * from another thread to wind the run down between panels / every
      * few hundred simulated samples. The shots completed so far come
      * back as a partial result (PulseShotResult::partial).
      */
     CancelToken token;
 
     /**
-     * Execution deadline. Wall-clock deadlines are checked per shot
-     * and mid-evolution; virtual-time budgets (common/cancellation.h)
-     * are charged sequentially at shot-batch granularity before the
-     * parallel dispatch, so the admitted batch set — and therefore the
-     * partial counts — is bit-identical across maxThreads settings.
+     * Execution deadline. Wall-clock deadlines are checked per panel
+     * and mid-evolution; a virtual-time budget (common/cancellation.h)
+     * is charged one shot batch at a time just before the batch runs,
+     * so the partial counts are a pure function of the workload.
      */
     Deadline deadline;
 };
@@ -185,10 +165,10 @@ class PulseBackend
      * Execute `schedule` on `sim` for opts.shots shots: every shot
      * evolves the ground state through the schedule (drawing from the
      * shared propagator cache, so repeated evolutions after the first
-     * are near-free) and samples one measured basis state. Shots are
-     * distributed over the common thread pool; per-shot Rng streams
-     * make the counts deterministic for a fixed seed regardless of
-     * thread count.
+     * are near-free) and samples one measured basis state with its own
+     * Rng(deriveSeed(seed, shot)) stream. The shots run in order on
+     * the calling thread, as at most kShotBatches batches of panels;
+     * parallelism belongs to callers running independent schedules.
      *
      * Per-shot evolution is deliberate: forthcoming per-shot noise
      * (quasi-static drift, stochastic readout) varies shot to shot,

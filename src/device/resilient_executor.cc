@@ -1,10 +1,8 @@
 #include "device/resilient_executor.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <optional>
-#include <thread>
 
 #include "device/schedule_validation.h"
 #include "telemetry/metrics.h"
@@ -15,6 +13,9 @@ namespace qpulse {
 namespace {
 
 constexpr std::uint64_t kBackoffSalt = 0xBAC0FF01ull;
+
+/** Consecutive failed runs after which a keyed entry is stale. */
+constexpr int kStaleAfterFailures = 2;
 
 /**
  * Re-export the per-run ResilienceStats delta into the global metrics
@@ -88,9 +89,8 @@ cleanBaseline(const PulseSimulator &sim, const Schedule &schedule,
 
 ResilientExecutor::ResilientExecutor(
     std::shared_ptr<const PulseBackend> backend, RetryPolicy retry,
-    DriftWatchdogPolicy watchdog, DegradePolicy degrade)
-    : backend_(std::move(backend)), retry_(retry), watchdog_(watchdog),
-      degrade_(degrade)
+    DriftWatchdogPolicy watchdog)
+    : backend_(std::move(backend)), retry_(retry), watchdog_(watchdog)
 {
     qpulseRequire(backend_ != nullptr,
                   "ResilientExecutor needs a backend");
@@ -117,11 +117,11 @@ ResilientExecutor::backoffMs(int attempt, std::uint64_t run_id,
 bool
 ResilientExecutor::entryStale(const std::string &key) const
 {
-    if (!degrade_.enabled || key.empty())
+    if (key.empty())
         return false;
     const auto it = failureStreaks_.find(key);
     return it != failureStreaks_.end() &&
-           it->second >= degrade_.staleAfterFailures;
+           it->second >= kStaleAfterFailures;
 }
 
 void
@@ -179,7 +179,7 @@ ResilientExecutor::run(const PulseSimulator &sim,
             if (!request.key.empty())
                 failureStreaks_[request.key] =
                     std::max(failureStreaks_[request.key],
-                             degrade_.staleAfterFailures);
+                             kStaleAfterFailures);
             on_fallback = true;
             active = &*request.fallback;
             ++stats.fallbacks;
@@ -250,7 +250,7 @@ ResilientExecutor::run(const PulseSimulator &sim,
                 telemetry::TraceSpan retry_span("executor.retry");
                 ++stats.retries;
                 double delay = backoffMs(attempt, run_id, opts.seed);
-                // Per-attempt budget: never sleep past the cumulative
+                // Per-attempt budget: never charge past the cumulative
                 // backoff cap, and never past the wall-clock deadline
                 // (remainingMs() is +inf for unlimited/virtual, so
                 // those never shrink a delay).
@@ -261,10 +261,6 @@ ResilientExecutor::run(const PulseSimulator &sim,
                 delay = std::min(delay, opts.deadline.remainingMs());
                 backoff_spent_ms += delay;
                 stats.backoffTotalMs += delay;
-                if (retry_.sleep && delay > 0.0)
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double, std::milli>(
-                            delay));
             }
 
             FaultInjector::Injection injection;
@@ -343,8 +339,7 @@ ResilientExecutor::run(const PulseSimulator &sim,
                 static_cast<double>(result.counts[baseline.index]) /
                 shots;
             outcome.proxy = proxy;
-            if (!watchdog_.enabled ||
-                baseline.proxy - proxy <= watchdog_.tolerance) {
+            if (baseline.proxy - proxy <= watchdog_.tolerance) {
                 outcome.result = std::move(result);
                 return true;
             }

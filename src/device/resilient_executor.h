@@ -26,7 +26,8 @@
  * Every outcome is counted in a ResilienceStats block threaded into
  * the returned PulseShotResult. The executor is deliberately *not*
  * thread-safe across calls (stale tracking and the fault injector are
- * sequential state); the shot-level parallelism below it is untouched.
+ * sequential state), and runShots below it runs on the calling thread
+ * too, so one run is sequential end to end.
  */
 #ifndef QPULSE_DEVICE_RESILIENT_EXECUTOR_H
 #define QPULSE_DEVICE_RESILIENT_EXECUTOR_H
@@ -44,7 +45,11 @@
 
 namespace qpulse {
 
-/** Bounded-retry policy with exponential backoff. */
+/**
+ * Bounded-retry policy with exponential backoff. The executor accounts
+ * each delay (ResilienceStats::backoffTotalMs) and never sleeps: the
+ * simulated backend has no rate limit to respect.
+ */
 struct RetryPolicy
 {
     int maxAttempts = 4;        ///< Attempt budget per schedule phase.
@@ -62,33 +67,15 @@ struct RetryPolicy
      * remainingMs() so backoff can never overshoot the job budget.
      */
     double maxTotalBackoffMs = -1.0;
-    /**
-     * Actually sleep the computed delays. Off by default: tests and
-     * benches only need the accounting (backoffTotalMs), and the
-     * simulated backend has no rate limit to respect.
-     */
-    bool sleep = false;
 };
 
 /** Drift-watchdog policy. */
 struct DriftWatchdogPolicy
 {
-    bool enabled = true;
     /** Allowed drop of the fidelity proxy below the baseline. */
     double tolerance = 0.08;
     /** Calibration refreshes the watchdog may trigger per run. */
     int maxRecalibrations = 2;
-};
-
-/** Graceful-degradation policy. */
-struct DegradePolicy
-{
-    bool enabled = true;
-    /**
-     * Consecutive failed runs after which an entry is marked stale
-     * and future runs go straight to the fallback decomposition.
-     */
-    int staleAfterFailures = 2;
 };
 
 /** One resilient execution request. */
@@ -137,8 +124,7 @@ class ResilientExecutor
   public:
     explicit ResilientExecutor(
         std::shared_ptr<const PulseBackend> backend,
-        RetryPolicy retry = {}, DriftWatchdogPolicy watchdog = {},
-        DegradePolicy degrade = {});
+        RetryPolicy retry = {}, DriftWatchdogPolicy watchdog = {});
 
     /** Attach the fault source (null = fault-free substrate). */
     void setFaultInjector(std::shared_ptr<FaultInjector> injector)
@@ -170,7 +156,10 @@ class ResilientExecutor
                          const ResilientRequest &request,
                          const PulseShotOptions &opts);
 
-    /** True once `key` accumulated staleAfterFailures failed runs. */
+    /**
+     * True once `key` failed two runs in a row: future runs then go
+     * straight to its fallback decomposition.
+     */
     bool entryStale(const std::string &key) const;
 
     /** Clear a key's failure streak (e.g. after recalibration). */
@@ -197,7 +186,6 @@ class ResilientExecutor
     std::function<void()> recalibrationHook_;
     RetryPolicy retry_;
     DriftWatchdogPolicy watchdog_;
-    DegradePolicy degrade_;
     std::map<std::string, int> failureStreaks_;
     ResilienceStats stats_;
     std::uint64_t runCounter_ = 0;

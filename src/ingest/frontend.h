@@ -159,8 +159,8 @@ struct FrontEndStats
 
 /**
  * The streaming request front end. Sequential by design, like the
- * ExecutionService beneath it: one thread calls open/feed/pump; the
- * parallelism lives inside each chunk's shot loop.
+ * ExecutionService beneath it: one thread calls open/feed/pump, and
+ * every chunk's shot loop runs on that thread too.
  */
 class RequestFrontEnd
 {

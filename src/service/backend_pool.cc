@@ -25,6 +25,11 @@ backendAdminStateName(BackendAdminState state)
 
 namespace {
 
+/** Health-score penalty at a 100% windowed failure rate. */
+constexpr double kHealthFailureWeight = 4.0;
+/** Health-score penalty at full calibration staleness. */
+constexpr double kHealthFreshnessWeight = 0.5;
+
 Status
 validateHealthPolicy(const HealthPolicy &policy)
 {
@@ -35,10 +40,6 @@ validateHealthPolicy(const HealthPolicy &policy)
     if (policy.window < 1)
         return invalid("window must be >= 1, got " +
                        std::to_string(policy.window));
-    if (policy.failureWeight < 0.0)
-        return invalid("failureWeight must be >= 0");
-    if (policy.freshnessWeight < 0.0)
-        return invalid("freshnessWeight must be >= 0");
     if (!(policy.freshnessHorizonJobs > 0.0))
         return invalid("freshnessHorizonJobs must be > 0");
     return Status::okStatus();
@@ -95,8 +96,7 @@ BackendPool::Entry::Entry(std::string name_,
                           const Policies &policies)
     : name(std::move(name_)), backend(std::move(backend_)),
       sim(std::move(sim_)),
-      executor(backend, policies.retry, policies.watchdog,
-               policies.degrade),
+      executor(backend, policies.retry, policies.watchdog),
       breaker(policies.breaker), probe(std::move(probe_)),
       window(static_cast<std::size_t>(policies.health.window), 0)
 {
@@ -438,8 +438,8 @@ BackendPool::scoreOf(const Entry &entry) const
     const double staleness =
         std::min(1.0, static_cast<double>(entry.jobsSinceCalibration) /
                           policies_.health.freshnessHorizonJobs);
-    return base - policies_.health.failureWeight * failRate -
-           policies_.health.freshnessWeight * staleness;
+    return base - kHealthFailureWeight * failRate -
+           kHealthFreshnessWeight * staleness;
 }
 
 void
@@ -498,7 +498,6 @@ BackendPool::runProbe(Entry &entry)
     opts.shots = policies_.probe.shots;
     opts.seed = Rng::deriveSeed(policies_.probe.seed,
                                 entry.probeCounter++);
-    opts.maxThreads = policies_.probe.maxThreads;
     if (entry.persistCache)
         opts.cache = entry.persistCache;
 

@@ -71,10 +71,6 @@ struct HealthPolicy
 {
     /** Sliding window of recorded per-job outcomes per backend. */
     int window = 16;
-    /** Score penalty at a 100% windowed failure rate. */
-    double failureWeight = 4.0;
-    /** Score penalty at full calibration staleness. */
-    double freshnessWeight = 0.5;
     /** Jobs since recalibration at which staleness saturates at 1. */
     double freshnessHorizonJobs = 256.0;
 };
@@ -86,8 +82,6 @@ struct ProbePolicy
     long shots = 8;
     /** Base seed; each probe derives from (seed, probe ordinal). */
     std::uint64_t seed = 0x9120BE5Eull;
-    /** Thread cap for probe shot loops (probes are tiny; default 1). */
-    std::size_t maxThreads = 1;
 };
 
 /** Deterministic fleet-level counters (mirrored into fleet.*). */
@@ -112,7 +106,6 @@ class BackendPool
     {
         RetryPolicy retry;
         DriftWatchdogPolicy watchdog;
-        DegradePolicy degrade;
         CircuitBreakerPolicy breaker;
         HealthPolicy health;
         ProbePolicy probe;

@@ -72,7 +72,6 @@ poolOfOne(std::shared_ptr<const PulseBackend> backend,
     BackendPool::Policies policies;
     policies.retry = policy.retry;
     policies.watchdog = policy.watchdog;
-    policies.degrade = policy.degrade;
     policies.breaker = policy.breaker;
     policies.artifactStore = policy.artifactStore;
     policies.compileMode = policy.compileMode;
@@ -218,6 +217,18 @@ ExecutionService::submit(JobRequest request)
 
     ++stats_.submitted;
     c_submitted.increment();
+
+    // A job needs at least one shot. Refused here, it never takes a
+    // slot; admitted, its runShots would throw out of drain() and lose
+    // the outcomes of every other job in that drain.
+    if (request.shots < 1) {
+        ++stats_.rejected;
+        c_rejected.increment();
+        return Status::error(ErrorCode::InvalidArgument,
+                             "shots must be >= 1, got " +
+                                 std::to_string(request.shots) +
+                                 ": admission refused");
+    }
 
     // A job whose token/deadline already fired never takes a slot.
     if (Status gate = request.deadline.check(request.token);
@@ -406,7 +417,6 @@ ExecutionService::executeJob(PendingJob &job)
     PulseShotOptions opts;
     opts.shots = job.request.shots;
     opts.seed = job.request.seed;
-    opts.maxThreads = policy_.maxThreads;
     opts.token = job.request.token;
     opts.deadline = job.request.deadline;
 

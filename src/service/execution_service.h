@@ -50,8 +50,9 @@
  * across QPULSE_THREADS.
  *
  * The service is sequential by design: submit()/drain() run on one
- * thread (the pool beneath is sequential state); the parallelism
- * lives inside each job's shot loop. Telemetry: the service.* and
+ * thread (the pool beneath is sequential state), and so does every
+ * job, down to its shot loop. The one parallel step is the drain-time
+ * precompile of distinct circuits. Telemetry: the service.* and
  * fleet.* counters/gauges/spans registered in docs/OBSERVABILITY.md.
  */
 #ifndef QPULSE_SERVICE_EXECUTION_SERVICE_H
@@ -100,9 +101,9 @@ struct FleetPolicy
 
 /**
  * Service-wide policy knobs. `queueCapacity`, `maxThreads` and `fleet`
- * configure every service. The rest — `retry`, `watchdog`, `degrade`,
- * `breaker`, `artifactStore`, `compileMode` and `compileCache` —
- * configure only the pool of one that the single-backend constructor
+ * configure every service. The rest — `retry`, `watchdog`, `breaker`,
+ * `artifactStore`, `compileMode` and `compileCache` — configure only
+ * the pool of one that the single-backend constructor
  * builds (they become its BackendPool::Policies); a service over a
  * caller's pool ignores them, because the pool's own policies govern
  * its members.
@@ -118,12 +119,15 @@ struct ServicePolicy
     /** The member's ResilientExecutor policies (pool of one only). */
     RetryPolicy retry;
     DriftWatchdogPolicy watchdog;
-    DegradePolicy degrade;
 
     /** The member's circuit-breaker policy (pool of one only). */
     CircuitBreakerPolicy breaker;
 
-    /** Thread cap forwarded to every job's shot loop (0 = pool). */
+    /**
+     * Thread cap of the drain-time precompile, which lowers a drain's
+     * distinct circuits on the shared pool (0 = the pool's size). Jobs
+     * themselves run on the draining thread.
+     */
     std::size_t maxThreads = 0;
 
     /** Routing, failover and tenant scheduling knobs. */
@@ -301,9 +305,10 @@ class ExecutionService
      * when the newcomer strictly outranks the lowest-priority queued
      * job, that job is shed (most-recently-submitted among ties) and
      * recorded as a resource-exhausted JobOutcome; otherwise the
-     * newcomer is rejected with resource-exhausted. A job whose token
-     * or deadline already fired, or whose tenant is at its quota, is
-     * refused up front with its reason.
+     * newcomer is rejected with resource-exhausted. A job asking for
+     * fewer than one shot is rejected with invalid-argument; a job
+     * whose token or deadline already fired, or whose tenant is at its
+     * quota, is refused up front with its reason.
      */
     Status submit(JobRequest request);
 

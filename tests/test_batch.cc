@@ -4,10 +4,9 @@
  * primitives, evolveStatesBatched agreement with the looped per-state
  * path to 1e-12 across batch widths and SIMD dispatch tiers,
  * panel-width-aware workspace reuse (via a counting global
- * allocator), and the batched runShots contract —
- * counts invariant across batch widths and thread counts, exactly one
- * schedule validation per run, and unchanged partial / cancellation
- * semantics under virtual time.
+ * allocator), and the runShots contract — counts equal to a per-shot
+ * reference, exactly one schedule validation per run, and partial /
+ * cancellation semantics under virtual time.
  */
 #include <gtest/gtest.h>
 
@@ -417,7 +416,7 @@ TEST(BatchWorkspace, PanelSlotsReuseCapacity)
 }
 
 // ---------------------------------------------------------------------
-// runShots: batched shot formation.
+// runShots: one sequential loop of shot panels.
 // ---------------------------------------------------------------------
 
 struct ShotRig
@@ -436,60 +435,48 @@ struct ShotRig
     }
 };
 
-TEST(BatchShots, CountsInvariantAcrossWidthsAndThreads)
+/**
+ * Per-shot reference for runShots' counts over shots [0, shots): evolve
+ * |0> through the schedule once per shot with evolveState, then draw
+ * shot s from Rng(deriveSeed(seed, s)).
+ */
+std::vector<long>
+perShotCounts(const PulseSimulator &sim, const Schedule &schedule,
+              long shots, std::uint64_t seed)
 {
-    const ShotRig rig;
-    const auto run = [&](std::size_t width, std::size_t threads) {
-        PulseShotOptions opts;
-        opts.shots = 96;
-        opts.seed = 0xFEED;
-        opts.batchWidth = width;
-        opts.maxThreads = threads;
-        return rig.backend->runShots(rig.sim, rig.schedule, opts);
-    };
-
-    const PulseShotResult looped = run(1, 1);
-    long total = 0;
-    for (const long count : looped.counts)
-        total += count;
-    EXPECT_EQ(total, 96);
-    EXPECT_FALSE(looped.partial);
-
-    EXPECT_EQ(looped.counts, run(64, 1).counts);
-    EXPECT_EQ(looped.counts, run(64, 8).counts);
-    EXPECT_EQ(looped.counts, run(7, 8).counts);
-    // 0 = the QPULSE_BATCH environment default.
-    EXPECT_EQ(looped.counts, run(0, 1).counts);
+    PulseSimulator reference = sim;
+    reference.setPropagatorCache(std::make_shared<PropagatorCache>());
+    const std::size_t dim = reference.model().dim();
+    Vector ground(dim);
+    ground[0] = Complex{1.0, 0.0};
+    std::vector<long> counts(dim, 0);
+    for (long shot = 0; shot < shots; ++shot) {
+        const Vector out = reference.evolveState(schedule, ground);
+        Rng rng(Rng::deriveSeed(seed, static_cast<std::uint64_t>(shot)));
+        ++counts[rng.discrete(reference.populations(out))];
+    }
+    return counts;
 }
 
-TEST(BatchShots, QpulseBatchEnvControlsDefaultWidth)
+TEST(BatchShots, CountsInvariantAcrossWidthsAndThreads)
 {
+    // Every shot's draw is the per-shot reference's, whatever the
+    // panel layout: one shot; 96 shots in batches of 1 and 2; and 4160
+    // shots, whose 65-shot batches each run a 64-wide and a 1-wide
+    // panel.
     const ShotRig rig;
-    telemetry::MetricsRegistry &registry =
-        telemetry::MetricsRegistry::global();
-    telemetry::Counter &c_calls = registry.counter("sim.batch.calls");
-
-    PulseShotOptions opts;
-    opts.shots = 24;
-    opts.seed = 0xFEED;
-    opts.maxThreads = 1;
-
-    // An explicit looped width never enters the batched engine.
-    opts.batchWidth = 1;
-    const std::uint64_t before_looped = c_calls.value();
-    const PulseShotResult looped =
-        rig.backend->runShots(rig.sim, rig.schedule, opts);
-    EXPECT_EQ(c_calls.value(), before_looped);
-
-    // Width 0 defers to QPULSE_BATCH; the batched engine runs and the
-    // counts still match the looped reference.
-    EnvGuard env("QPULSE_BATCH", "5");
-    opts.batchWidth = 0;
-    const std::uint64_t before_batched = c_calls.value();
-    const PulseShotResult batched =
-        rig.backend->runShots(rig.sim, rig.schedule, opts);
-    EXPECT_GT(c_calls.value(), before_batched);
-    EXPECT_EQ(looped.counts, batched.counts);
+    for (const long shots : {1L, 96L, 4160L}) {
+        PulseShotOptions opts;
+        opts.shots = shots;
+        opts.seed = 0xFEED;
+        const PulseShotResult result =
+            rig.backend->runShots(rig.sim, rig.schedule, opts);
+        EXPECT_FALSE(result.partial) << "shots=" << shots;
+        EXPECT_EQ(result.shotsCompleted, shots);
+        EXPECT_EQ(result.counts,
+                  perShotCounts(rig.sim, rig.schedule, shots, opts.seed))
+            << "shots=" << shots;
+    }
 }
 
 TEST(BatchShots, ValidatesScheduleExactlyOncePerRun)
@@ -502,18 +489,14 @@ TEST(BatchShots, ValidatesScheduleExactlyOncePerRun)
     telemetry::Counter &c_rejects =
         registry.counter("device.validation.rejects");
 
-    for (const std::size_t width : {std::size_t{1}, std::size_t{64}}) {
-        PulseShotOptions opts;
-        opts.shots = 16;
-        opts.seed = 0xFEED;
-        opts.batchWidth = width;
-        const std::uint64_t calls_before = c_calls.value();
-        const std::uint64_t rejects_before = c_rejects.value();
-        rig.backend->runShots(rig.sim, rig.schedule, opts);
-        EXPECT_EQ(c_calls.value(), calls_before + 1)
-            << "batchWidth=" << width;
-        EXPECT_EQ(c_rejects.value(), rejects_before);
-    }
+    PulseShotOptions opts;
+    opts.shots = 16;
+    opts.seed = 0xFEED;
+    const std::uint64_t calls_before = c_calls.value();
+    const std::uint64_t rejects_before = c_rejects.value();
+    rig.backend->runShots(rig.sim, rig.schedule, opts);
+    EXPECT_EQ(c_calls.value(), calls_before + 1);
+    EXPECT_EQ(c_rejects.value(), rejects_before);
 }
 
 TEST(BatchShots, VirtualTimePartialInvariantAcrossWidthsAndThreads)
@@ -523,64 +506,50 @@ TEST(BatchShots, VirtualTimePartialInvariantAcrossWidthsAndThreads)
     const long shots = 96;
     const std::uint64_t duration =
         static_cast<std::uint64_t>(rig.schedule.duration());
-    // Budget for roughly half the shots, in simulated samples.
+    // Budget for half the shots, in simulated samples.
     const std::uint64_t budget =
         duration * static_cast<std::uint64_t>(shots) / 2;
 
-    const auto run = [&](std::size_t width, std::size_t threads) {
+    const auto run = [&] {
         PulseShotOptions opts;
         opts.shots = shots;
         opts.seed = 0xFEED;
-        opts.batchWidth = width;
-        opts.maxThreads = threads;
         opts.deadline = Deadline::afterMsOrBudget(50.0, budget);
         return rig.backend->runShots(rig.sim, rig.schedule, opts);
     };
 
-    const PulseShotResult base = run(1, 1);
+    const PulseShotResult base = run();
     EXPECT_TRUE(base.partial);
     EXPECT_EQ(base.interruption.code(), ErrorCode::DeadlineExceeded);
-    EXPECT_GT(base.shotsCompleted, 0);
-    EXPECT_LT(base.shotsCompleted, shots);
-    long total = 0;
-    for (const long count : base.counts)
-        total += count;
-    EXPECT_EQ(total, base.shotsCompleted);
+    // Batches of 1 and 2 shots are charged in shot order, each just
+    // before it runs; the one that spends the budget's last sample
+    // still runs, the next is refused.
+    EXPECT_EQ(base.shotsCompleted, shots / 2);
+    EXPECT_EQ(base.counts, perShotCounts(rig.sim, rig.schedule,
+                                         base.shotsCompleted, 0xFEED));
 
-    // The admitted batch set is charged before panel formation, so the
-    // partial result is a pure function of the workload: identical
-    // whatever the batch width or thread count.
-    for (const auto &[width, threads] :
-         {std::pair<std::size_t, std::size_t>{64, 1},
-          {64, 8},
-          {7, 8}}) {
-        const PulseShotResult r = run(width, threads);
-        EXPECT_EQ(base.counts, r.counts)
-            << "width=" << width << " threads=" << threads;
-        EXPECT_EQ(base.shotsCompleted, r.shotsCompleted);
-        EXPECT_EQ(base.partial, r.partial);
-        EXPECT_EQ(base.interruption.code(), r.interruption.code());
-    }
+    // The partial result is a pure function of the workload.
+    const PulseShotResult again = run();
+    EXPECT_EQ(base.counts, again.counts);
+    EXPECT_EQ(base.shotsCompleted, again.shotsCompleted);
+    EXPECT_EQ(base.partial, again.partial);
+    EXPECT_EQ(base.interruption.code(), again.interruption.code());
 }
 
 TEST(BatchShots, PreCancelledTokenYieldsEmptyPartialAtAnyWidth)
 {
     const ShotRig rig;
-    for (const std::size_t width : {std::size_t{1}, std::size_t{64}}) {
-        CancelToken token = CancelToken::make();
-        token.cancel();
-        PulseShotOptions opts;
-        opts.shots = 32;
-        opts.seed = 0xFEED;
-        opts.batchWidth = width;
-        opts.token = token;
-        const PulseShotResult result =
-            rig.backend->runShots(rig.sim, rig.schedule, opts);
-        EXPECT_TRUE(result.partial) << "batchWidth=" << width;
-        EXPECT_EQ(result.shotsCompleted, 0) << "batchWidth=" << width;
-        EXPECT_EQ(result.interruption.code(), ErrorCode::Cancelled)
-            << "batchWidth=" << width;
-    }
+    CancelToken token = CancelToken::make();
+    token.cancel();
+    PulseShotOptions opts;
+    opts.shots = 32;
+    opts.seed = 0xFEED;
+    opts.token = token;
+    const PulseShotResult result =
+        rig.backend->runShots(rig.sim, rig.schedule, opts);
+    EXPECT_TRUE(result.partial);
+    EXPECT_EQ(result.shotsCompleted, 0);
+    EXPECT_EQ(result.interruption.code(), ErrorCode::Cancelled);
 }
 
 } // namespace

@@ -105,7 +105,6 @@ poolOptions(long shots = 16)
     PulseShotOptions opts;
     opts.shots = shots;
     opts.seed = 0xB0B;
-    opts.maxThreads = 1;
     return opts;
 }
 

@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <future>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -67,12 +68,11 @@ struct Rig
 };
 
 PulseShotOptions
-shotOptions(long shots = 256, std::size_t max_threads = 0)
+shotOptions(long shots = 256)
 {
     PulseShotOptions opts;
     opts.shots = shots;
     opts.seed = 0xB0B;
-    opts.maxThreads = max_threads;
     return opts;
 }
 
@@ -367,8 +367,7 @@ TEST(FaultInjection, ExecutorBitIdenticalAcrossThreadCounts)
     // retries repeat schedules and so reuse shot results.
     const DriftWatchdogPolicy watchdogs[] = {DriftWatchdogPolicy{},
                                              rejectEveryBatch()};
-    const auto run_all = [&](std::size_t max_threads,
-                             std::vector<std::uint64_t> &reused) {
+    const auto run_all = [&](std::vector<std::uint64_t> &reused) {
         std::vector<ResilientOutcome> outcomes;
         for (const DriftWatchdogPolicy &watchdog : watchdogs) {
             ResilientExecutor executor(rig.backend, RetryPolicy{},
@@ -382,16 +381,22 @@ TEST(FaultInjection, ExecutorBitIdenticalAcrossThreadCounts)
             for (int run = 0; run < 3; ++run) {
                 const std::uint64_t start = reuses.value();
                 outcomes.push_back(executor.run(
-                    rig.sim, request, shotOptions(192, max_threads)));
+                    rig.sim, request, shotOptions(192)));
                 reused.push_back(reuses.value() - start);
             }
         }
         return outcomes;
     };
 
+    // A run is sequential down to its shots, so the same runs on
+    // another thread, whose thread-local workspace starts empty, must
+    // be bit-identical.
     std::vector<std::uint64_t> sequential_reuses, threaded_reuses;
-    const auto sequential = run_all(1, sequential_reuses);
-    const auto threaded = run_all(8, threaded_reuses);
+    const auto sequential = run_all(sequential_reuses);
+    const auto threaded =
+        std::async(std::launch::async, [&] {
+            return run_all(threaded_reuses);
+        }).get();
     EXPECT_EQ(sequential_reuses, threaded_reuses);
     std::uint64_t total_reuses = 0;
     for (const std::uint64_t n : sequential_reuses)
@@ -602,7 +607,7 @@ TEST(RunCache, BaselineAndEveryAttemptDeriveEachPropagatorOnce)
     const std::uint64_t derivations = eig_calls.value() - start;
     ASSERT_GT(derivations, 0u);
 
-    const PulseShotOptions opts = shotOptions(128, 1);
+    const PulseShotOptions opts = shotOptions(128);
     const PulseShotResult reference =
         rig.backend->runShots(rig.sim, schedule, opts);
     ResilientRequest request;
@@ -674,7 +679,7 @@ TEST(ShotReuse, IdenticalRetriesRunTheScheduleOnce)
     // No faults, and a watchdog that rejects every batch: the four
     // attempts would run one schedule with one seed four times.
     const Rig rig;
-    const PulseShotOptions opts = shotOptions(128, 1);
+    const PulseShotOptions opts = shotOptions(128);
     const PulseShotResult reference =
         rig.backend->runShots(rig.sim, rig.x180Schedule(), opts);
 
@@ -709,7 +714,7 @@ TEST(ShotReuse, IdenticalRetriesRunTheScheduleOnce)
 TEST(ShotReuse, ChangedSchedulesStillRun)
 {
     const Rig rig;
-    const PulseShotOptions opts = shotOptions(128, 1);
+    const PulseShotOptions opts = shotOptions(128);
 
     // A drift spike: the first attempt runs the drifted schedule, the
     // recalibration clears it, and the second runs the clean one. The
@@ -771,7 +776,7 @@ TEST(ShotReuse, ReadoutFaultsStayPerAttempt)
     executor.setFaultInjector(std::make_shared<FaultInjector>(plan));
     ResilientOutcome outcome;
     const ShotWork work =
-        shotWorkOf(executor, rig, shotOptions(128, 1), outcome);
+        shotWorkOf(executor, rig, shotOptions(128), outcome);
     EXPECT_EQ(work.runs + work.reuses, 4u);
     EXPECT_EQ(outcome.result.counts, (std::vector<long>{6, 111, 11}));
     EXPECT_EQ(outcome.stats.readoutFaultShots, 96);

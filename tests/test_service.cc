@@ -18,7 +18,6 @@
 #include <thread>
 
 #include "common/cancellation.h"
-#include "common/env.h"
 #include "common/status.h"
 #include "compile/compiler.h"
 #include "device/fault_injector.h"
@@ -67,12 +66,11 @@ struct Rig
 };
 
 PulseShotOptions
-shotOptions(long shots = 256, std::size_t max_threads = 0)
+shotOptions(long shots = 256)
 {
     PulseShotOptions opts;
     opts.shots = shots;
     opts.seed = 0xB0B;
-    opts.maxThreads = max_threads;
     return opts;
 }
 
@@ -256,30 +254,30 @@ TEST(PartialResults, VirtualBudgetYieldsDeterministicPartialCounts)
     const std::uint64_t budget =
         duration * static_cast<std::uint64_t>(shots) / 2;
 
-    const auto run = [&](std::size_t max_threads) {
-        PulseShotOptions opts = shotOptions(shots, max_threads);
+    const auto run = [&] {
+        PulseShotOptions opts = shotOptions(shots);
         opts.deadline = Deadline::virtualBudget(budget);
         return rig.backend->runShots(rig.sim, schedule, opts);
     };
-    const PulseShotResult seq = run(1);
-    const PulseShotResult par = run(8);
+    const PulseShotResult first = run();
+    const PulseShotResult second = run();
 
-    EXPECT_TRUE(seq.partial);
-    EXPECT_EQ(seq.interruption.code(), ErrorCode::DeadlineExceeded);
-    EXPECT_GT(seq.shotsCompleted, 0);
-    EXPECT_LT(seq.shotsCompleted, shots);
+    EXPECT_TRUE(first.partial);
+    EXPECT_EQ(first.interruption.code(), ErrorCode::DeadlineExceeded);
+    EXPECT_GT(first.shotsCompleted, 0);
+    EXPECT_LT(first.shotsCompleted, shots);
 
     // The determinism contract: admitted batches — and therefore the
     // partial counts — are a pure function of the workload.
-    EXPECT_EQ(seq.shotsCompleted, par.shotsCompleted);
-    EXPECT_EQ(seq.counts, par.counts);
-    EXPECT_EQ(seq.partial, par.partial);
-    EXPECT_EQ(seq.interruption.code(), par.interruption.code());
+    EXPECT_EQ(first.shotsCompleted, second.shotsCompleted);
+    EXPECT_EQ(first.counts, second.counts);
+    EXPECT_EQ(first.partial, second.partial);
+    EXPECT_EQ(first.interruption.code(), second.interruption.code());
 
     long total = 0;
-    for (long c : seq.counts)
+    for (long c : first.counts)
         total += c;
-    EXPECT_EQ(total, seq.shotsCompleted);
+    EXPECT_EQ(total, first.shotsCompleted);
 }
 
 // ---------------------------------------------------------------------
@@ -505,32 +503,6 @@ TEST(Breaker, ServiceRefusesToStartWithDegenerateBreakerPolicy)
                  StatusError);
 }
 
-TEST(EnvKnobs, BatchWidthParsesWarnsAndClamps)
-{
-    {
-        EnvGuard guard("QPULSE_BATCH", nullptr);
-        EXPECT_EQ(envBatchWidth(), 64u);
-    }
-    {
-        EnvGuard guard("QPULSE_BATCH", "16");
-        EXPECT_EQ(envBatchWidth(), 16u);
-    }
-    {
-        // Garbage warns and falls back to the default.
-        EnvGuard guard("QPULSE_BATCH", "garbage");
-        EXPECT_EQ(envBatchWidth(), 64u);
-    }
-    {
-        // Out-of-range values warn and clamp, like QPULSE_THREADS.
-        EnvGuard guard("QPULSE_BATCH", "99999");
-        EXPECT_EQ(envBatchWidth(), 4096u);
-    }
-    {
-        EnvGuard guard("QPULSE_BATCH", "0");
-        EXPECT_EQ(envBatchWidth(), 1u);
-    }
-}
-
 // ---------------------------------------------------------------------
 // ExecutionService: admission control, draining, fast fail.
 
@@ -661,6 +633,32 @@ TEST(Service, CancelledBeforeAdmissionNeverTakesASlot)
     EXPECT_EQ(service.queueDepth(), 0u);
     EXPECT_EQ(service.stats().cancelled, 1);
     EXPECT_EQ(service.stats().admitted, 0);
+}
+
+TEST(Service, ZeroShotJobIsRejectedAndItsDrainKeepsEveryOutcome)
+{
+    // A job without shots is refused at submit, before it takes a
+    // slot. Admitted, it would make runShots throw out of drain() and
+    // cost every other job of that drain its outcome.
+    const Rig rig;
+    ExecutionService service(rig.backend, rig.sim,
+                             smallQueuePolicy(4));
+    EXPECT_TRUE(service.submit(makeJob(rig, 0, 64)).ok());
+    for (const long shots : {0L, -1L})
+        EXPECT_EQ(service.submit(makeJob(rig, 0, shots)).code(),
+                  ErrorCode::InvalidArgument)
+            << "shots=" << shots;
+    EXPECT_TRUE(service.submit(makeJob(rig, 0, 64)).ok());
+    EXPECT_EQ(service.queueDepth(), 2u);
+    EXPECT_EQ(service.stats().rejected, 2);
+    EXPECT_EQ(service.stats().admitted, 2);
+
+    const std::vector<JobOutcome> outcomes = service.drain();
+    ASSERT_EQ(outcomes.size(), 2u);
+    for (const JobOutcome &outcome : outcomes) {
+        EXPECT_TRUE(outcome.status.ok()) << outcome.status.toString();
+        EXPECT_EQ(outcome.execution.result.shotsCompleted, 64);
+    }
 }
 
 TEST(Service, WedgedBackendTripsBreakerAndFastFailsTheQueue)

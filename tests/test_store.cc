@@ -698,7 +698,6 @@ TEST(PersistentCache, ColdProcessServesFromDiskBitIdentically)
     PulseShotOptions opts;
     opts.shots = 64;
     opts.seed = 0xC0FFEE;
-    opts.maxThreads = 1;
 
     // Fresh derivation, no persistence: the reference result.
     const PulseShotResult fresh =
@@ -756,7 +755,6 @@ TEST(PersistentCache, GenerationBumpMakesDiskRecordsUnreachable)
     PulseShotOptions opts;
     opts.shots = 32;
     opts.seed = 0xFEED;
-    opts.maxThreads = 1;
     opts.cache = cache;
 
     (void)rig.backend->runShots(rig.sim, schedule, opts);
@@ -790,7 +788,6 @@ TEST(PersistentCache, CorruptRecordsFallBackToDerivation)
     PulseShotOptions opts;
     opts.shots = 48;
     opts.seed = 0xBADC0DE;
-    opts.maxThreads = 1;
 
     const PulseShotResult fresh =
         rig.backend->runShots(rig.sim, schedule, opts);
@@ -1037,7 +1034,6 @@ TEST(FleetPersistence, DrainReadmitInvalidatesPerMember)
     PulseShotOptions opts;
     opts.shots = 32;
     opts.seed = 0xF1EE7;
-    opts.maxThreads = 1;
 
     // Populate b0's artifacts and flush.
     ASSERT_TRUE(pool.runOn("b0", request, opts).outcome.status.ok());

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <future>
 #include <set>
 #include <sstream>
 #include <string>
@@ -336,8 +337,7 @@ TEST(Instrumentation, CacheSnapshotAndResetIsAtomicReadAndClear)
 /**
  * The determinism contract: every counter incremented by the
  * instrumented stack counts work, not scheduling, so the deltas of a
- * fixed workload are bit-identical whatever the shot-loop thread
- * count is.
+ * fixed workload are bit-identical whichever thread runs it.
  */
 TEST(Instrumentation, CountersAreIdenticalAcrossShotThreadCounts)
 {
@@ -361,27 +361,68 @@ TEST(Instrumentation, CountersAreIdenticalAcrossShotThreadCounts)
         "threadpool.parallel_for.calls",
         "threadpool.parallel_for.iterations",
     };
-    const auto deltasFor = [&](std::size_t max_threads) {
+    const auto deltas = [&] {
         telemetry::MetricsRegistry &registry =
             telemetry::MetricsRegistry::global();
         const telemetry::MetricsSnapshot before = registry.snapshot();
         PulseShotOptions opts;
         opts.shots = 96;
         opts.seed = 11;
-        opts.maxThreads = max_threads;
         backend->runShots(sim, x180, opts);
         const telemetry::MetricsSnapshot after = registry.snapshot();
-        std::vector<std::uint64_t> deltas;
+        std::vector<std::uint64_t> out;
         for (const std::string &name : tracked)
-            deltas.push_back(after.counterValue(name) -
-                             before.counterValue(name));
-        return deltas;
+            out.push_back(after.counterValue(name) -
+                          before.counterValue(name));
+        return out;
     };
 
-    const std::vector<std::uint64_t> sequential = deltasFor(1);
-    const std::vector<std::uint64_t> threaded = deltasFor(8);
+    const std::vector<std::uint64_t> sequential = deltas();
+    const std::vector<std::uint64_t> threaded =
+        std::async(std::launch::async, deltas).get();
     for (std::size_t k = 0; k < tracked.size(); ++k)
         EXPECT_EQ(sequential[k], threaded[k]) << tracked[k];
+}
+
+/**
+ * runShots runs its shots on the calling thread: on the default pool
+ * (one thread per core, so several under ctest on a multi-core host)
+ * a run starts no parallel loop, and the caller records every
+ * backend.shot_batch span.
+ */
+TEST(Instrumentation, RunShotsStaysOnTheCallingThread)
+{
+    const BackendConfig config = almadenLineConfig(1);
+    const auto backend = makeCalibratedBackend(config);
+    Calibrator calibrator(config);
+    const PulseSimulator sim(calibrator.qubitModel(0));
+    Schedule x180("x180");
+    x180.play(driveChannel(0),
+              calibrator.calibrateQubit(0).x180Pulse());
+    const telemetry::Counter &loops =
+        telemetry::MetricsRegistry::global().counter(
+            "threadpool.parallel_for.calls");
+
+    ScopedTracing tracing;
+    const std::uint64_t loops_before = loops.value();
+    PulseShotOptions opts;
+    opts.shots = 256;
+    opts.seed = 11;
+    backend->runShots(sim, x180, opts);
+    EXPECT_EQ(loops.value(), loops_before);
+
+    std::vector<telemetry::TraceEvent> runs, batches;
+    for (const telemetry::TraceEvent &event :
+         telemetry::Tracer::instance().drain()) {
+        if (std::string(event.name) == "backend.run_shots")
+            runs.push_back(event);
+        if (std::string(event.name) == "backend.shot_batch")
+            batches.push_back(event);
+    }
+    ASSERT_EQ(runs.size(), 1u);
+    EXPECT_EQ(batches.size(), kShotBatches);
+    for (const telemetry::TraceEvent &batch : batches)
+        EXPECT_EQ(batch.tid, runs.front().tid);
 }
 
 } // namespace
