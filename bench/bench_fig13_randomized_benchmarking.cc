@@ -36,7 +36,6 @@ main()
     rb_config.lengthStride = 1;
     rb_config.sequencesPerLength = 5;
     rb_config.shots = shots::kRbPerPoint;
-    rb_config.parallelSequences = true; // Batch over the thread pool.
 
     // RB-under-faults: QPULSE_FAULT_PLAN (docs/ROBUSTNESS.md) turns on
     // deterministic per-cell fault accounting, so a faulted Figure 13

@@ -5,12 +5,10 @@
  * Every QPULSE_* knob goes through these helpers so that a typo'd or
  * out-of-range value produces a one-line stderr warning instead of a
  * silent fallback: QPULSE_THREADS (thread_pool.cc),
- * QPULSE_SERVICE_QUEUE (execution_service.cc),
  * QPULSE_FAULT_PLAN (fault_injector.cc), QPULSE_CACHE_DIR /
  * QPULSE_CACHE_MAX_BYTES (src/store), QPULSE_INGEST_MAX_BYTES
- * (src/ingest). QPULSE_SANITIZE is consumed
- * by CMake at configure time, not here; see docs/ROBUSTNESS.md for
- * the full list.
+ * (src/ingest). QPULSE_SANITIZE is consumed by CMake at configure
+ * time, not here; see docs/ROBUSTNESS.md for the full list.
  */
 #ifndef QPULSE_COMMON_ENV_H
 #define QPULSE_COMMON_ENV_H

@@ -288,12 +288,10 @@ RequestFrontEnd::handleDocument(int connection,
     }
     const std::string key = job.key.empty() ? defaultKey : job.key;
 
-    if (policy_.validate) {
-        status = validateSchedule(job.schedule, policy_.budget);
-        if (!status.ok()) {
-            rejectDocument(connection, request, key, status);
-            return;
-        }
+    status = validateSchedule(job.schedule, policy_.budget);
+    if (!status.ok()) {
+        rejectDocument(connection, request, key, status);
+        return;
     }
 
     Connection &conn = connections_.at(connection);

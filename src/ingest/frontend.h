@@ -138,8 +138,6 @@ struct FrontEndPolicy
     long streamBatchShots = 64;
     /** Channel budget for the pre-submit validateSchedule gate. */
     ChannelBudget budget;
-    /** Run the validateSchedule gate before admission. */
-    bool validate = true;
 };
 
 /** Deterministic front-end counters (mirrored into ingest.*). */

@@ -93,13 +93,4 @@ PropagatorCache::stats() const
     return stats_;
 }
 
-PropagatorCacheStats
-PropagatorCache::snapshotAndReset()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const PropagatorCacheStats snapshot = stats_;
-    stats_ = PropagatorCacheStats{};
-    return snapshot;
-}
-
 } // namespace qpulse

@@ -30,16 +30,15 @@
  * shared by concurrent shots drawing from the same schedule.
  *
  * Lock order (shared with PersistentPropagatorCache, src/store): the
- * LRU mutex `mutex_` here and the derived class's persist-queue mutex
- * are BOTH leaf locks — no code path holds one while acquiring the
- * other. getOrComputeInto releases `mutex_` before invoking the compute
- * factory (which, in the persistent adapter, takes the queue mutex to
- * enqueue a write-back), and re-acquires it only after the factory
- * returns. Combined stats snapshots (snapshotAndReset here, then the
- * adapter's persist snapshot) acquire the two locks strictly
- * sequentially in that order, never nested. Any future extension must
- * preserve this: never call back into the cache from inside a factory,
- * and never touch the persist queue while holding `mutex_`.
+ * LRU mutex `mutex_` here, the derived class's persist mutex and the
+ * artifact store's mutex are all leaf locks — no code path holds one
+ * while acquiring another. getOrComputeInto releases `mutex_` before
+ * invoking the compute factory (which, in the persistent adapter,
+ * reads the store, takes the persist mutex for its disk key and
+ * counters, and puts a write-back into the store), and re-acquires it
+ * only after the factory returns. Any future extension must preserve this: never
+ * call back into the cache from inside a factory, and never touch the
+ * persist state or the store while holding `mutex_`.
  */
 #ifndef QPULSE_PULSESIM_PROPAGATOR_CACHE_H
 #define QPULSE_PULSESIM_PROPAGATOR_CACHE_H
@@ -146,13 +145,6 @@ class PropagatorCache
 
     /** Snapshot of the hit/miss/eviction counters. */
     PropagatorCacheStats stats() const;
-
-    /**
-     * Atomically snapshot *and* zero the counters under one lock
-     * acquisition, so a telemetry flush under concurrent evolve* calls
-     * loses no event between the read and the clear.
-     */
-    PropagatorCacheStats snapshotAndReset();
 
   private:
     struct Entry

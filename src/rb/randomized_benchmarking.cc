@@ -72,7 +72,6 @@ runRb(const std::shared_ptr<const PulseBackend> &backend, RbMode mode,
     }
     DensitySimulator simulator(backend->config(), std::move(provider));
 
-    Rng rng(config.seed);
     RbResult result;
     result.mode = mode;
 
@@ -81,119 +80,91 @@ runRb(const std::shared_ptr<const PulseBackend> &backend, RbMode mode,
          length += config.lengthStride)
         lengths.push_back(length);
 
+    // Every (length, seq) cell gets its own Rng stream, so the
+    // transpile + noisy-run + sampling pipeline — the dominant cost —
+    // fans out over the thread pool while staying deterministic for
+    // any thread count.
+    const std::size_t cells = lengths.size() *
+        static_cast<std::size_t>(config.sequencesPerLength);
+    std::vector<double> cell_survival(cells, 0.0);
+
+    // RB-under-faults: the density path always completes, so the
+    // batch-level fault classes reduce to deterministic retry
+    // accounting plus readout perturbation of the sampled counts.
+    // AWG/drift classes are pulse-level (they act on schedules) and
+    // are masked off so the injected-side stats stay honest; the
+    // unconditional draw order keeps the transient/timeout decisions
+    // identical to the full plan's.
+    const bool inject_faults = config.faultPlan.enabled();
+    FaultPlan cell_plan = config.faultPlan;
+    cell_plan.awgNanRate = 0.0;
+    cell_plan.awgClipRate = 0.0;
+    cell_plan.awgDropRate = 0.0;
+    cell_plan.driftRate = 0.0;
+    std::vector<ResilienceStats> cell_stats(inject_faults ? cells : 0);
+
+    c_cells.add(cells);
+    parallelFor(cells, [&](std::size_t cell) {
+        telemetry::TraceSpan cell_span("rb.cell");
+        const int length =
+            lengths[cell /
+                    static_cast<std::size_t>(config.sequencesPerLength)];
+        Rng cell_rng(Rng::deriveSeed(config.seed, cell));
+        QuantumCircuit circuit = rbSequence(length, 0, 1, cell_rng);
+        circuit.measure(0);
+        const QuantumCircuit compiled = compiler.transpile(circuit);
+        const NoisyRunResult run = simulator.run(compiled);
+        std::vector<long> counts =
+            simulator.sampleCounts(run, config.shots, cell_rng);
+        if (inject_faults) {
+            // One injector per cell, keyed on the cell index, so the
+            // accounting is independent of thread count. A
+            // transient/timeout decision "rejects the batch" and
+            // charges a retry out of the bounded budget; a cell that
+            // exhausts it keeps its (always-available) density result
+            // and is counted as degraded.
+            FaultInjector injector(cell_plan);
+            ResilienceStats &stats = cell_stats[cell];
+            const Schedule batch_marker;
+            int attempt = 0;
+            for (; attempt < config.faultMaxAttempts; ++attempt) {
+                ++stats.attempts;
+                if (attempt > 0)
+                    ++stats.retries;
+                const FaultInjector::Injection injection =
+                    injector.inject(batch_marker, cell, attempt);
+                if (!injection.transient && !injection.timeout)
+                    break;
+                ++stats.faultsDetected;
+            }
+            if (attempt == config.faultMaxAttempts) {
+                ++stats.degradedRuns;
+                attempt = config.faultMaxAttempts - 1;
+            }
+            stats.readoutFaultShots += injector.applyReadoutFaults(
+                counts, run.probs, cell, attempt);
+            stats.transientFailures = injector.stats().transientFailures;
+            stats.timeouts = injector.stats().timeouts;
+            stats.faultsInjected = injector.stats().faultsInjected;
+        }
+        cell_survival[cell] = static_cast<double>(counts[0]) /
+                              static_cast<double>(config.shots);
+    });
+    for (const ResilienceStats &stats : cell_stats)
+        result.resilience += stats;
+
     std::vector<double> ks, survivals;
-    if (config.parallelSequences) {
-        // Batched path: every (length, seq) cell gets its own Rng
-        // stream, so the transpile + noisy-run + sampling pipeline —
-        // the dominant cost — fans out over the thread pool while
-        // staying deterministic for any thread count.
-        const std::size_t cells = lengths.size() *
-            static_cast<std::size_t>(config.sequencesPerLength);
-        std::vector<double> cell_survival(cells, 0.0);
-
-        // RB-under-faults: the density path always completes, so the
-        // batch-level fault classes reduce to deterministic retry
-        // accounting plus readout perturbation of the sampled counts.
-        // AWG/drift classes are pulse-level (they act on schedules)
-        // and are masked off so the injected-side stats stay honest;
-        // the unconditional draw order keeps the transient/timeout
-        // decisions identical to the full plan's.
-        const bool inject_faults = config.faultPlan.enabled();
-        FaultPlan cell_plan = config.faultPlan;
-        cell_plan.awgNanRate = 0.0;
-        cell_plan.awgClipRate = 0.0;
-        cell_plan.awgDropRate = 0.0;
-        cell_plan.driftRate = 0.0;
-        std::vector<ResilienceStats> cell_stats(
-            inject_faults ? cells : 0);
-
-        c_cells.add(cells);
-        parallelFor(cells, [&](std::size_t cell) {
-            telemetry::TraceSpan cell_span("rb.cell");
-            const int length =
-                lengths[cell / static_cast<std::size_t>(
-                                   config.sequencesPerLength)];
-            Rng cell_rng(Rng::deriveSeed(config.seed, cell));
-            QuantumCircuit circuit = rbSequence(length, 0, 1, cell_rng);
-            circuit.measure(0);
-            const QuantumCircuit compiled = compiler.transpile(circuit);
-            const NoisyRunResult run = simulator.run(compiled);
-            std::vector<long> counts =
-                simulator.sampleCounts(run, config.shots, cell_rng);
-            if (inject_faults) {
-                // One injector per cell, keyed on the cell index, so
-                // the accounting is independent of thread count. A
-                // transient/timeout decision "rejects the batch" and
-                // charges a retry out of the bounded budget; a cell
-                // that exhausts it keeps its (always-available)
-                // density result and is counted as degraded.
-                FaultInjector injector(cell_plan);
-                ResilienceStats &stats = cell_stats[cell];
-                const Schedule batch_marker;
-                int attempt = 0;
-                for (; attempt < config.faultMaxAttempts; ++attempt) {
-                    ++stats.attempts;
-                    if (attempt > 0)
-                        ++stats.retries;
-                    const FaultInjector::Injection injection =
-                        injector.inject(batch_marker, cell, attempt);
-                    if (!injection.transient && !injection.timeout)
-                        break;
-                    ++stats.faultsDetected;
-                }
-                if (attempt == config.faultMaxAttempts) {
-                    ++stats.degradedRuns;
-                    attempt = config.faultMaxAttempts - 1;
-                }
-                stats.readoutFaultShots += injector.applyReadoutFaults(
-                    counts, run.probs, cell, attempt);
-                stats.transientFailures =
-                    injector.stats().transientFailures;
-                stats.timeouts = injector.stats().timeouts;
-                stats.faultsInjected = injector.stats().faultsInjected;
-            }
-            cell_survival[cell] = static_cast<double>(counts[0]) /
-                                  static_cast<double>(config.shots);
-        });
-        for (const ResilienceStats &stats : cell_stats)
-            result.resilience += stats;
-        for (std::size_t li = 0; li < lengths.size(); ++li) {
-            double total = 0.0;
-            for (int seq = 0; seq < config.sequencesPerLength; ++seq)
-                total += cell_survival
-                    [li * static_cast<std::size_t>(
-                              config.sequencesPerLength) +
-                     static_cast<std::size_t>(seq)];
-            const double survival =
-                total / static_cast<double>(config.sequencesPerLength);
-            result.decay.push_back({lengths[li], survival});
-            ks.push_back(static_cast<double>(lengths[li]));
-            survivals.push_back(survival);
-        }
-    } else {
-        // Sequential path: consumes the single rng stream in program
-        // order — bit-identical to the historical implementation.
-        for (const int length : lengths) {
-            double total = 0.0;
-            for (int seq = 0; seq < config.sequencesPerLength; ++seq) {
-                telemetry::TraceSpan cell_span("rb.cell");
-                c_cells.increment();
-                QuantumCircuit circuit = rbSequence(length, 0, 1, rng);
-                circuit.measure(0);
-                const QuantumCircuit compiled =
-                    compiler.transpile(circuit);
-                const NoisyRunResult run = simulator.run(compiled);
-                const std::vector<long> counts =
-                    simulator.sampleCounts(run, config.shots, rng);
-                total += static_cast<double>(counts[0]) /
-                         static_cast<double>(config.shots);
-            }
-            const double survival =
-                total / static_cast<double>(config.sequencesPerLength);
-            result.decay.push_back({length, survival});
-            ks.push_back(static_cast<double>(length));
-            survivals.push_back(survival);
-        }
+    for (std::size_t li = 0; li < lengths.size(); ++li) {
+        double total = 0.0;
+        for (int seq = 0; seq < config.sequencesPerLength; ++seq)
+            total += cell_survival
+                [li * static_cast<std::size_t>(config.sequencesPerLength) +
+                 static_cast<std::size_t>(seq)];
+        const double survival =
+            total / static_cast<double>(config.sequencesPerLength);
+        result.decay.push_back({lengths[li], survival});
+        ks.push_back(static_cast<double>(lengths[li]));
+        survivals.push_back(survival);
     }
 
     // In the slow-decay regime a free-offset exponential fit is

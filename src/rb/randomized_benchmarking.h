@@ -43,8 +43,7 @@ struct RbResult
 
     /**
      * Fault/retry accounting accumulated over every (length, seq)
-     * cell when RbConfig::faultPlan is enabled on the batched path;
-     * all-zero otherwise.
+     * cell when RbConfig::faultPlan is enabled; all-zero otherwise.
      */
     ResilienceStats resilience;
 };
@@ -57,29 +56,19 @@ struct RbConfig
     int lengthStride = 1;
     int sequencesPerLength = 5; ///< Paper: 5 random seeds per K.
     long shots = 8000;          ///< Paper: 8k shots per sequence.
+    /** Cell c (length-major) draws from Rng(deriveSeed(seed, c)). */
     std::uint64_t seed = 0xB35;
 
     /**
-     * Batch the per-length sequences over the shared thread pool.
-     * Sequence generation and shot sampling then use per-sequence Rng
-     * streams: results are deterministic for a fixed seed and
-     * independent of thread count, but statistically different from
-     * the (default) sequential stream, so tests pin this to false and
-     * the figure benches turn it on.
-     */
-    bool parallelSequences = false;
-
-    /**
      * Fault plan for RB-under-faults (disabled by default, so plain
-     * runs are untouched). Honoured only on the batched path: each
-     * (length, seq) cell charges bounded transient/timeout retry
-     * accounting and perturbs its sampled counts with the plan's
-     * readout faults, every decision drawn from a deterministic
-     * per-cell stream (bit-identical across thread counts). The
-     * pulse-level fault classes (AWG corruption, coherent drift) act
-     * on schedules and are exercised by ResilientExecutor, not by
-     * this density-matrix path. The sequential path ignores the plan
-     * and stays bit-identical to the historical implementation.
+     * runs are untouched). When enabled, each (length, seq) cell
+     * charges bounded transient/timeout retry accounting and perturbs
+     * its sampled counts with the plan's readout faults, every
+     * decision drawn from a deterministic per-cell stream
+     * (bit-identical across thread counts). The pulse-level fault
+     * classes (AWG corruption, coherent drift) act on schedules and
+     * are exercised by ResilientExecutor, not by this density-matrix
+     * path.
      */
     FaultPlan faultPlan;
 
@@ -96,7 +85,10 @@ QuantumCircuit rbSequence(int length, std::size_t qubit,
 
 /**
  * Run the full RB experiment for one mode against a calibrated
- * backend, using the duration-aware noisy simulator.
+ * backend, using the duration-aware noisy simulator. The (length,
+ * seq) cells run on the shared thread pool, each on its own Rng
+ * stream, so results depend on the seed and never on the thread
+ * count.
  */
 RbResult runRb(const std::shared_ptr<const PulseBackend> &backend,
                RbMode mode, const RbConfig &config);

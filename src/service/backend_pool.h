@@ -249,7 +249,7 @@ class BackendPool
     std::shared_ptr<store::PersistentPropagatorCache>
     persistentCache(const std::string &name) const;
 
-    /** Drain every member's write-back queue into the store. */
+    /** Flush the store: every pending write-back reaches disk. */
     Status flushPersistence();
 
     /**

@@ -5,7 +5,6 @@
 #include <iterator>
 #include <unordered_set>
 
-#include "common/env.h"
 #include "common/thread_pool.h"
 #include "compile/compile_cache.h"
 #include "telemetry/metrics.h"
@@ -24,16 +23,6 @@ wallUsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-/** Queue capacity from the policy or the diagnosed env default. */
-std::size_t
-resolveCapacity(const ServicePolicy &policy)
-{
-    return policy.queueCapacity != 0
-               ? policy.queueCapacity
-               : static_cast<std::size_t>(envLong(
-                     "QPULSE_SERVICE_QUEUE", 32, 1, 4096));
-}
-
 /**
  * Construction-time policy validation: a service must refuse to start
  * with a breaker that can never trip/close or a scheduler whose shares
@@ -42,6 +31,10 @@ resolveCapacity(const ServicePolicy &policy)
 Status
 validateServicePolicy(const ServicePolicy &policy)
 {
+    if (policy.queueCapacity < 1)
+        return Status::error(ErrorCode::InvalidArgument,
+                             "ServicePolicy: queueCapacity must be >= 1 "
+                             "(a service must admit at least one job)");
     if (Status breakerStatus = validateBreakerPolicy(policy.breaker);
         !breakerStatus.ok())
         return breakerStatus;
@@ -137,8 +130,7 @@ ExecutionService::ExecutionService(
 
 ExecutionService::ExecutionService(std::shared_ptr<BackendPool> pool,
                                    ServicePolicy policy)
-    : policy_(std::move(policy)), capacity_(resolveCapacity(policy_)),
-      pool_(std::move(pool))
+    : policy_(std::move(policy)), pool_(std::move(pool))
 {
     qpulseRequire(pool_ != nullptr,
                   "ExecutionService: needs a non-null BackendPool");
@@ -254,7 +246,7 @@ ExecutionService::submit(JobRequest request)
                 " queued jobs): admission refused");
     }
 
-    if (queue_.size() >= capacity_) {
+    if (queue_.size() >= policy_.queueCapacity) {
         // Shed candidate: the lowest-priority queued job; among ties
         // the most recently submitted loses (earlier submissions of
         // equal priority have waited longer and keep their claim).
@@ -271,7 +263,7 @@ ExecutionService::submit(JobRequest request)
             c_rejected.increment();
             return Status::error(
                 ErrorCode::ResourceExhausted,
-                "queue full (" + std::to_string(capacity_) +
+                "queue full (" + std::to_string(policy_.queueCapacity) +
                     " jobs) and priority " +
                     std::to_string(request.priority) +
                     " does not outrank any queued job");

@@ -110,11 +110,8 @@ struct FleetPolicy
  */
 struct ServicePolicy
 {
-    /**
-     * Bounded queue capacity. 0 = read QPULSE_SERVICE_QUEUE (default
-     * 32, clamped to [1, 4096]).
-     */
-    std::size_t queueCapacity = 0;
+    /** Bounded queue capacity (>= 1; 0 is refused at construction). */
+    std::size_t queueCapacity = 32;
 
     /** The member's ResilientExecutor policies (pool of one only). */
     RetryPolicy retry;
@@ -324,7 +321,7 @@ class ExecutionService
     std::vector<JobOutcome> drain();
 
     std::size_t queueDepth() const { return queue_.size(); }
-    std::size_t queueCapacity() const { return capacity_; }
+    std::size_t queueCapacity() const { return policy_.queueCapacity; }
 
     const ServiceStats &stats() const { return stats_; }
 
@@ -372,7 +369,6 @@ class ExecutionService
                                  Schedule &out);
 
     ServicePolicy policy_;
-    std::size_t capacity_ = 0;
     std::shared_ptr<BackendPool> pool_;
     std::deque<PendingJob> queue_;
     std::vector<JobOutcome> shedOutcomes_; ///< Victims since last drain.

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
-#include <unordered_set>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -27,15 +26,9 @@ namespace {
 //   u32 magic 'QPSR' | u32 formatVersion | u32 kind | u32 reserved
 //   u64 contentHash | u64 generation | u64 configFingerprint
 //   u64 payloadBytes | payload... | u64 crc64(header + payload)
-constexpr std::uint32_t kRecordMagic = 0x52535051u;  // "QPSR"
-constexpr std::uint32_t kIndexMagic = 0x49535051u;   // "QPSI"
+constexpr std::uint32_t kRecordMagic = 0x52535051u; // "QPSR"
 constexpr std::size_t kRecordHeaderBytes = 4 * 4 + 4 * 8;
 constexpr std::size_t kRecordTrailerBytes = 8;
-// Index-file layout version, independent of the record format: v2
-// widened the per-entry segment identity from a u32 numeric id to the
-// full u64 (sequence, writer-tag) uid. A v1 index simply fails this
-// check and the store rebuilds by scanning — the index is advisory.
-constexpr std::uint32_t kIndexVersion = 2;
 
 /**
  * Identity of this writer, unique across every live ArtifactStore in
@@ -234,33 +227,11 @@ ArtifactStore::loadExisting()
             ++stats_.corrupt;
             continue;
         }
+        // The segments are the only on-disk format: scanning every one
+        // makes the records of every writer that flushed into this
+        // directory addressable.
+        scanSegment(segment);
         segments_.push_back(segment);
-    }
-
-    // Prefer the index file; fall back to scanning on any damage.
-    bool usable = false;
-    if (Status s = readIndexFile(usable); !s.ok())
-        return s;
-    if (!usable) {
-        index_.clear();
-        for (Segment &segment : segments_)
-            if (Status s = scanSegment(segment); !s.ok())
-                return s;
-    } else {
-        // The index file is last-writer-wins: when two writers flush
-        // into one directory concurrently, the loser's segments exist
-        // on disk but carry no index entries. Scan any unreferenced
-        // segment so every writer's records stay addressable (benign
-        // for duplicate keys — content addressing means both records
-        // decode identically).
-        std::unordered_set<std::uint64_t> referenced;
-        for (const auto &[key, entry] : index_)
-            referenced.insert(entry.segment);
-        for (Segment &segment : segments_)
-            if (segment.size > 0 &&
-                referenced.count(segment.uid) == 0)
-                if (Status s = scanSegment(segment); !s.ok())
-                    return s;
     }
     return Status::okStatus();
 }
@@ -311,8 +282,8 @@ ArtifactStore::unmapSegment(Segment &segment)
     segment.map.reset();
 }
 
-Status
-ArtifactStore::scanSegment(Segment &segment)
+void
+ArtifactStore::scanSegment(const Segment &segment)
 {
     // Walk the record chain. Framing damage (bad magic, a record
     // running past the file) makes the rest of the segment
@@ -364,99 +335,6 @@ ArtifactStore::scanSegment(Segment &segment)
         ++stats_.corrupt;
         ++stats_.quarantined;
     }
-    return Status::okStatus();
-}
-
-Status
-ArtifactStore::readIndexFile(bool &usable)
-{
-    usable = false;
-    const std::string path = dir_ + "/index.qpi";
-    std::FILE *in = std::fopen(path.c_str(), "rb");
-    if (in == nullptr)
-        return Status::okStatus(); // No index: rebuild by scan.
-    std::fseek(in, 0, SEEK_END);
-    const long size = std::ftell(in);
-    std::fseek(in, 0, SEEK_SET);
-    if (size < 0) {
-        std::fclose(in);
-        return Status::okStatus();
-    }
-    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-    const std::size_t read =
-        bytes.empty() ? 0 : std::fread(bytes.data(), 1, bytes.size(), in);
-    std::fclose(in);
-    if (read != bytes.size() || bytes.size() < 4 + 4 + 8 + 8)
-        return Status::okStatus(); // Short index: rebuild by scan.
-
-    // Trailing CRC over everything before it.
-    const std::uint64_t expected =
-        readLeU64(bytes.data() + bytes.size() - 8);
-    if (crc64(bytes.data(), bytes.size() - 8) != expected) {
-        ++stats_.corrupt;
-        return Status::okStatus(); // Corrupt index: rebuild by scan.
-    }
-    if (readLeU32(bytes.data()) != kIndexMagic ||
-        readLeU32(bytes.data() + 4) != kIndexVersion) {
-        ++stats_.versionMismatch;
-        return Status::okStatus();
-    }
-    const std::uint64_t count = readLeU64(bytes.data() + 8);
-    constexpr std::size_t kEntryBytes = 8 * 3 + 4 + 8 * 3;
-    if (count > (bytes.size() - 16 - 8) / kEntryBytes ||
-        16 + count * kEntryBytes + 8 != bytes.size()) {
-        ++stats_.corrupt;
-        return Status::okStatus();
-    }
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint8_t *p = bytes.data() + 16 + i * kEntryBytes;
-        ArtifactKey key;
-        key.contentHash = readLeU64(p);
-        key.generation = readLeU64(p + 8);
-        key.configFingerprint = readLeU64(p + 16);
-        key.kind = readLeU32(p + 24);
-        IndexEntry entry;
-        entry.segment = readLeU64(p + 28);
-        entry.offset = readLeU64(p + 36);
-        entry.recordBytes = readLeU64(p + 44);
-        // Entries must land inside a live, mapped segment; stale ones
-        // (dropped segments, foreign writers) are simply skipped. The
-        // bounds are checked by subtraction so a corrupt offset near
-        // 2^64 cannot wrap the sum past the size.
-        const auto segment = std::find_if(
-            segments_.begin(), segments_.end(),
-            [&](const Segment &s) { return s.uid == entry.segment; });
-        if (segment == segments_.end() ||
-            entry.recordBytes <
-                kRecordHeaderBytes + kRecordTrailerBytes ||
-            entry.recordBytes > segment->size ||
-            entry.offset > segment->size - entry.recordBytes)
-            continue;
-        index_[key] = entry;
-    }
-    usable = true;
-    return Status::okStatus();
-}
-
-Status
-ArtifactStore::writeIndexFile()
-{
-    ByteWriter w;
-    w.u32(kIndexMagic);
-    w.u32(kIndexVersion);
-    w.u64(index_.size());
-    for (const auto &[key, entry] : index_) {
-        w.u64(key.contentHash);
-        w.u64(key.generation);
-        w.u64(key.configFingerprint);
-        w.u32(key.kind);
-        w.u64(entry.segment);
-        w.u64(entry.offset);
-        w.u64(entry.recordBytes);
-    }
-    w.u64(crc64(w.bytes().data(), w.size()));
-    return atomicWriteFile(dir_ + "/index.qpi", w.bytes().data(),
-                           w.size());
 }
 
 Status
@@ -535,9 +413,7 @@ ArtifactStore::flush()
     ++stats_.flushes;
     c_flushes.increment();
 
-    if (Status s = enforceBudget(); !s.ok())
-        return s;
-    return writeIndexFile();
+    return enforceBudget();
 }
 
 Status
@@ -619,7 +495,7 @@ ArtifactStore::validate(const ArtifactKey &key, IndexEntry &entry)
     stored.configFingerprint = readLeU64(p + 32);
     if (!(stored == key))
         return quarantineCorrupt("record key does not echo the "
-                                 "requested key (index damage)");
+                                 "requested key");
     const std::uint64_t payloadBytes = readLeU64(p + 40);
     if (kRecordHeaderBytes + payloadBytes + kRecordTrailerBytes !=
         entry.recordBytes)

@@ -10,16 +10,15 @@
  * previous process derived and serves them without paying the
  * derivation cost again.
  *
- * On-disk layout (`<dir>/`):
+ * On-disk layout (`<dir>/`): record segments and nothing else.
  *
- *   seg-000001.qps   immutable record segments, written whole via
- *   seg-000002.qps   temp file + fsync + atomic rename — a crash
- *   ...              leaves either the complete segment or no segment,
- *                    never a half-visible one;
- *   index.qpi        key -> (segment, offset) table, rewritten
- *                    atomically after every flush. Advisory only: a
- *                    missing or corrupt index is rebuilt by scanning
- *                    the segments.
+ *   seg-000001-<tag>.qps   immutable record segments, written whole
+ *   seg-000002-<tag>.qps   via temp file + fsync + atomic rename — a
+ *   ...                    crash leaves either the complete segment or
+ *                          no segment, never a half-visible one.
+ *
+ * open() maps and scans every segment to build the in-memory
+ * key -> (segment, offset) index; flush() appends one segment.
  *
  * Each record carries magic, format version, its full key, the payload
  * length and a CRC-64 over everything before the checksum. Reads go
@@ -46,8 +45,8 @@
  * atomic-rename protocol: each process writes its own segments under
  * a (sequence, writer-tag) identity that is unique across writers, so
  * two processes flushing into one directory can never collide on a
- * name or an index identity; the index is last-writer-wins and
- * self-healing.
+ * name or a segment identity, and an open scans both writers'
+ * segments.
  */
 #ifndef QPULSE_STORE_ARTIFACT_STORE_H
 #define QPULSE_STORE_ARTIFACT_STORE_H
@@ -136,9 +135,10 @@ class ArtifactStore
     ArtifactStore &operator=(const ArtifactStore &) = delete;
 
     /**
-     * Open (creating if needed) the store at `dir`. Reads the index if
-     * present, else rebuilds it by scanning segments. Returns nullptr
-     * with a structured Status on an unusable directory.
+     * Open (creating if needed) the store at `dir`: map every segment
+     * and scan its record chain into the in-memory index (checksums
+     * are verified lazily, on each record's first get). Returns
+     * nullptr with a structured Status on an unusable directory.
      */
     static std::shared_ptr<ArtifactStore>
     open(const std::string &dir, std::uint64_t max_bytes,
@@ -162,10 +162,9 @@ class ArtifactStore
 
     /**
      * Write every buffered artifact into a new immutable segment
-     * (temp + fsync + atomic rename), update the in-memory index,
-     * rewrite the index file atomically, and enforce the size budget
-     * by dropping the oldest whole segments. No-op when nothing is
-     * buffered.
+     * (temp + fsync + atomic rename), update the in-memory index, and
+     * enforce the size budget by dropping the oldest whole segments.
+     * No-op when nothing is buffered.
      */
     Status flush();
 
@@ -245,11 +244,9 @@ class ArtifactStore
     };
 
     Status loadExisting();
-    Status scanSegment(Segment &segment);
+    void scanSegment(const Segment &segment);
     Status mapSegment(Segment &segment);
     void unmapSegment(Segment &segment);
-    Status writeIndexFile();
-    Status readIndexFile(bool &usable);
     Status enforceBudget();
     Status validate(const ArtifactKey &key, IndexEntry &entry);
     std::uint32_t nextSegmentSeq() const;

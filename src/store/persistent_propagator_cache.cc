@@ -127,16 +127,19 @@ PersistentPropagatorCache::queueWriteBack(const PropagatorKey &key,
     ByteWriter w;
     serializePropagatorKey(key, w);
     serializeMatrix(value, w);
-    bool shouldFlush = false;
+    ArtifactKey disk;
+    bool flushDue = false;
     {
         std::lock_guard<std::mutex> lock(persistMutex_);
-        queue_.push_back(QueuedRecord{diskKey(key), w.take()});
+        disk = diskKey(key);
         ++persistStats_.writeBacks;
-        shouldFlush = queue_.size() >= kAutoFlushEntries;
+        flushDue = ++putsSinceFlush_ >= kAutoFlushEntries;
     }
     c_writeBacks.increment();
-    if (shouldFlush)
-        flush(); // Outside persistMutex_; flush re-acquires it.
+    // Straight into the store's pending buffer, with no cache lock
+    // held (the store's mutex is a leaf lock of its own).
+    if (store_->put(disk, w.bytes()).ok() && flushDue)
+        (void)flush();
 }
 
 void
@@ -162,16 +165,10 @@ PersistentPropagatorCache::getOrComputeInto(
 Status
 PersistentPropagatorCache::flush()
 {
-    std::vector<QueuedRecord> drained;
     {
         std::lock_guard<std::mutex> lock(persistMutex_);
-        drained.swap(queue_);
+        putsSinceFlush_ = 0;
     }
-    // Store I/O happens with no cache lock held (leaf-lock contract).
-    for (const QueuedRecord &record : drained)
-        if (Status s = store_->put(record.key, record.payload);
-            !s.ok())
-            return s;
     return store_->flush();
 }
 
@@ -183,9 +180,6 @@ PersistentPropagatorCache::setGeneration(std::uint64_t generation)
         if (generation_ == generation)
             return;
         generation_ = generation;
-        // Queued write-backs carry old-generation disk keys; they
-        // belong to the invalidated calibration and must not land.
-        queue_.clear();
     }
     // Memory tier holds old-basis values; drop them (base leaf lock,
     // taken after persistMutex_ is released — never nested).
@@ -204,18 +198,6 @@ PersistentPropagatorCache::persistStats() const
 {
     std::lock_guard<std::mutex> lock(persistMutex_);
     return persistStats_;
-}
-
-std::pair<PropagatorCacheStats, PersistStats>
-PersistentPropagatorCache::snapshotAndResetAll()
-{
-    // Documented order: LRU mutex first (inside snapshotAndReset),
-    // then persistMutex_ — strictly sequential, never nested.
-    const PropagatorCacheStats base = snapshotAndReset();
-    std::lock_guard<std::mutex> lock(persistMutex_);
-    const PersistStats persist = persistStats_;
-    persistStats_ = PersistStats{};
-    return {base, persist};
 }
 
 } // namespace store

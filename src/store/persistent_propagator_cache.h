@@ -5,10 +5,11 @@
  *
  * Lookup order per key: memory hit (base LRU) -> disk hit (validated
  * record in the ArtifactStore, deserialized straight out of the mmap)
- * -> derive via the caller's factory and enqueue the result for
- * write-back. flush() drains the write-back queue into the store; the
- * queue also auto-flushes once it crosses kAutoFlushEntries so a
- * long-running service persists progress without being asked.
+ * -> derive via the caller's factory and put the result into the
+ * store's pending buffer (the one write-back buffer, shared with every
+ * other writer of the store). flush() flushes the store; every
+ * kAutoFlushEntries puts also flush it, so a long-running service
+ * persists progress without being asked.
  *
  * Every disk read is defended: the record checksum and key echo are
  * verified by the store, and the deserialized key words are compared
@@ -19,18 +20,17 @@
  * and are quarantined by the store.
  *
  * Invalidation: setGeneration(g) — called on recalibration (single
- * backend) and fleet drain/readmit — clears the memory tier, drops
- * queued write-backs (they belong to the dying generation) and
+ * backend) and fleet drain/readmit — clears the memory tier and
  * reroutes every subsequent disk key, making all old-generation
- * artifacts unreachable without deleting a byte in place.
+ * artifacts unreachable without deleting a byte in place. Records of
+ * the old generation still pending in the store land on disk at the
+ * next flush, equally unreachable.
  *
  * Lock order (the contract documented in propagator_cache.h): the
  * base LRU mutex and `persistMutex_` are both leaf locks. The factory
- * passed to the base class runs with the LRU mutex *released* and may
- * take `persistMutex_` to enqueue; flush() swaps the queue out under
- * `persistMutex_` and talks to the store (its own leaf mutex) with no
- * cache lock held. Combined snapshots acquire the two locks strictly
- * sequentially — LRU first, then persist — never nested.
+ * passed to the base class runs with the LRU mutex *released* and
+ * takes `persistMutex_` only for the disk key and the counters; every
+ * store call (its own leaf mutex) happens with no cache lock held.
  */
 #ifndef QPULSE_STORE_PERSISTENT_PROPAGATOR_CACHE_H
 #define QPULSE_STORE_PERSISTENT_PROPAGATOR_CACHE_H
@@ -49,7 +49,7 @@ struct PersistStats
 {
     std::uint64_t diskHits = 0;   ///< Served from a validated record.
     std::uint64_t diskMisses = 0; ///< Absent key: derived fresh.
-    std::uint64_t writeBacks = 0; ///< Derivations queued for persist.
+    std::uint64_t writeBacks = 0; ///< Derivations put to the store.
     std::uint64_t fallbacks = 0;  ///< Quarantined/corrupt record:
                                   ///< derived fresh (fail closed).
     std::uint64_t collisions = 0; ///< Key-word mismatch on a record
@@ -70,23 +70,23 @@ class PersistentPropagatorCache : public PropagatorCache
                               std::uint64_t config_fingerprint,
                               std::size_t capacity = kDefaultCapacity);
 
-    /** Flushes pending write-backs (best effort, never throws). */
+    /** Flushes the store (best effort, never throws). */
     ~PersistentPropagatorCache() override;
 
-    /** Queue length at which derive paths trigger an inline flush. */
+    /** Puts after which a derive path flushes the store inline. */
     static constexpr std::size_t kAutoFlushEntries = 256;
 
     void getOrComputeInto(const PropagatorKey &key,
                           const std::function<Matrix()> &compute,
                           Matrix &out) override;
 
-    /** Drain the write-back queue into the store and flush it. */
+    /** Flush the store: every write-back so far reaches disk. */
     Status flush();
 
     /**
-     * Recalibration invalidation: clear the memory tier, drop queued
-     * write-backs, and address all subsequent disk traffic under the
-     * new generation. Old-generation records stay on disk, unreachable.
+     * Recalibration invalidation: clear the memory tier and address
+     * all subsequent disk traffic under the new generation.
+     * Old-generation records stay on disk, unreachable.
      */
     void setGeneration(std::uint64_t generation);
 
@@ -94,14 +94,6 @@ class PersistentPropagatorCache : public PropagatorCache
 
     /** Snapshot of the disk-tier counters. */
     PersistStats persistStats() const;
-
-    /**
-     * Combined read-and-clear of base + disk-tier counters under the
-     * documented lock order (LRU mutex, then persist mutex, strictly
-     * sequential).
-     */
-    std::pair<PropagatorCacheStats, PersistStats>
-    snapshotAndResetAll();
 
     const std::shared_ptr<ArtifactStore> &artifactStore() const
     {
@@ -111,7 +103,7 @@ class PersistentPropagatorCache : public PropagatorCache
   private:
     /** Disk probe; returns true and fills `out` on a validated hit. */
     bool loadFromDisk(const PropagatorKey &key, Matrix &out);
-    /** Enqueue a derived value; may trigger an inline auto-flush. */
+    /** Put a derived value to the store; may auto-flush inline. */
     void queueWriteBack(const PropagatorKey &key, const Matrix &value);
     ArtifactKey diskKey(const PropagatorKey &key) const;
 
@@ -122,12 +114,7 @@ class PersistentPropagatorCache : public PropagatorCache
     // comment for the order contract).
     mutable std::mutex persistMutex_;
     std::uint64_t generation_ = 0;
-    struct QueuedRecord
-    {
-        ArtifactKey key;
-        std::vector<std::uint8_t> payload;
-    };
-    std::vector<QueuedRecord> queue_;
+    std::size_t putsSinceFlush_ = 0;
     PersistStats persistStats_;
 };
 

@@ -745,10 +745,8 @@ serializeScheduleRle(const Schedule &schedule, ByteWriter &w)
     serializeScheduleImpl(schedule, w, /*rle=*/true);
 }
 
-namespace {
-
 Status
-deserializeScheduleImpl(ByteReader &r, Schedule &out, bool rle)
+deserializeScheduleRle(ByteReader &r, Schedule &out)
 {
     std::string name;
     if (Status s = r.str(name); !s.ok())
@@ -792,45 +790,17 @@ deserializeScheduleImpl(ByteReader &r, Schedule &out, bool rle)
         std::uint64_t sampleCount = 0;
         if (Status s = r.u64(sampleCount); !s.ok())
             return s;
-        if (!rle && sampleCount > r.remaining() / 16)
-            return corrupt("waveform claims " +
-                           std::to_string(sampleCount) +
-                           " samples beyond the payload");
         if (sampleCount > 0) {
             std::vector<Complex> samples;
-            if (rle) {
-                if (Status s =
-                        readSampleBlocks(r, sampleCount, samples);
-                    !s.ok())
-                    return s;
-            } else {
-                samples.resize(static_cast<std::size_t>(sampleCount));
-                if (Status s = r.f64Array(
-                        reinterpret_cast<double *>(samples.data()),
-                        samples.size() * 2);
-                    !s.ok())
-                    return s;
-            }
+            if (Status s = readSampleBlocks(r, sampleCount, samples);
+                !s.ok())
+                return s;
             instr.waveform = std::make_shared<SampledWaveform>(
                 std::move(samples), std::move(label));
         }
         out.addInstruction(std::move(instr));
     }
     return Status::okStatus();
-}
-
-} // namespace
-
-Status
-deserializeSchedule(ByteReader &r, Schedule &out)
-{
-    return deserializeScheduleImpl(r, out, /*rle=*/false);
-}
-
-Status
-deserializeScheduleRle(ByteReader &r, Schedule &out)
-{
-    return deserializeScheduleImpl(r, out, /*rle=*/true);
 }
 
 // ------------------------------------------------------------------

@@ -156,24 +156,21 @@ void serializePropagatorKey(const PropagatorKey &key, ByteWriter &w);
 Status deserializePropagatorKey(ByteReader &r, PropagatorKey &out);
 
 /**
- * Schedule encoding: name + instruction list. Play waveforms are
- * materialized to their samples, so a deserialized schedule carries
- * SampledWaveform envelopes that are sample-for-sample bit-identical
- * to the original parametric pulses.
+ * Plain schedule encoding: name + instruction list, every Play
+ * waveform materialized to its samples. Nothing persists it; it is
+ * the byte stream hashSchedule hashes.
  */
 void serializeSchedule(const Schedule &schedule, ByteWriter &w);
-Status deserializeSchedule(ByteReader &r, Schedule &out);
 
 /**
- * Schedule encoding with run-length-coded samples: identical to the
+ * The persisted schedule encoding (the CompiledSchedule payload): the
  * serializeSchedule layout except each waveform's samples are stored
  * as tagged literal/run blocks (bit-exact round trip, including NaN
  * payloads and signed zeros). Calibrated pulses are dominated by
- * gaussian-square flat-tops, so this typically shrinks records ~3x —
- * used by the CompiledSchedule payload, where record size is paid on
- * every cold-start serve (CRC + page-in + decode). Not interchangeable
- * with the plain encoding; a record must be read with the variant it
- * was written with.
+ * gaussian-square flat-tops, so this typically shrinks records ~3x,
+ * which every cold-start serve pays for in CRC + page-in + decode. A
+ * deserialized schedule carries SampledWaveform envelopes that are
+ * sample-for-sample bit-identical to the original parametric pulses.
  */
 void serializeScheduleRle(const Schedule &schedule, ByteWriter &w);
 Status deserializeScheduleRle(ByteReader &r, Schedule &out);

@@ -81,11 +81,7 @@ Tracer::Tracer()
 
     const char *path = std::getenv("QPULSE_TRACE");
     if (path != nullptr && path[0] != '\0') {
-        const std::string trace_path(path);
-        const bool jsonl = trace_path.size() >= 6 &&
-            trace_path.compare(trace_path.size() - 6, 6, ".jsonl") == 0;
-        configure(trace_path, jsonl ? TraceFormat::Jsonl
-                                    : TraceFormat::ChromeJson);
+        configure(path);
         std::atexit([] { Tracer::instance().flush(); });
     }
 }
@@ -106,12 +102,11 @@ Tracer::setEnabled(bool on)
 }
 
 void
-Tracer::configure(const std::string &path, TraceFormat format)
+Tracer::configure(const std::string &path)
 {
     {
         std::lock_guard<std::mutex> lock(registryMutex_);
         path_ = path;
-        format_ = format;
     }
     setEnabled(true);
 }
@@ -217,11 +212,9 @@ void
 Tracer::flush()
 {
     std::string path;
-    TraceFormat format;
     {
         std::lock_guard<std::mutex> lock(registryMutex_);
         path = path_;
-        format = format_;
     }
     if (path.empty())
         return;
@@ -233,10 +226,7 @@ Tracer::flush()
                      path.c_str());
         return;
     }
-    if (format == TraceFormat::Jsonl)
-        writeJsonl(out, events);
-    else
-        writeChromeTrace(out, events);
+    writeChromeTrace(out, events);
 }
 
 void
@@ -290,24 +280,6 @@ Tracer::writeChromeTrace(std::ostream &os,
         first = false;
     }
     os << "\n],\"displayTimeUnit\":\"ns\"}\n";
-}
-
-void
-Tracer::writeJsonl(std::ostream &os,
-                   const std::vector<TraceEvent> &events)
-{
-    char line[256];
-    for (const TraceEvent &event : events) {
-        std::snprintf(line, sizeof line,
-                      "{\"name\":\"%s\",\"cat\":\"%s\","
-                      "\"ts_ns\":%llu,\"dur_ns\":%llu,\"tid\":%u}",
-                      jsonEscape(event.name).c_str(),
-                      jsonEscape(event.category).c_str(),
-                      static_cast<unsigned long long>(event.startNs),
-                      static_cast<unsigned long long>(event.durationNs),
-                      event.tid);
-        os << line << "\n";
-    }
 }
 
 std::uint64_t

@@ -15,8 +15,7 @@
  * docs/OBSERVABILITY.md). It is enabled either programmatically
  * (Tracer::setEnabled, tests) or by the QPULSE_TRACE=<path>
  * environment variable, in which case the process flushes the buffer
- * to <path> at exit: a ".jsonl" suffix selects the compact JSONL
- * exporter, anything else the Chrome trace_event JSON format that
+ * to <path> at exit in the Chrome trace_event JSON format that
  * chrome://tracing and Perfetto load directly.
  *
  * Span names must be string literals (or otherwise outlive the
@@ -54,13 +53,6 @@ struct TraceEvent
     std::uint64_t seq = 0;        ///< Global completion order.
 };
 
-/** Export flavour, derived from the QPULSE_TRACE path suffix. */
-enum class TraceFormat
-{
-    ChromeJson, ///< {"traceEvents": [...]} for chrome://tracing.
-    Jsonl,      ///< One compact JSON object per line.
-};
-
 /**
  * Process-wide trace collector. All methods are thread-safe.
  */
@@ -91,10 +83,9 @@ class Tracer
     void setEnabled(bool on);
 
     /** Set the flush destination and enable collection. */
-    void configure(const std::string &path, TraceFormat format);
+    void configure(const std::string &path);
 
     const std::string &path() const { return path_; }
-    TraceFormat format() const { return format_; }
 
     /**
      * Record one completed span on the calling thread's buffer.
@@ -117,8 +108,8 @@ class Tracer
     std::uint64_t dropped() const;
 
     /**
-     * Drain and write to the configured path in the configured
-     * format. No-op without a path. Registered with atexit when
+     * Drain and write the Chrome trace to the configured path. No-op
+     * without a path. Registered with atexit when
      * QPULSE_TRACE enables tracing, so instrumented binaries emit
      * their trace without any per-binary code.
      */
@@ -127,10 +118,6 @@ class Tracer
     /** Chrome trace_event JSON ("X" complete events + thread names). */
     static void writeChromeTrace(std::ostream &os,
                                  const std::vector<TraceEvent> &events);
-
-    /** Compact JSONL: one {"name",...} object per line. */
-    static void writeJsonl(std::ostream &os,
-                           const std::vector<TraceEvent> &events);
 
     /** Monotonic clock, ns. */
     static std::uint64_t nowNs();
@@ -147,7 +134,6 @@ class Tracer
     std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
     std::atomic<std::uint64_t> seq_{0};
     std::string path_;
-    TraceFormat format_ = TraceFormat::ChromeJson;
     std::size_t capacity_ = kThreadBufferCapacity;
 };
 

@@ -21,6 +21,7 @@
 #include "device/fault_injector.h"
 #include "service/backend_pool.h"
 #include "service/execution_service.h"
+#include "telemetry/metrics.h"
 
 namespace qpulse {
 namespace {
@@ -389,6 +390,16 @@ TEST(FleetService, DegenerateFleetPolicyRejectedAtConstruction)
         EXPECT_THROW(ExecutionService service(pool, policy),
                      StatusError);
     }
+    {
+        // A queue that can admit nothing is refused, not defaulted.
+        ServicePolicy policy = fleetServicePolicy(/*capacity=*/0);
+        try {
+            ExecutionService service(pool, policy);
+            ADD_FAILURE() << "queueCapacity 0 was accepted";
+        } catch (const StatusError &error) {
+            EXPECT_EQ(error.status().code(), ErrorCode::InvalidArgument);
+        }
+    }
 }
 
 TEST(FleetService, FailoverCompletesJobAndRecordsBreadcrumbs)
@@ -633,9 +644,18 @@ TEST(FleetService, QuarantineAndProbeRecoveryDuringDrain)
 TEST(FleetService, VirtualTimeFleetRunsBitIdenticalAcrossThreads)
 {
     EnvGuard guard("QPULSE_VIRTUAL_TIME", "1");
+    // No store: a second leg must not serve the first leg's compiles.
+    EnvGuard no_store("QPULSE_CACHE_DIR", nullptr);
     const Substrate sub;
     const auto duration = static_cast<std::uint64_t>(
         sub.x180Schedule().duration());
+    const std::vector<std::string> tracked = {
+        "compile.cache.hits",
+        "compile.cache.misses",
+        "compile.cache.persist_hits",
+        "compile.cache.singleflight_coalesced",
+        "threadpool.parallel_for.calls",
+    };
 
     struct RunRecord
     {
@@ -643,12 +663,17 @@ TEST(FleetService, VirtualTimeFleetRunsBitIdenticalAcrossThreads)
         std::vector<ErrorCode> codes;
         std::vector<long> drainSeqs;
         std::vector<std::string> backends;
+        std::vector<long> partialShots;
+        std::vector<std::uint64_t> counters;
         long failovers = 0;
         long quarantines = 0;
         long probes = 0;
         long poolJobs = 0;
     };
     const auto run = [&](std::size_t max_threads) {
+        telemetry::MetricsRegistry &registry =
+            telemetry::MetricsRegistry::global();
+        const telemetry::MetricsSnapshot before = registry.snapshot();
         auto pool = makePool(sub, 3, poolPolicies());
         FaultPlan flaky;
         flaky.transientRate = 0.7;
@@ -672,13 +697,30 @@ TEST(FleetService, VirtualTimeFleetRunsBitIdenticalAcrossThreads)
                 job.backendName = "b2"; // Pin some at the wedge.
             (void)service.submit(std::move(job));
         }
+        // Two distinct circuits (one of them twice) give the drain's
+        // precompile something to lower: on the pool in the 8-thread
+        // leg, inline in the 1-thread leg.
+        for (const double theta : {0.3, 1.1, 0.3}) {
+            QuantumCircuit circuit(1);
+            circuit.rx(theta, 0);
+            JobRequest job = fleetJob(sub, "t1", 1, 32);
+            job.circuit = circuit;
+            EXPECT_TRUE(service.submit(std::move(job)).ok());
+        }
         RunRecord record;
         for (const JobOutcome &out : service.drain()) {
             record.ids.push_back(out.id);
             record.codes.push_back(out.status.code());
             record.drainSeqs.push_back(out.drainSeq);
             record.backends.push_back(out.backend);
+            record.partialShots.push_back(
+                out.executed ? out.execution.result.shotsCompleted
+                             : -1);
         }
+        const telemetry::MetricsSnapshot after = registry.snapshot();
+        for (const std::string &name : tracked)
+            record.counters.push_back(after.counterValue(name) -
+                                      before.counterValue(name));
         record.failovers = service.stats().failovers;
         record.quarantines = pool->stats().quarantines;
         record.probes = pool->stats().probes;
@@ -692,6 +734,12 @@ TEST(FleetService, VirtualTimeFleetRunsBitIdenticalAcrossThreads)
     EXPECT_EQ(seq.codes, par.codes);
     EXPECT_EQ(seq.drainSeqs, par.drainSeqs);
     EXPECT_EQ(seq.backends, par.backends);
+    EXPECT_EQ(seq.partialShots, par.partialShots);
+    EXPECT_EQ(seq.counters, par.counters);
+    // Each leg compiled the two circuits once and ran a parallel loop.
+    EXPECT_EQ(seq.counters[1], 2u); // compile.cache.misses
+    EXPECT_GT(seq.counters[4], 0u); // threadpool.parallel_for.calls
+    EXPECT_GT(par.counters[4], 0u);
     EXPECT_EQ(seq.failovers, par.failovers);
     EXPECT_EQ(seq.quarantines, par.quarantines);
     EXPECT_EQ(seq.probes, par.probes);

@@ -792,7 +792,6 @@ TEST(RbUnderFaults, BatchedAccountingDeterministicAndOptIn)
     config.lengthStride = 2;
     config.sequencesPerLength = 2;
     config.shots = 200;
-    config.parallelSequences = true;
     config.faultMaxAttempts = 3;
     config.faultPlan.transientRate = 0.6;
     config.faultPlan.readoutFlipRate = 0.05;

@@ -526,6 +526,21 @@ makeJob(const Rig &rig, int priority, long shots = 32)
     return job;
 }
 
+/** A circuit-carrying job: the drain lowers rx(theta) itself. */
+JobRequest
+rxCircuitJob(double theta, int priority)
+{
+    QuantumCircuit circuit(1);
+    circuit.rx(theta, 0);
+    JobRequest job;
+    job.circuit = circuit;
+    job.key = "rx";
+    job.shots = 64;
+    job.seed = 0xC1C;
+    job.priority = priority;
+    return job;
+}
+
 TEST(Service, AdmissionRejectsWhenNothingOutranked)
 {
     const Rig rig;
@@ -821,18 +836,31 @@ TEST(Service, HalfOpenProbeFailureReopensAndRestartsCooldown)
 TEST(Service, SaturationIsBitIdenticalAcrossThreadCountsUnderVirtualTime)
 {
     EnvGuard guard("QPULSE_VIRTUAL_TIME", "1");
+    // No store: a second leg must not serve the first leg's compiles.
+    EnvGuard no_store("QPULSE_CACHE_DIR", nullptr);
     const Rig rig;
     const Schedule schedule = rig.x180Schedule();
     const auto duration =
         static_cast<std::uint64_t>(schedule.duration());
+    const std::vector<std::string> tracked = {
+        "compile.cache.hits",
+        "compile.cache.misses",
+        "compile.cache.persist_hits",
+        "compile.cache.singleflight_coalesced",
+        "threadpool.parallel_for.calls",
+    };
 
     struct RunRecord
     {
         ServiceStats stats;
         std::vector<std::pair<std::uint64_t, ErrorCode>> outcomes;
         std::vector<long> partialShots;
+        std::vector<std::uint64_t> counters;
     };
     const auto run = [&](std::size_t max_threads) {
+        telemetry::MetricsRegistry &registry =
+            telemetry::MetricsRegistry::global();
+        const telemetry::MetricsSnapshot before = registry.snapshot();
         ServicePolicy policy = smallQueuePolicy(4);
         policy.maxThreads = max_threads;
         ExecutionService service(rig.backend, rig.sim, policy);
@@ -851,6 +879,11 @@ TEST(Service, SaturationIsBitIdenticalAcrossThreadCountsUnderVirtualTime)
                 Deadline::afterMsOrBudget(50.0, duration * 40);
             (void)service.submit(std::move(job));
         }
+        // Two distinct circuits displace the last low-priority jobs,
+        // so the drain's precompile has something to lower: on the
+        // pool in the 8-thread leg, inline in the 1-thread leg.
+        for (const double theta : {0.3, 1.1})
+            EXPECT_TRUE(service.submit(rxCircuitJob(theta, 5)).ok());
         RunRecord record;
         for (const JobOutcome &out : service.drain()) {
             record.outcomes.emplace_back(out.id, out.status.code());
@@ -859,6 +892,10 @@ TEST(Service, SaturationIsBitIdenticalAcrossThreadCountsUnderVirtualTime)
                              : -1);
         }
         record.stats = service.stats();
+        const telemetry::MetricsSnapshot after = registry.snapshot();
+        for (const std::string &name : tracked)
+            record.counters.push_back(after.counterValue(name) -
+                                      before.counterValue(name));
         return record;
     };
 
@@ -867,6 +904,11 @@ TEST(Service, SaturationIsBitIdenticalAcrossThreadCountsUnderVirtualTime)
 
     EXPECT_EQ(seq.outcomes, par.outcomes);
     EXPECT_EQ(seq.partialShots, par.partialShots);
+    EXPECT_EQ(seq.counters, par.counters);
+    // Each leg compiled the two circuits once and ran a parallel loop.
+    EXPECT_EQ(seq.counters[1], 2u); // compile.cache.misses
+    EXPECT_GT(seq.counters[4], 0u); // threadpool.parallel_for.calls
+    EXPECT_GT(par.counters[4], 0u);
     EXPECT_EQ(seq.stats.submitted, par.stats.submitted);
     EXPECT_EQ(seq.stats.admitted, par.stats.admitted);
     EXPECT_EQ(seq.stats.rejected, par.stats.rejected);

@@ -5,10 +5,10 @@
  * round-trips, store put/flush/get with cross-process reopen, the
  * generation invalidation model (single backend recalibration and
  * fleet drain/readmit), fail-closed corruption handling (bit flips,
- * truncation, zero fill, version mismatch, index damage), the
- * PersistentPropagatorCache disk tier under the simulator shot loop,
- * the documented lock-order contract under concurrent evolve +
- * snapshot + flush, and the QPULSE_CACHE_DIR env gate.
+ * truncation, zero fill, version mismatch), the segments-only
+ * directory layout, the PersistentPropagatorCache disk tier under the
+ * simulator shot loop, the documented lock-order contract under
+ * concurrent evolve + flush, and the QPULSE_CACHE_DIR env gate.
  */
 #include <gtest/gtest.h>
 
@@ -280,11 +280,12 @@ TEST(Serde, ScheduleRoundTripsAndHashIsContentSensitive)
         backend->schedule(makeGate(GateType::Cnot, {0, 1}));
 
     store::ByteWriter w;
-    store::serializeSchedule(cnot, w);
+    store::serializeScheduleRle(cnot, w);
     const std::vector<std::uint8_t> bytes = w.take();
     store::ByteReader r(bytes.data(), bytes.size());
     Schedule loaded;
-    ASSERT_TRUE(store::deserializeSchedule(r, loaded).ok());
+    ASSERT_TRUE(store::deserializeScheduleRle(r, loaded).ok());
+    EXPECT_EQ(r.remaining(), 0u);
 
     // The loaded schedule carries sampled waveforms whose samples are
     // bit-identical, so the content hash is unchanged...
@@ -371,47 +372,6 @@ TEST(ArtifactStore, PutFlushGetAndCrossProcessReopen)
     EXPECT_EQ(reopened->stats().misses, 1u);
 }
 
-TEST(ArtifactStore, MissingIndexIsRebuiltByScan)
-{
-    TempDir dir;
-    const store::ArtifactKey key = testKey();
-    {
-        auto store = store::ArtifactStore::open(dir.str(), 1 << 20);
-        ASSERT_NE(store, nullptr);
-        ASSERT_TRUE(store->put(key, {9, 9, 9}).ok());
-        ASSERT_TRUE(store->flush().ok());
-    }
-    ASSERT_TRUE(fs::remove(dir.path / "index.qpi"));
-
-    auto store = store::ArtifactStore::open(dir.str(), 1 << 20);
-    ASSERT_NE(store, nullptr);
-    store::ArtifactView view;
-    ASSERT_TRUE(store->get(key, view).ok());
-    EXPECT_EQ(view.size, 3u);
-}
-
-TEST(ArtifactStore, CorruptIndexFallsBackToScan)
-{
-    TempDir dir;
-    const store::ArtifactKey key = testKey();
-    {
-        auto store = store::ArtifactStore::open(dir.str(), 1 << 20);
-        ASSERT_NE(store, nullptr);
-        ASSERT_TRUE(store->put(key, {5, 5}).ok());
-        ASSERT_TRUE(store->flush().ok());
-    }
-    auto bytes = readFile(dir.path / "index.qpi");
-    ASSERT_GT(bytes.size(), 10u);
-    bytes[bytes.size() / 2] ^= 0xFF;
-    writeFile(dir.path / "index.qpi", bytes);
-
-    auto store = store::ArtifactStore::open(dir.str(), 1 << 20);
-    ASSERT_NE(store, nullptr);
-    store::ArtifactView view;
-    ASSERT_TRUE(store->get(key, view).ok());
-    EXPECT_EQ(view.size, 2u);
-}
-
 TEST(ArtifactStore, BitFlippedRecordFailsClosedForever)
 {
     TempDir dir;
@@ -456,9 +416,6 @@ TEST(ArtifactStore, TruncatedSegmentKeepsOnlyThePrefix)
     auto bytes = readFile(segment);
     bytes.resize(bytes.size() - 6); // Chop into the last record.
     writeFile(segment, bytes);
-    // Drop the index so the reopen takes the segment-scan path (the
-    // index path simply rejects the out-of-bounds entry).
-    ASSERT_TRUE(fs::remove(dir.path / "index.qpi"));
 
     auto store = store::ArtifactStore::open(dir.str(), 1 << 20);
     ASSERT_NE(store, nullptr);
@@ -482,7 +439,6 @@ TEST(ArtifactStore, ZeroFilledSegmentServesNothing)
     const fs::path segment = firstSegment(dir.str());
     writeFile(segment,
               std::vector<std::uint8_t>(readFile(segment).size(), 0));
-    ASSERT_TRUE(fs::remove(dir.path / "index.qpi"));
 
     auto store = store::ArtifactStore::open(dir.str(), 1 << 20);
     ASSERT_NE(store, nullptr);
@@ -657,9 +613,9 @@ TEST(ArtifactStore, TwoWritersOneDirectoryKeepAllRecordsAddressable)
         segment_files += entry.path().extension() == ".qps";
     EXPECT_EQ(segment_files, 2u);
 
-    // A fresh open serves BOTH writers' records: same-sequence
-    // segments must not alias in the index, and the writer that lost
-    // the last-writer-wins index race is healed by segment scan.
+    // A fresh open scans both writers' segments and serves BOTH
+    // writers' records: same-sequence segments must not alias in the
+    // in-memory index.
     auto c = store::ArtifactStore::open(dir.str(), 1 << 20);
     ASSERT_NE(c, nullptr);
     store::ArtifactView view;
@@ -671,6 +627,54 @@ TEST(ArtifactStore, TwoWritersOneDirectoryKeepAllRecordsAddressable)
     EXPECT_EQ(view.data[0], 0xBB);
     EXPECT_EQ(c->stats().corrupt, 0u);
     EXPECT_EQ(c->stats().quarantined, 0u);
+}
+
+/**
+ * Segments are the store's only on-disk format: flushes leave nothing
+ * else in the directory, an open scans the segments, and an index.qpi
+ * an older build left beside them is neither read nor rewritten.
+ */
+TEST(ArtifactStore, DirectoryHoldsOnlySegmentsAndOpenScansThem)
+{
+    TempDir dir;
+    constexpr std::uint64_t kRecords = 4;
+    {
+        auto store = store::ArtifactStore::open(dir.str(), 1 << 20);
+        ASSERT_NE(store, nullptr);
+        for (std::uint64_t k = 0; k < kRecords; ++k) {
+            ASSERT_TRUE(
+                store->put(testKey(k), {static_cast<std::uint8_t>(k), 7})
+                    .ok());
+            ASSERT_TRUE(store->flush().ok());
+        }
+    }
+    std::size_t files = 0;
+    for (const auto &entry : fs::directory_iterator(dir.str())) {
+        const std::string name = entry.path().filename().string();
+        EXPECT_EQ(name.rfind("seg-", 0), 0u) << name;
+        EXPECT_EQ(entry.path().extension(), ".qps") << name;
+        ++files;
+    }
+    EXPECT_EQ(files, kRecords);
+
+    const std::vector<std::uint8_t> garbage(64, 0xEE);
+    writeFile(dir.path / "index.qpi", garbage);
+    auto store = store::ArtifactStore::open(dir.str(), 1 << 20);
+    ASSERT_NE(store, nullptr);
+    EXPECT_EQ(store->size(), kRecords);
+    for (std::uint64_t k = 0; k < kRecords; ++k) {
+        store::ArtifactView view;
+        ASSERT_TRUE(store->get(testKey(k), view).ok()) << k;
+        ASSERT_EQ(view.size, 2u);
+        EXPECT_EQ(view.data[0], k);
+    }
+    EXPECT_EQ(store->stats().corrupt, 0u);
+    EXPECT_EQ(store->stats().versionMismatch, 0u);
+
+    // A further flush adds a segment and leaves the old file alone.
+    ASSERT_TRUE(store->put(testKey(kRecords), {1}).ok());
+    ASSERT_TRUE(store->flush().ok());
+    EXPECT_EQ(readFile(dir.path / "index.qpi"), garbage);
 }
 
 TEST(ArtifactStore, EnvGateOffMeansNoStore)
@@ -833,13 +837,13 @@ TEST(PersistentCache, CorruptRecordsFallBackToDerivation)
 
 /**
  * Lock-order regression (run under TSan in CI): concurrent evolve
- * traffic through getOrComputeInto, a snapshot thread taking the
- * documented LRU-then-persist sequence, and a flush thread draining
- * the write-back queue. The contract in propagator_cache.h says both
- * mutexes are leaf locks — any nesting regression deadlocks or races
- * here.
+ * traffic through getOrComputeInto — each miss a disk probe, a
+ * derivation and a put into the store, with auto-flushes — and a
+ * flush thread flushing the store. The contract in propagator_cache.h
+ * says the LRU, persist and store mutexes are leaf locks — any
+ * nesting regression deadlocks or races here.
  */
-TEST(PersistentCache, ConcurrentEvolveSnapshotAndFlushAreClean)
+TEST(PersistentCache, ConcurrentEvolveAndFlushAreClean)
 {
     TempDir dir;
     auto store = store::ArtifactStore::open(dir.str(), 64 << 20);
@@ -870,10 +874,6 @@ TEST(PersistentCache, ConcurrentEvolveSnapshotAndFlushAreClean)
             }
         });
     }
-    threads.emplace_back([&cache] {
-        for (int i = 0; i < 50; ++i)
-            (void)cache->snapshotAndResetAll();
-    });
     threads.emplace_back([&cache] {
         for (int i = 0; i < 50; ++i)
             (void)cache->flush();

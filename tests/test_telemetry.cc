@@ -21,7 +21,6 @@
 #include "compile/compiler.h"
 #include "device/calibration.h"
 #include "device/schedule_validation.h"
-#include "pulsesim/propagator_cache.h"
 #include "telemetry/metrics.h"
 #include "telemetry/report.h"
 #include "telemetry/trace.h"
@@ -136,21 +135,6 @@ TEST(Tracer, ChromeExporterGoldenOutput)
         "\"ts\":2.500,\"dur\":1.250,\"pid\":1,\"tid\":0}\n"
         "],\"displayTimeUnit\":\"ns\"}\n";
     EXPECT_EQ(os.str(), golden);
-}
-
-TEST(Tracer, JsonlExporterGoldenOutput)
-{
-    std::vector<telemetry::TraceEvent> events(1);
-    events[0].name = "gamma";
-    events[0].startNs = 42;
-    events[0].durationNs = 7;
-    events[0].tid = 5;
-
-    std::ostringstream os;
-    telemetry::Tracer::writeJsonl(os, events);
-    EXPECT_EQ(os.str(),
-              "{\"name\":\"gamma\",\"cat\":\"qpulse\","
-              "\"ts_ns\":42,\"dur_ns\":7,\"tid\":5}\n");
 }
 
 TEST(Tracer, ConcurrentSpansFromManyThreadsAllMerge)
@@ -313,25 +297,6 @@ TEST(Instrumentation, ValidationGateCountsChecksAndRejects)
     EXPECT_EQ(after.counterValue("device.validation.rejects") -
                   before.counterValue("device.validation.rejects"),
               1u);
-}
-
-TEST(Instrumentation, CacheSnapshotAndResetIsAtomicReadAndClear)
-{
-    PropagatorCache cache(8);
-    PropagatorKey key;
-    key.words = {1, 2, 3};
-    const auto compute = [] { return Matrix::identity(2); };
-    Matrix value;
-    cache.getOrComputeInto(key, compute, value); // miss
-    cache.getOrComputeInto(key, compute, value); // hit
-
-    const PropagatorCacheStats taken = cache.snapshotAndReset();
-    EXPECT_EQ(taken.hits, 1u);
-    EXPECT_EQ(taken.misses, 1u);
-    const PropagatorCacheStats remaining = cache.stats();
-    EXPECT_EQ(remaining.hits, 0u);
-    EXPECT_EQ(remaining.misses, 0u);
-    EXPECT_EQ(cache.size(), 1u); // Entries survive a stats reset.
 }
 
 /**
