@@ -398,8 +398,7 @@ Calibrator::calibrateCr(std::size_t control, std::size_t target,
     {
         const Schedule schedule =
             echoBody(cal, control_cal, std::max(probe_flat, 0L), 1.0, 1.0);
-        const UnitaryResult result = sim.evolveUnitary(schedule);
-        const Vector out = result.unitary.apply(ground);
+        const Vector out = sim.evolveState(schedule, ground);
         // <Y> on target: rotate by Rx(pi/2) (maps Y to Z) and read P1:
         // P1 = (1 + <Y>)/2.
         const Matrix rot = kron(Matrix::identity(3),

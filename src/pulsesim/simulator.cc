@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "common/constants.h"
 #include "common/status.h"
@@ -24,6 +25,88 @@ countEvolve(telemetry::Counter &calls, long duration)
     c_samples.add(static_cast<std::uint64_t>(
         duration >= 0 ? duration : 0));
 }
+
+/** max_i |v_i|. */
+double
+maxAbs(const Vector &v)
+{
+    double max_sq = 0.0;
+    for (std::size_t i = 0; i < v.size(); ++i)
+        max_sq = std::max(max_sq, std::norm(v[i]));
+    return std::sqrt(max_sq);
+}
+
+/**
+ * psi <- exp(-i h tau) psi without forming the exponential: the
+ * truncated Taylor series of Al-Mohy & Higham's expmv, applied to the
+ * state. h is shifted by mu = tr(h)/d (the phase e^{-i mu tau} is
+ * applied at the end) and tau split into ceil(||h - mu I||_1 tau)
+ * substeps, so each substep's series converges like 1/k!; terms are
+ * added until two consecutive ones fall below 2^-53 of the partial
+ * sum. Plain scalar loops, so the result is the same on every SIMD
+ * tier. `term` and `next` are scratch of psi's size.
+ */
+void
+applyTaylorAction(const Matrix &h, double tau, Vector &psi, Vector &term,
+                  Vector &next)
+{
+    // With ||A|| <= 1 per substep the terms fall below the tolerance
+    // by k = 20; the cap only bounds the loop on non-finite input.
+    constexpr int kMaxTerms = 30;
+    constexpr double kTol = 0x1p-53;
+    const std::size_t dim = psi.size();
+    next.resize(dim);
+    double mu = 0.0;
+    for (std::size_t i = 0; i < dim; ++i)
+        mu += h(i, i).real();
+    mu /= static_cast<double>(dim);
+    // |z| as sqrt(norm(z)): std::abs's overflow-safe hypot cost a fifth
+    // of a d = 9 step here.
+    double norm1 = 0.0;
+    for (std::size_t c = 0; c < dim; ++c) {
+        double column = 0.0;
+        for (std::size_t r = 0; r < dim; ++r)
+            column += std::sqrt(std::norm(r == c ? h(r, c) - mu : h(r, c)));
+        norm1 = std::max(norm1, column);
+    }
+    // Validated drives need a handful of substeps; the range check
+    // keeps an absurd (or NaN) norm from overflowing the count.
+    const double wanted = std::ceil(norm1 * tau);
+    const long substeps =
+        wanted >= 1.0 && wanted <= 1e6 ? static_cast<long>(wanted) : 1L;
+    const double dt = tau / static_cast<double>(substeps);
+    for (long s = 0; s < substeps; ++s) {
+        term = psi;
+        double previous = maxAbs(term);
+        for (int k = 1; k <= kMaxTerms; ++k) {
+            // next = (-i dt / k) (h - mu I) term.
+            const Complex scale{0.0, -dt / static_cast<double>(k)};
+            for (std::size_t r = 0; r < dim; ++r) {
+                Complex acc = -mu * term[r];
+                for (std::size_t c = 0; c < dim; ++c)
+                    acc += h(r, c) * term[c];
+                next[r] = acc * scale;
+            }
+            for (std::size_t r = 0; r < dim; ++r)
+                psi[r] += next[r];
+            std::swap(term, next);
+            const double current = maxAbs(term);
+            if (previous + current <= kTol * maxAbs(psi))
+                break;
+            previous = current;
+        }
+    }
+    const Complex phase = std::exp(Complex{0.0, -mu * tau});
+    for (std::size_t r = 0; r < dim; ++r)
+        psi[r] *= phase;
+}
+
+/** One applier made of one lambda per step kind it accepts. */
+template <typename... Fs>
+struct Overloaded : Fs...
+{
+    using Fs::operator()...;
+};
 
 /** FNV-1a step over the bit pattern of one double. */
 std::uint64_t
@@ -319,26 +402,40 @@ PulseSimulator::throwIfInterrupted() const
             "wall-clock deadline passed mid-evolution"));
 }
 
-Matrix
-PulseSimulator::stepPropagator(double t_mid_ns,
-                               const std::vector<Complex> &drives) const
+bool
+PulseSimulator::sampleHamiltonian(double t_mid_ns,
+                                  const std::vector<Complex> &drives,
+                                  Matrix &h) const
 {
-    Matrix h = staticH_;
+    h = staticH_;
+    const std::size_t dim = model_.dim();
+    // h += t + t^dag with t = op * scale, entry by entry in the order
+    // Matrix's operators would take, so every propagator derived from
+    // h keeps its bits.
+    const auto add_hermitian = [&](const Matrix &op, Complex scale) {
+        for (std::size_t r = 0; r < dim; ++r)
+            for (std::size_t c = 0; c < dim; ++c)
+                h(r, c) += op(r, c) * scale + std::conj(op(c, r) * scale);
+    };
     bool any_drive = false;
     for (std::size_t j = 0; j < drives.size(); ++j) {
         if (drives[j] == Complex{0.0, 0.0})
             continue;
         any_drive = true;
-        const Matrix term = raising_[j] * drives[j];
-        h += term + term.adjoint();
+        add_hermitian(raising_[j], drives[j]);
     }
-    if (hasCoupling_) {
-        const Complex phase =
-            std::exp(Complex{0.0, couplingDetuning_ * t_mid_ns});
-        const Matrix term = couplingOp_ * phase;
-        h += term + term.adjoint();
-    }
-    if (!any_drive && !hasCoupling_) {
+    if (hasCoupling_)
+        add_hermitian(couplingOp_,
+                      std::exp(Complex{0.0, couplingDetuning_ * t_mid_ns}));
+    return any_drive || hasCoupling_;
+}
+
+Matrix
+PulseSimulator::stepPropagator(double t_mid_ns,
+                               const std::vector<Complex> &drives) const
+{
+    Matrix h;
+    if (!sampleHamiltonian(t_mid_ns, drives, h)) {
         // Diagonal fast path: free evolution under the static part.
         std::vector<Complex> phases(model_.dim());
         for (std::size_t idx = 0; idx < model_.dim(); ++idx)
@@ -360,15 +457,27 @@ PulseSimulator::walkSteps(const Schedule &schedule, long duration,
 {
     const auto drives = buildDriveTimeline(schedule, duration, frame_out);
     if (cachingEnabled_) {
+        constexpr bool takes_hamiltonians =
+            std::is_invocable_v<Apply &, const HamiltonianStep &, long>;
         std::unique_ptr<PropagatorCache> local;
         PropagatorCache *cache = cache_.get();
         if (!cache) {
             local = std::make_unique<PropagatorCache>();
             cache = local.get();
         }
-        Matrix step_u;
+        Matrix step_u, h;
         for (const DriveStep &step : compileSteps(drives, duration)) {
             checkInterrupt();
+            if constexpr (takes_hamiltonians) {
+                // A cache local to this call could only serve a later
+                // run of the same key; a short run is cheaper applied
+                // as an action than eigendecomposed.
+                if (!cache_ && step.count < kPoweredRun) {
+                    sampleHamiltonian(step.tMidNs, step.drives, h);
+                    apply(HamiltonianStep{h}, step.count);
+                    continue;
+                }
+            }
             cache->getOrComputeInto(
                 step.key,
                 [this, &step] {
@@ -449,29 +558,39 @@ PulseSimulator::evolveState(const Schedule &schedule,
     static telemetry::Counter &c_calls =
         telemetry::MetricsRegistry::global().counter(
             "sim.evolve_state.calls");
+    static telemetry::Counter &c_action_steps =
+        telemetry::MetricsRegistry::global().counter("sim.action.steps");
     const long duration = schedule.duration();
     countEvolve(c_calls, duration);
     Vector state = initial;
-    Vector state_next;
+    Vector state_next, term;
     Workspace pow_ws;
     Matrix u_pow;
     walkSteps(schedule, duration, nullptr,
-              [&](const Matrix &step_u, long count) {
-                  // Long runs (idle stretches, flat-tops): binary
-                  // powering costs log2(count) matmuls instead of
-                  // count matvecs.
-                  if (count >= 8) {
-                      powmInto(u_pow, step_u,
-                               static_cast<std::uint64_t>(count), pow_ws);
-                      applyInto(state_next, u_pow, state);
-                      std::swap(state, state_next);
-                      return;
-                  }
-                  for (long k = 0; k < count; ++k) {
-                      applyInto(state_next, step_u, state);
-                      std::swap(state, state_next);
-                  }
-              });
+              Overloaded{
+                  [&](const Matrix &step_u, long count) {
+                      // Long runs (idle stretches, flat-tops): binary
+                      // powering costs log2(count) matmuls instead of
+                      // count matvecs.
+                      if (count >= kPoweredRun) {
+                          powmInto(u_pow, step_u,
+                                   static_cast<std::uint64_t>(count),
+                                   pow_ws);
+                          applyInto(state_next, u_pow, state);
+                          std::swap(state, state_next);
+                          return;
+                      }
+                      for (long k = 0; k < count; ++k) {
+                          applyInto(state_next, step_u, state);
+                          std::swap(state, state_next);
+                      }
+                  },
+                  [&](const HamiltonianStep &step, long count) {
+                      applyTaylorAction(step.hamiltonian,
+                                        kDtNs * static_cast<double>(count),
+                                        state, term, state_next);
+                      c_action_steps.add(static_cast<std::uint64_t>(count));
+                  }});
     return state;
 }
 
@@ -655,7 +774,7 @@ PulseSimulator::evolveStatesBatched(const Schedule &schedule,
                   // Long runs (idle stretches, flat-tops): binary
                   // powering costs log2(count) matmuls instead of
                   // count panel gemms.
-                  if (count >= 8) {
+                  if (count >= kPoweredRun) {
                       powmInto(u_pow, step_u,
                                static_cast<std::uint64_t>(count), ws);
                       applyPanelInto(next, u_pow, panel);

@@ -25,6 +25,10 @@
  * caller-owned cache with setPropagatorCache extends the reuse across
  * calls, making repeated execution of the same schedule (shots, ZNE
  * stretch sweeps, RB sequences) near-free after the first pass.
+ * Without an attached cache nothing outside the call could reuse a
+ * propagator, so evolveState takes each short step as a Hamiltonian
+ * and applies exp(-i H dt) to the state directly (a truncated Taylor
+ * series), with no eigendecomposition.
  */
 #ifndef QPULSE_PULSESIM_SIMULATOR_H
 #define QPULSE_PULSESIM_SIMULATOR_H
@@ -74,7 +78,9 @@ class PulseSimulator
     /**
      * Attach a caller-owned propagator cache shared across evolve
      * calls (and safely across threads). Pass nullptr to detach; the
-     * simulator then memoizes only within each call.
+     * simulator then memoizes only within each call, and evolveState
+     * derives no propagator for a step shorter than eight samples (it
+     * applies the step's action on the state instead).
      */
     void setPropagatorCache(std::shared_ptr<PropagatorCache> cache)
     {
@@ -151,7 +157,15 @@ class PulseSimulator
      */
     Matrix effectiveUnitary(const UnitaryResult &result) const;
 
-    /** Final state from an initial state (drive frame). */
+    /**
+     * Final state from an initial state (drive frame). With an
+     * attached cache (or caching off) every step applies its
+     * propagator. Without one, each step of fewer than eight samples
+     * applies exp(-i H count dt) to the state by a truncated Taylor
+     * series instead (sim.action.steps counts those samples). Those
+     * steps agree with the propagator to round-off and, being plain
+     * scalar loops, give the same bits on every SIMD tier.
+     */
     Vector evolveState(const Schedule &schedule,
                        const Vector &initial) const;
 
@@ -190,6 +204,13 @@ class PulseSimulator
 
   private:
     /**
+     * Runs at least this long are applied to states by binary powering
+     * of their propagator (log2(count) matmuls instead of count
+     * matvecs); shorter ones step sample by sample.
+     */
+    static constexpr long kPoweredRun = 8;
+
+    /**
      * One run of consecutive AWG samples whose quantized Hamiltonian
      * is identical: a single propagator applied `count` times.
      */
@@ -219,6 +240,15 @@ class PulseSimulator
         long duration) const;
 
     /**
+     * The Hamiltonian H(t_mid) of one AWG sample, written into `h`
+     * (its storage reused). Returns false when no drive and no
+     * coupling enter, i.e. `h` is the diagonal static part alone.
+     */
+    bool sampleHamiltonian(double t_mid_ns,
+                           const std::vector<Complex> &drives,
+                           Matrix &h) const;
+
+    /**
      * Exact propagator exp(-i H(t_mid) dt) of one AWG sample: cache
      * values on the cached source, every step of the reference source.
      */
@@ -226,12 +256,24 @@ class PulseSimulator
                           const std::vector<Complex> &drives) const;
 
     /**
+     * A step handed to an applier by its Hamiltonian instead of its
+     * propagator: the applier applies exp(-i H count dt) itself.
+     */
+    struct HamiltonianStep
+    {
+        const Matrix &hamiltonian;
+    };
+
+    /**
      * The one evolution loop: builds the drive timeline (frames into
      * `frame_out` when non-null) and calls `apply(step_u, count)` per
      * step in time order. Cached source: each compileSteps run, its
      * propagator from the attached cache, else one local to the call,
-     * polling the interrupt per run. Reference source: each sample's
-     * exact stepPropagator with count 1, polling every
+     * polling the interrupt per run. An applier that also accepts
+     * `apply(HamiltonianStep, count)` (evolveState's) is handed every
+     * run shorter than kPoweredRun that way when no cache is attached,
+     * so no propagator is derived for it. Reference source: each
+     * sample's exact stepPropagator with count 1, polling every
      * kInterruptStride samples.
      */
     template <typename Apply>

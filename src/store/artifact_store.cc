@@ -86,15 +86,17 @@ atomicWriteFile(const std::string &path,
     if (out == nullptr)
         return Status::error(ErrorCode::Unavailable,
                              "cannot open " + tmp + " for writing");
-    if (size > 0 && std::fwrite(data, 1, size, out) != size) {
-        std::fclose(out);
+    // The bytes can fail to land at any stage: fwrite, the flush of
+    // the stdio buffer (a small segment is written only there), fsync
+    // or close. Any failure leaves no file behind.
+    const bool written =
+        (size == 0 || std::fwrite(data, 1, size, out) == size) &&
+        std::fflush(out) == 0 && ::fsync(::fileno(out)) == 0;
+    if (std::fclose(out) != 0 || !written) {
         std::remove(tmp.c_str());
         return Status::error(ErrorCode::Unavailable,
                              "short write to " + tmp);
     }
-    std::fflush(out);
-    ::fsync(::fileno(out));
-    std::fclose(out);
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
         return Status::error(ErrorCode::Unavailable,
@@ -404,6 +406,17 @@ ArtifactStore::flush()
         return s;
     if (Status s = mapSegment(segment); !s.ok())
         return s;
+    if (segment.size != w.size()) {
+        // Not the file just written: serving it would hand out records
+        // cut short. The records stay pending for the next flush.
+        unmapSegment(segment);
+        std::remove(segment.path.c_str());
+        return Status::error(ErrorCode::Unavailable,
+                             segment.path + " holds " +
+                                 std::to_string(segment.size) + " of " +
+                                 std::to_string(w.size()) +
+                                 " bytes written");
+    }
     segments_.push_back(segment);
     for (auto &[key, entry] : fresh)
         index_[key] = entry;

@@ -30,6 +30,7 @@
 #include "linalg/state_panel.h"
 #include "pulsesim/simulator.h"
 #include "schedule_gen.h"
+#include "telemetry/metrics.h"
 
 namespace qpulse {
 namespace {
@@ -188,21 +189,48 @@ expectConsistent(const Evolution &e, const PulseSimulator &sim,
     EXPECT_LE(std::abs(e.rho.trace() - Complex{1.0, 0.0}), budget);
 }
 
-/** Cached and reference evolutions of one schedule on one model. */
-void
+/**
+ * Cached and reference evolutions of one schedule on one model;
+ * returns the reference's.
+ */
+Evolution
 expectCachedMatchesReference(const PulseSimulator &cached,
                              const PulseSimulator &reference,
                              const Schedule &schedule)
 {
     SCOPED_TRACE(schedule.name());
     const Evolution fast = evolveAll(cached, schedule);
-    const Evolution exact = evolveAll(reference, schedule);
+    Evolution exact = evolveAll(reference, schedule);
     EXPECT_LE(maxAbsDiff(fast.unitary, exact.unitary), 1e-12);
     EXPECT_LE(maxAbsDiff(fast.ground, exact.ground), 1e-12);
     EXPECT_LE(maxAbsDiff(fast.spread, exact.spread), 1e-12);
     EXPECT_LE(maxAbsDiff(fast.rho, exact.rho), 1e-12);
     expectConsistent(fast, cached, schedule.duration(), "cached");
     expectConsistent(exact, reference, schedule.duration(), "reference");
+    return exact;
+}
+
+/**
+ * evolveState of a simulator with no cache attached against the
+ * reference's states, and the norm it must keep.
+ */
+void
+expectStatesMatchReference(const PulseSimulator &uncached,
+                           const Evolution &exact, const Schedule &schedule)
+{
+    SCOPED_TRACE(schedule.name());
+    const std::size_t dim = uncached.model().dim();
+    Vector ground(dim);
+    ground[0] = Complex{1.0, 0.0};
+    const Vector got_ground = uncached.evolveState(schedule, ground);
+    const Vector got_spread =
+        uncached.evolveState(schedule, spreadState(dim));
+    EXPECT_LE(maxAbsDiff(got_ground, exact.ground), 1e-12);
+    EXPECT_LE(maxAbsDiff(got_spread, exact.spread), 1e-12);
+    const double budget =
+        kInvariantPerSample * static_cast<double>(schedule.duration());
+    EXPECT_LE(std::abs(got_ground.norm() - 1.0), budget);
+    EXPECT_LE(std::abs(got_spread.norm() - 1.0), budget);
 }
 
 TEST(PulseSimReference, GeneratedSingleTransmonSchedules)
@@ -223,12 +251,60 @@ TEST(PulseSimReference, GeneratedCrPairSchedules)
     // derive each 9x9 propagator once.
     PulseSimulator cached = crPairSimulator();
     cached.setPropagatorCache(std::make_shared<PropagatorCache>());
+    // No cache attached: evolveState applies every sample of the
+    // coupled pair (each its own step) as an action on the state.
+    const PulseSimulator uncached = crPairSimulator();
     PulseSimulator reference = crPairSimulator();
     reference.setCachingEnabled(false);
     const testgen::ScheduleShape shape = crPairShape();
-    for (std::uint64_t seed = 101; seed <= 108; ++seed)
-        expectCachedMatchesReference(
-            cached, reference, testgen::generateSchedule(seed, shape));
+    for (std::uint64_t seed = 101; seed <= 108; ++seed) {
+        const Schedule schedule = testgen::generateSchedule(seed, shape);
+        const Evolution exact =
+            expectCachedMatchesReference(cached, reference, schedule);
+        expectStatesMatchReference(uncached, exact, schedule);
+    }
+}
+
+TEST(PulseSimReference, UncachedStateEvolutionDerivesNoPropagator)
+{
+    telemetry::MetricsRegistry &registry =
+        telemetry::MetricsRegistry::global();
+    const telemetry::Counter &eig_calls = registry.counter("sim.eig.calls");
+    const telemetry::Counter &action_steps =
+        registry.counter("sim.action.steps");
+    const Schedule schedule = testgen::generateSchedule(101, crPairShape());
+    const auto samples = static_cast<std::uint64_t>(schedule.duration());
+    Vector ground(9);
+    ground[0] = Complex{1.0, 0.0};
+
+    // No cache attached: every sample is applied as an action.
+    const PulseSimulator uncached = crPairSimulator();
+    std::uint64_t eig0 = eig_calls.value();
+    std::uint64_t act0 = action_steps.value();
+    (void)uncached.evolveState(schedule, ground);
+    EXPECT_EQ(eig_calls.value() - eig0, 0u);
+    EXPECT_EQ(action_steps.value() - act0, samples);
+
+    // An attached cache derives one propagator per distinct key.
+    PulseSimulator attached = crPairSimulator();
+    const auto cache = std::make_shared<PropagatorCache>();
+    attached.setPropagatorCache(cache);
+    eig0 = eig_calls.value();
+    act0 = action_steps.value();
+    (void)attached.evolveState(schedule, ground);
+    const std::uint64_t distinct = cache->size();
+    EXPECT_GT(distinct, 0u);
+    EXPECT_EQ(cache->stats().misses, distinct);
+    EXPECT_EQ(eig_calls.value() - eig0, distinct);
+    EXPECT_EQ(action_steps.value() - act0, 0u);
+
+    // evolveUnitary without a cache still derives them, in a cache
+    // local to the call.
+    eig0 = eig_calls.value();
+    act0 = action_steps.value();
+    (void)uncached.evolveUnitary(schedule);
+    EXPECT_EQ(eig_calls.value() - eig0, distinct);
+    EXPECT_EQ(action_steps.value() - act0, 0u);
 }
 
 TEST(PulseSimReference, SlowRampStaysWithinTheCollisionBound)

@@ -592,6 +592,25 @@ TEST(Degradation, FailuresWithoutFallbackKeepNoStreak)
     EXPECT_FALSE(executor.entryStale(request.key));
 }
 
+/**
+ * The eigensolves of one cold evolution on a fresh simulator with a
+ * fresh cache attached, as the executor's run cache evolves it (a
+ * simulator with no cache attached derives none for its short steps).
+ */
+std::uint64_t
+coldDerivations(const Rig &rig, const Schedule &schedule)
+{
+    const telemetry::Counter &eig_calls =
+        telemetry::MetricsRegistry::global().counter("sim.eig.calls");
+    const std::uint64_t start = eig_calls.value();
+    Vector ground(rig.sim.model().dim());
+    ground[0] = Complex{1.0, 0.0};
+    PulseSimulator cold(rig.sim);
+    cold.setPropagatorCache(std::make_shared<PropagatorCache>());
+    (void)cold.evolveState(schedule, ground);
+    return eig_calls.value() - start;
+}
+
 TEST(RunCache, BaselineAndEveryAttemptDeriveEachPropagatorOnce)
 {
     const Rig rig;
@@ -599,12 +618,8 @@ TEST(RunCache, BaselineAndEveryAttemptDeriveEachPropagatorOnce)
     const telemetry::Counter &eig_calls =
         telemetry::MetricsRegistry::global().counter("sim.eig.calls");
 
-    // D: the eigensolves of one cold evolution on a fresh simulator.
-    std::uint64_t start = eig_calls.value();
-    Vector ground(rig.sim.model().dim());
-    ground[0] = Complex{1.0, 0.0};
-    (void)PulseSimulator(rig.sim).evolveState(schedule, ground);
-    const std::uint64_t derivations = eig_calls.value() - start;
+    // D: the eigensolves of one cold evolution.
+    const std::uint64_t derivations = coldDerivations(rig, schedule);
     ASSERT_GT(derivations, 0u);
 
     const PulseShotOptions opts = shotOptions(128);
@@ -616,7 +631,7 @@ TEST(RunCache, BaselineAndEveryAttemptDeriveEachPropagatorOnce)
     // Fault-free: the clean baseline derives every propagator, and
     // runShots' warm-up and shots only hit.
     ResilientExecutor executor(rig.backend);
-    start = eig_calls.value();
+    std::uint64_t start = eig_calls.value();
     const ResilientOutcome clean = executor.run(rig.sim, request, opts);
     EXPECT_EQ(eig_calls.value() - start, derivations);
     EXPECT_TRUE(clean.status.ok()) << clean.status.toString();
@@ -659,19 +674,6 @@ shotWorkOf(ResilientExecutor &executor, const Rig &rig,
     request.schedule = rig.x180Schedule();
     outcome = executor.run(rig.sim, request, opts);
     return {runs.value() - runs0, reuses.value() - reuses0};
-}
-
-/** The eigensolves of one cold evolution on a fresh simulator. */
-std::uint64_t
-coldDerivations(const Rig &rig, const Schedule &schedule)
-{
-    const telemetry::Counter &eig_calls =
-        telemetry::MetricsRegistry::global().counter("sim.eig.calls");
-    const std::uint64_t start = eig_calls.value();
-    Vector ground(rig.sim.model().dim());
-    ground[0] = Complex{1.0, 0.0};
-    (void)PulseSimulator(rig.sim).evolveState(schedule, ground);
-    return eig_calls.value() - start;
 }
 
 TEST(ShotReuse, IdenticalRetriesRunTheScheduleOnce)

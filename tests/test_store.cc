@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -21,6 +22,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "common/constants.h"
 #include "common/status.h"
@@ -675,6 +678,53 @@ TEST(ArtifactStore, DirectoryHoldsOnlySegmentsAndOpenScansThem)
     ASSERT_TRUE(store->put(testKey(kRecords), {1}).ok());
     ASSERT_TRUE(store->flush().ok());
     EXPECT_EQ(readFile(dir.path / "index.qpi"), garbage);
+}
+
+/**
+ * A segment write cut short (here by the file-size limit, as a full
+ * disk would) fails the flush and lands nothing: no truncated segment,
+ * no record served. The records stay pending, and the next flush lands
+ * them.
+ */
+TEST(ArtifactStore, ShortSegmentWriteFailsTheFlush)
+{
+    TempDir dir;
+    const store::ArtifactKey key = testKey();
+    const std::vector<std::uint8_t> payload(1000, 0x5A);
+    auto store = store::ArtifactStore::open(dir.str(), 1 << 20);
+    ASSERT_NE(store, nullptr);
+    ASSERT_TRUE(store->put(key, payload).ok());
+
+    // Past the limit a write fails with EFBIG instead of raising
+    // SIGXFSZ. The record (~1 KB) fits the stdio buffer, so the cut
+    // happens in the buffer's flush, not in fwrite.
+    const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit saved = {};
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    rlimit capped = saved;
+    capped.rlim_cur = 100;
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+    const Status cut = store->flush();
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+    std::signal(SIGXFSZ, old_handler);
+
+    EXPECT_FALSE(cut.ok());
+    for (const auto &entry : fs::directory_iterator(dir.str()))
+        ADD_FAILURE() << "left behind: " << entry.path();
+    store::ArtifactView view;
+    EXPECT_FALSE(store->get(key, view).ok());
+
+    ASSERT_TRUE(store->flush().ok());
+    ASSERT_TRUE(store->get(key, view).ok());
+    EXPECT_EQ(std::vector<std::uint8_t>(view.data, view.data + view.size),
+              payload);
+    auto reopened = store::ArtifactStore::open(dir.str(), 1 << 20);
+    ASSERT_NE(reopened, nullptr);
+    store::ArtifactView served;
+    ASSERT_TRUE(reopened->get(key, served).ok());
+    EXPECT_EQ(
+        std::vector<std::uint8_t>(served.data, served.data + served.size),
+        payload);
 }
 
 TEST(ArtifactStore, EnvGateOffMeansNoStore)
