@@ -1,12 +1,22 @@
 #!/usr/bin/env python3
-"""Work-counter ratchet and counts pin over the traced end-to-end legs.
+"""Work-counter ratchet and input and counts pins over the traced
+end-to-end legs.
 
 Shot loops run on one thread, so the per-job work counters of bench_e2e's
 traced leg (`run.py --trace 1`) are exact functions of the code and the
 seed. .github/e2e-work-counters.json holds them for every workload at
 seed 7; git history of that file is the work trajectory. It also pins
 each workload's counts_digest, the digest of the counts a fixed prefix
-of its jobs returned, so a change that moves any job's counts fails.
+of its jobs returned, so a change that moves any job's counts fails,
+and its input_digest, the digest of the generated input the counters
+were measured on, so an input change cannot pass as a work change.
+
+The 1q workloads' envelopes carry calibrated pulse samples as text, so
+a change that moves the calibration moves their input_digest and their
+ingest.bytes_per_job (the input's size) with it. Such a change re-pins
+with --update, and its CHANGES.md entry gives old -> new for both and
+why. Every other counter must stay no worse and every counts_digest
+unchanged; the file's diff shows which values a change re-pinned.
 
 Usage, from the root of a checkout, after saving each workload's
 traced output as e2e-<workload>-trace.txt:
@@ -18,8 +28,8 @@ traced output as e2e-<workload>-trace.txt:
 
 A counter worse than the file by more than 1e-9 relative, in the
 direction BENCHMARK.json's per_layer entry gives, fails the check, and
-so does a counts_digest other than the file's. An improved counter is
-printed with a reminder to update the file.
+so does an input_digest or counts_digest other than the file's. An
+improved counter is printed with a reminder to update the file.
 """
 
 import argparse
@@ -46,7 +56,7 @@ RELATIVE_TOLERANCE = 1e-9
 
 
 def traced_leg(workload):
-    """SIMD tier, counts digest and counters from a saved
+    """SIMD tier, input and counts digests and counters from a saved
     `run.py --trace 1` output."""
     path = os.path.join(ROOT, "e2e-%s-trace.txt" % workload)
     with open(path) as f:
@@ -56,7 +66,8 @@ def traced_leg(workload):
     if host["seed"] != SEED or host["trace"] != 1:
         sys.exit("%s: expected the traced leg at seed %d" % (path, SEED))
     metrics = json.loads(lines[-1])["metrics"]
-    leg = {"simd": host["simd"], "counts_digest": host["counts_digest"]}
+    leg = {"simd": host["simd"], "input_digest": host["input_digest"],
+           "counts_digest": host["counts_digest"]}
     leg.update({name: metrics[name]["value"] for name in COUNTERS})
     return leg
 
@@ -90,10 +101,11 @@ def main():
         if leg["simd"] != pinned[workload]["simd"]:
             print("note: %s ran on SIMD tier %s, the file holds %s"
                   % (workload, leg["simd"], pinned[workload]["simd"]))
-        if leg["counts_digest"] != pinned[workload]["counts_digest"]:
-            changed.append("%s counts_digest: %s -> %s"
-                           % (workload, pinned[workload]["counts_digest"],
-                              leg["counts_digest"]))
+        for digest in ("input_digest", "counts_digest"):
+            if leg[digest] != pinned[workload].get(digest):
+                changed.append("%s %s: %s -> %s"
+                               % (workload, digest,
+                                  pinned[workload].get(digest), leg[digest]))
         for name in COUNTERS:
             old, new = pinned[workload][name], leg[name]
             # Positive gain means the counter got better.
@@ -113,8 +125,8 @@ def main():
         print("WORSE " + row)
     if changed or worse:
         return 1
-    print("counts digests equal and work counters no worse than %s"
-          % os.path.relpath(COUNTERS_FILE, ROOT))
+    print("input and counts digests equal and work counters no worse "
+          "than %s" % os.path.relpath(COUNTERS_FILE, ROOT))
     return 0
 
 

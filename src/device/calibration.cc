@@ -144,8 +144,23 @@ Calibrator::pairSimulator(std::size_t control, std::size_t target) const
 
 namespace {
 
+/**
+ * What a single-transmon sweep depends on: `TransmonModel::single`
+ * reads the anharmonicity and the drive strength, and the sweep
+ * evolves closed-system states. The frequency enters only a pair's
+ * coupling detuning, so qubits that differ in frequency alone share
+ * one calibration.
+ */
 std::string
 qubitKey(const TransmonParams &params)
+{
+    std::ostringstream os;
+    os << params.anharmonicityGhz << "/" << params.driveStrengthGhz;
+    return os.str();
+}
+
+std::string
+transmonKey(const TransmonParams &params)
 {
     std::ostringstream os;
     os << params.frequencyGhz << "/" << params.anharmonicityGhz << "/"
@@ -156,7 +171,8 @@ qubitKey(const TransmonParams &params)
 std::string
 crKey(const TransmonParams &c, const TransmonParams &t, double j_ghz)
 {
-    return qubitKey(c) + "|" + qubitKey(t) + "|" + std::to_string(j_ghz);
+    return transmonKey(c) + "|" + transmonKey(t) + "|" +
+           std::to_string(j_ghz);
 }
 
 /** P(level == want) of transmon `which` (0-based) in a pair state. */

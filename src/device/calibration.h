@@ -145,8 +145,11 @@ class Calibrator
 
   private:
     BackendConfig config_;
-    /** Memoised per-qubit results (identical params -> same pulses). */
+    /** Memoised per-qubit results, keyed on the anharmonicity and
+     *  drive strength (all a single-transmon sweep reads). */
     std::map<std::string, QubitCalibration> qubitCache_;
+    /** Memoised per-edge results, keyed on both transmons' full
+     *  parameters (frequencies set the CR detuning) and J. */
     std::map<std::string, CrCalibration> crCache_;
 };
 

@@ -6,6 +6,7 @@
 #include "common/constants.h"
 #include "common/logging.h"
 #include "linalg/eigen.h"
+#include "opt/spsa.h"
 
 namespace qpulse {
 
@@ -105,24 +106,78 @@ levenbergMarquardt(const FitModel &model, const std::vector<double> &xs,
     return result;
 }
 
+namespace {
+
+/** The linear part of the cosine fit at one frequency. */
+struct CosineAtFrequency
+{
+    double offset = 0.0;
+    double a = 0.0; ///< Coefficient of cos(2 pi g u).
+    double b = 0.0; ///< Coefficient of sin(2 pi g u).
+    double residualSumSq = 0.0;
+    bool singular = false;
+};
+
+/**
+ * Least squares of y = offset + a cos(2 pi g u) + b sin(2 pi g u) at a
+ * fixed frequency g (cycles per unit of u): the model is linear in
+ * (offset, a, b). The 3x3 normal equations are solved by eliminating
+ * the offset (centring the columns), then Cramer's rule on the 2x2
+ * rest. The trig columns are bounded by 1, so a determinant below
+ * 1e-12 n^2 means they are numerically dependent (e.g. all samples
+ * on the zeros of the sine at the Nyquist frequency).
+ */
+CosineAtFrequency
+solveAtFrequency(const std::vector<double> &us,
+                 const std::vector<double> &ys, double y_mean, double g)
+{
+    const std::size_t n = us.size();
+    std::vector<double> cs(n), ss(n);
+    double c_mean = 0.0, s_mean = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double theta = 2.0 * kPi * g * us[i];
+        cs[i] = std::cos(theta);
+        ss[i] = std::sin(theta);
+        c_mean += cs[i];
+        s_mean += ss[i];
+    }
+    c_mean /= static_cast<double>(n);
+    s_mean /= static_cast<double>(n);
+    double scc = 0.0, sss = 0.0, scs = 0.0, scy = 0.0, ssy = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        cs[i] -= c_mean;
+        ss[i] -= s_mean;
+        const double dy = ys[i] - y_mean;
+        scc += cs[i] * cs[i];
+        sss += ss[i] * ss[i];
+        scs += cs[i] * ss[i];
+        scy += cs[i] * dy;
+        ssy += ss[i] * dy;
+    }
+
+    CosineAtFrequency fit;
+    const double det = scc * sss - scs * scs;
+    if (!(det > 1e-12 * static_cast<double>(n * n))) {
+        fit.singular = true;
+        return fit;
+    }
+    fit.a = (scy * sss - ssy * scs) / det;
+    fit.b = (ssy * scc - scy * scs) / det;
+    fit.offset = y_mean - fit.a * c_mean - fit.b * s_mean;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double r = ys[i] - y_mean - fit.a * cs[i] - fit.b * ss[i];
+        fit.residualSumSq += r * r;
+    }
+    return fit;
+}
+
+} // namespace
+
 FitResult
 fitCosine(const std::vector<double> &xs, const std::vector<double> &ys)
 {
     qpulseRequire(xs.size() == ys.size() && xs.size() >= 4,
                   "fitCosine requires >= 4 points");
-
-    const FitModel model = [](double x, const std::vector<double> &p) {
-        // p = {offset, amplitude, frequency, phase}
-        return p[0] + p[1] * std::cos(2.0 * kPi * p[2] * x + p[3]);
-    };
-
-    const double y_mean = mean(ys);
-    double y_min = ys[0], y_max = ys[0];
-    for (double y : ys) {
-        y_min = std::min(y_min, y);
-        y_max = std::max(y_max, y);
-    }
-    const double amp0 = std::max((y_max - y_min) / 2.0, 1e-6);
     const double x_span = xs.back() - xs.front();
     qpulseRequire(x_span > 0.0, "fitCosine requires increasing abscissae");
 
@@ -134,77 +189,79 @@ fitCosine(const std::vector<double> &xs, const std::vector<double> &ys)
         min_spacing = std::min(min_spacing, xs[i] - xs[i - 1]);
     qpulseRequire(min_spacing > 0.0,
                   "fitCosine requires strictly increasing abscissae");
+    for (double y : ys)
+        qpulseRequire(std::isfinite(y), "fitCosine requires finite samples");
     const double nyquist = 0.5 / min_spacing;
 
-    // Coarse frequency grid search up to (just below) Nyquist.
-    FitResult best;
-    best.residualSumSq = 1e300;
-    const int grid = 160;
-    for (int k = 1; k <= grid; ++k) {
-        const double freq = std::min(0.05 * k / x_span, 0.95 * nyquist);
-        for (double phase : {0.0, kPi / 2, kPi, 3 * kPi / 2}) {
-            FitResult fit = levenbergMarquardt(
-                model, xs, ys, {y_mean, amp0, freq, phase}, 60);
-            if (std::abs(fit.params[2]) > nyquist)
-                continue;
-            if (fit.residualSumSq < best.residualSumSq)
-                best = fit;
-        }
-        if (best.residualSumSq <
-                1e-8 * static_cast<double>(xs.size()) ||
-            0.05 * k / x_span >= nyquist)
-            break;
-    }
-    qpulseRequire(best.residualSumSq < 1e300,
-                  "fitCosine failed to find a sub-Nyquist fit");
-    // Normalise: frequency positive (cos is even) and amplitude
-    // positive (fold the sign into the phase), phase wrapped.
-    if (best.params[2] < 0.0) {
-        best.params[2] = -best.params[2];
-        best.params[3] = -best.params[3];
-    }
-    if (best.params[1] < 0.0) {
-        best.params[1] = -best.params[1];
-        best.params[3] += kPi;
-    }
-    best.params[3] = std::remainder(best.params[3], 2.0 * kPi);
-    best.converged = true;
-    return best;
-}
-
-FitResult
-fitExponentialDecay(const std::vector<double> &ks,
-                    const std::vector<double> &ys)
-{
-    qpulseRequire(ks.size() == ys.size() && ks.size() >= 3,
-                  "fitExponentialDecay requires >= 3 points");
-
-    const FitModel model = [](double k, const std::vector<double> &p) {
-        // p = {a, f, b}: y = a * f^k + b
-        return p[0] * std::pow(std::max(p[1], 1e-12), k) + p[2];
+    // Work in units of the span: u = x / span, g = f * span. Brent's
+    // tolerance has an absolute floor of 1e-12, which a raw frequency
+    // of a few 1e-4 per dt would sit on.
+    std::vector<double> us(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i)
+        us[i] = xs[i] / x_span;
+    const double nyquist_u = nyquist * x_span;
+    const double y_mean = mean(ys);
+    double constant_rss = 0.0;
+    for (double y : ys)
+        constant_rss += (y - y_mean) * (y - y_mean);
+    // The profile: the least residual at frequency g. Where the solve
+    // is singular it reads the constant fit's residual, which bounds
+    // the profile from above everywhere.
+    const auto profile = [&](double g) {
+        const CosineAtFrequency fit = solveAtFrequency(us, ys, y_mean, g);
+        return fit.singular ? constant_rss : fit.residualSumSq;
     };
 
-    // Initial estimate: assume b ~ min(y)/2 and estimate f from the
-    // endpoint ratio.
-    double y_min = ys[0], y_max = ys[0];
-    for (double y : ys) {
-        y_min = std::min(y_min, y);
-        y_max = std::max(y_max, y);
+    // Coarse frequency grid below Nyquist, one linear solve per point.
+    // It resolves the profile's main lobe (about one cycle per span
+    // wide) twenty times over and never reaches an alias above
+    // Nyquist. Uniform sampling's Nyquist is (n - 1) / 2 cycles per
+    // span, so the 20 n cap on the points only bounds the cost of an
+    // irregular scan with one tiny spacing.
+    std::vector<double> grid;
+    for (std::size_t k = 1; 0.05 * k < nyquist_u && k <= 20 * xs.size();
+         ++k)
+        grid.push_back(0.05 * k);
+    std::size_t best = grid.size();
+    CosineAtFrequency fit;
+    for (std::size_t j = 0; j < grid.size(); ++j) {
+        const CosineAtFrequency at_grid =
+            solveAtFrequency(us, ys, y_mean, grid[j]);
+        if (!at_grid.singular &&
+            (best == grid.size() ||
+             at_grid.residualSumSq < fit.residualSumSq)) {
+            best = j;
+            fit = at_grid;
+        }
     }
-    const double b0 = std::max(0.0, y_min - 0.1 * (y_max - y_min));
-    const double a0 = std::max(y_max - b0, 1e-3);
-    double f0 = 0.99;
-    if (ys.front() - b0 > 1e-9 && ys.back() - b0 > 1e-9) {
-        const double ratio = (ys.back() - b0) / (ys.front() - b0);
-        const double dk = ks.back() - ks.front();
-        if (ratio > 0.0 && dk > 0.0)
-            f0 = std::min(0.999999, std::pow(ratio, 1.0 / dk));
+    qpulseRequire(best < grid.size(),
+                  "fitCosine failed to find a sub-Nyquist fit");
+
+    // The neighbours of the best grid point bracket the lobe's
+    // minimum; refine it, keeping the grid point if Brent ends worse.
+    const double lo = best > 0 ? grid[best - 1] : 0.0;
+    const double hi = best + 1 < grid.size()
+                          ? grid[best + 1]
+                          : std::min(grid[best] + 0.05, nyquist_u);
+    double g = grid[best];
+    const double refined = brentMinimize(profile, lo, hi, 1e-10);
+    const CosineAtFrequency at_refined =
+        solveAtFrequency(us, ys, y_mean, refined);
+    if (!at_refined.singular &&
+        at_refined.residualSumSq < fit.residualSumSq) {
+        g = refined;
+        fit = at_refined;
     }
 
-    FitResult fit =
-        levenbergMarquardt(model, ks, ys, {a0, f0, b0}, 400);
-    fit.converged = true;
-    return fit;
+    // (a, b) -> amplitude and phase: a cos t + b sin t = A cos(t + phi)
+    // with A = hypot(a, b), phi = atan2(-b, a) in [-pi, pi].
+    FitResult result;
+    result.params = {fit.offset, std::hypot(fit.a, fit.b),
+                     std::min(g / x_span, nyquist),
+                     std::atan2(-fit.b, fit.a)};
+    result.residualSumSq = fit.residualSumSq;
+    result.converged = true;
+    return result;
 }
 
 FitResult

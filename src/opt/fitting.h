@@ -1,9 +1,11 @@
 /**
  * @file
  * Curve-fitting routines used by the calibration and benchmarking
- * harnesses: sinusoid fits for Rabi amplitude scans, exponential-decay
- * fits (f^K - b) for the randomized-benchmarking analysis of Figure 13,
- * and a small Levenberg-Marquardt engine underneath both.
+ * harnesses: the sinusoid fit of the Rabi and CR fringe scans (by
+ * variable projection: one linear solve per trial frequency), and the
+ * exponential-decay fit (f^K - b) of the randomized-benchmarking
+ * analysis of Figure 13, with a small Levenberg-Marquardt engine
+ * underneath it.
  */
 #ifndef QPULSE_OPT_FITTING_H
 #define QPULSE_OPT_FITTING_H
@@ -39,31 +41,35 @@ FitResult levenbergMarquardt(const FitModel &model,
                              std::vector<double> p0, int max_iterations = 200);
 
 /**
- * Fit y = offset + amplitude * cos(2 pi freq * x + phase).
+ * Least-squares fit of y = offset + amplitude * cos(2 pi freq * x +
+ * phase); params = {offset, amplitude, freq, phase}.
  *
- * Used by the Rabi calibration scan: the pi-pulse amplitude is half a
- * period of the fitted oscillation. Initial frequency is found with a
- * coarse grid search, so the caller needs no good guess.
+ * Used by the Rabi calibration scan (the pi-pulse amplitude is half a
+ * period of the fitted oscillation) and the CR flat-top fringe scans.
+ * The caller needs no guess. At a fixed frequency the model is linear
+ * in (offset, a, b) of offset + a cos(2 pi freq x) + b sin(2 pi freq x),
+ * so each trial frequency costs one 3x3 solve whose residual is the
+ * profile at that frequency. A grid of 0.05 cycles per scan span up to
+ * the sampling's Nyquist frequency (at most 20 n points) finds the
+ * profile's best lobe without ever trying an alias above Nyquist;
+ * Brent's method between the best point's neighbours (never past
+ * Nyquist) refines it.
+ *
+ * The result has amplitude = hypot(a, b) >= 0, freq in (0, Nyquist],
+ * phase = atan2(-b, a) in [-pi, pi], residualSumSq at the returned
+ * parameters, and converged = true. Requires >= 4 strictly increasing
+ * abscissae and finite samples.
  */
 FitResult fitCosine(const std::vector<double> &xs,
                     const std::vector<double> &ys);
 
 /**
- * Fit the randomized-benchmarking decay y = a * f^K + b.
- *
- * Section 8.3 fits "f^K - b"; the general affine-exponential form
- * covers it and is the standard RB estimator. Returns {a, f, b}.
- */
-FitResult fitExponentialDecay(const std::vector<double> &ks,
-                              const std::vector<double> &ys);
-
-/**
- * Same decay model with the offset pinned to a known asymptote
- * (e.g. the maximally-mixed-state survival through the readout):
- * y = a * f^K + b_fixed, fitting only {a, f}. In the slow-decay
- * regime the three-parameter fit is ill-conditioned (a near-linear
- * curve cannot separate a, f and b), so RB analysis pins b.
- * Returns {a, f, b_fixed} for interface parity.
+ * Fit the randomized-benchmarking decay y = a * f^K + b_fixed, with
+ * the offset pinned to a known asymptote (e.g. the maximally-mixed-
+ * state survival through the readout), fitting only {a, f}. Section
+ * 8.3 fits "f^K - b"; in the slow-decay regime a free b is
+ * ill-conditioned (a near-linear curve cannot separate a, f and b),
+ * so RB analysis pins it. Returns {a, f, b_fixed}.
  */
 FitResult fitExponentialDecayFixedOffset(const std::vector<double> &ks,
                                          const std::vector<double> &ys,

@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/constants.h"
 #include "device/calibration.h"
 #include "linalg/gates.h"
+#include "telemetry/metrics.h"
 
 namespace qpulse {
 namespace {
@@ -246,6 +248,48 @@ TEST(CalibrationStandalone, ArmonkSingleQubit)
     ground[0] = Complex{1, 0};
     const Vector out = sim.evolveState(schedule, ground);
     EXPECT_GT(std::norm(out[1]), 0.995);
+}
+
+TEST(CalibrationStandalone, TransmonsDifferingInFrequencyCalibrateOnce)
+{
+    // A single-transmon sweep reads only the anharmonicity and the
+    // drive strength, so three uncoupled qubits that differ only in
+    // frequency cost one sweep and get the same pulses.
+    const BackendConfig one = almadenLineConfig(1);
+    BackendConfig three = one;
+    three.numQubits = 3;
+    for (double freq_ghz : {5.104, 5.008}) {
+        TransmonParams params = one.qubits[0];
+        params.frequencyGhz = freq_ghz;
+        three.qubits.push_back(params);
+        three.readout.push_back(one.readout[0]);
+    }
+    ASSERT_TRUE(three.couplings.empty());
+
+    const telemetry::Counter &evolutions =
+        telemetry::MetricsRegistry::global().counter(
+            "sim.evolve_state.calls");
+    const std::uint64_t before_one = evolutions.value();
+    const PulseLibrary library_one = Calibrator(one).calibrateAll(false);
+    const std::uint64_t sweep = evolutions.value() - before_one;
+    ASSERT_GT(sweep, 0u);
+    const std::uint64_t before_three = evolutions.value();
+    const PulseLibrary library_three =
+        Calibrator(three).calibrateAll(false);
+    EXPECT_EQ(evolutions.value() - before_three, sweep);
+
+    const QubitCalibration &ref = library_one.qubits[0];
+    ASSERT_EQ(library_three.qubits.size(), 3u);
+    for (const QubitCalibration &cal : library_three.qubits) {
+        EXPECT_EQ(cal.duration, ref.duration);
+        EXPECT_EQ(cal.sigma, ref.sigma);
+        EXPECT_EQ(cal.x90Amp, ref.x90Amp);
+        EXPECT_EQ(cal.x180Amp, ref.x180Amp);
+        EXPECT_EQ(cal.dragBeta, ref.dragBeta);
+        EXPECT_EQ(cal.x12Amp, ref.x12Amp);
+        EXPECT_EQ(cal.x02Amp, ref.x02Amp);
+        EXPECT_EQ(cal.qutritDuration, ref.qutritDuration);
+    }
 }
 
 } // namespace
