@@ -457,20 +457,22 @@ RequestFrontEnd::pump()
             retire(it, StreamEventKind::Failed, status);
     }
 
+    // Each chunk's event leaves as soon as its job finishes, inside
+    // the drain, in execution order.
     std::size_t routed = 0;
-    for (JobOutcome &outcome : service_.drain()) {
+    service_.drain([&](const JobOutcome &outcome) {
         // Only outcomes we submitted carry the "ingest/<id>/<chunk>"
         // key; anything else on a shared service is not ours.
         if (outcome.key.rfind("ingest/", 0) != 0)
-            continue;
+            return;
         const char *digits = outcome.key.c_str() + 7;
         char *end = nullptr;
         const std::uint64_t id = std::strtoull(digits, &end, 10);
         if (end == digits)
-            continue;
+            return;
         auto it = active_.find(id);
         if (it == active_.end())
-            continue; // Request already retired (disconnect).
+            return; // Request already retired (disconnect).
         ++routed;
         ++stats_.chunksExecuted;
         metrics().chunks.increment();
@@ -478,7 +480,7 @@ RequestFrontEnd::pump()
         ActiveRequest &active = it->second;
         if (!outcome.status.ok()) {
             retire(it, StreamEventKind::Failed, outcome.status);
-            continue;
+            return;
         }
         const PulseShotResult &result = outcome.execution.result;
         if (active.counts.size() < result.counts.size())
@@ -494,7 +496,7 @@ RequestFrontEnd::pump()
         if (active.chunksDone >= active.chunksTotal) {
             retire(it, StreamEventKind::Completed,
                    Status::okStatus());
-            continue;
+            return;
         }
         StreamEvent event;
         event.kind = StreamEventKind::Partial;
@@ -505,7 +507,7 @@ RequestFrontEnd::pump()
         event.shotsCompleted = active.shotsCompleted;
         event.counts = active.counts;
         emit(std::move(event));
-    }
+    });
     return routed;
 }
 

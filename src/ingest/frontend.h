@@ -171,10 +171,14 @@ class RequestFrontEnd
 
     /**
      * Install the event sink (null = events only counted). The sink
-     * runs inside feed/deliver/finish/close/pump and must not call
-     * back into the front end: feed() holds a reference to the
+     * runs inside feed/deliver/finish/close/pump. pump() emits from
+     * inside ExecutionService::drain: each chunk's event as soon as
+     * its job finishes, in execution order, before the next job runs
+     * and before the drain's persistence flush. The sink must not
+     * call back into the front end: feed() holds a reference to the
      * connection while it emits, and a re-entrant close() would
-     * destroy it.
+     * destroy it. It may submit() to the service (that job runs in
+     * the next drain) but not drain() it (FatalError).
      */
     void setEventSink(EventSink sink) { sink_ = std::move(sink); }
 
@@ -221,9 +225,12 @@ class RequestFrontEnd
 
     /**
      * One streaming step: submit the next shot chunk of every active
-     * request, drain the service, route outcomes back and emit
-     * Partial/Completed/Failed events. Returns the number of chunk
-     * outcomes routed (0 = nothing active).
+     * request and drain the service. Each chunk's outcome is routed
+     * back from drain's callback the moment its job finishes, so its
+     * Partial/Completed/Failed event leaves in execution order (on a
+     * fleet, the weighted-fair order), before the next chunk runs and
+     * before the drain's persistence flush. Returns the number of
+     * chunk outcomes routed (0 = nothing active).
      */
     std::size_t pump();
 

@@ -6,6 +6,7 @@
 
 #include "pulse/waveform.h"
 #include "telemetry/metrics.h"
+#include "telemetry/trace.h"
 
 namespace qpulse {
 namespace ingest {
@@ -452,6 +453,7 @@ parseJob(std::string_view text, const IngestLimits &limits,
     static telemetry::Counter &parse_rejects =
         telemetry::MetricsRegistry::global().counter(
             "ingest.parse.rejects");
+    telemetry::TraceSpan span("ingest.parse");
     parse_calls.increment();
     JsonValue root;
     Status status = parseJson(text, limits.json, root);

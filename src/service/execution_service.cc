@@ -532,11 +532,21 @@ ExecutionService::precompileQueued(std::vector<PendingJob> &jobs)
 }
 
 std::vector<JobOutcome>
-ExecutionService::drain()
+ExecutionService::drain(
+    const std::function<void(const JobOutcome &)> &onOutcome)
 {
     static telemetry::Gauge &g_depth =
         telemetry::MetricsRegistry::global().gauge(
             "service.queue_depth");
+
+    qpulseRequire(!draining_, "ExecutionService::drain: called from "
+                              "its own outcome callback");
+    draining_ = true;
+    struct DrainingReset
+    {
+        bool &flag;
+        ~DrainingReset() { flag = false; }
+    } reset{draining_};
 
     std::vector<PendingJob> jobs(
         std::make_move_iterator(queue_.begin()),
@@ -548,9 +558,14 @@ ExecutionService::drain()
     // concurrently before the (sequential) execution loop starts.
     precompileQueued(jobs);
 
+    // Taken before any callback runs: a job shed by a submit() from
+    // the callback belongs to the next drain.
     std::vector<JobOutcome> outcomes = std::move(shedOutcomes_);
     shedOutcomes_.clear();
     outcomes.reserve(outcomes.size() + jobs.size());
+    if (onOutcome)
+        for (const JobOutcome &victim : outcomes)
+            onOutcome(victim);
     long seq = 0;
 
     // Weighted-fair interleave across tenants: each dequeue goes to
@@ -596,6 +611,8 @@ ExecutionService::drain()
 
         JobOutcome out = executeJob(job);
         out.drainSeq = seq++;
+        if (onOutcome)
+            onOutcome(out);
         outcomes.push_back(std::move(out));
         pool_->pumpProbes();
     }

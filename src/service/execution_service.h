@@ -60,6 +60,7 @@
 
 #include <chrono>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -317,8 +318,17 @@ class ExecutionService
      * weight), priority order within the tenant (submission order
      * among equals) — and the quarantine probe loop is pumped between
      * jobs. JobOutcome::drainSeq records the actual execution order.
+     *
+     * `onOutcome`, when set, sees every outcome the moment it is
+     * final, in execution order: first each job shed since the last
+     * drain (drainSeq -1), then each dequeued job right after it ran,
+     * before the probe pump and the next job, and all of them before
+     * the end-of-drain persistence flush. It runs on the draining
+     * thread. It may call submit(): that job lands in the next drain.
+     * Calling drain() from it throws FatalError.
      */
-    std::vector<JobOutcome> drain();
+    std::vector<JobOutcome>
+    drain(const std::function<void(const JobOutcome &)> &onOutcome = {});
 
     std::size_t queueDepth() const { return queue_.size(); }
     std::size_t queueCapacity() const { return policy_.queueCapacity; }
@@ -374,6 +384,7 @@ class ExecutionService
     std::vector<JobOutcome> shedOutcomes_; ///< Victims since last drain.
     ServiceStats stats_;
     std::uint64_t nextId_ = 0;
+    bool draining_ = false; ///< Refuses drain() from its own callback.
 };
 
 } // namespace qpulse

@@ -8,10 +8,17 @@
  * insert, chunk duplication, cross-document splice) from an Rng stream
  * derived from the iteration index, pushes the mutant through
  * parseJob -> validateSchedule and through the DocumentFramer with
- * randomized chunk sizes, and requires the invariant this PR exists
- * for: *every* outcome is Ok or a distinct structured ErrorCode —
- * never a crash, never an exception, never a hang. CI runs this under
- * ASan/LSan so memory errors and leaks fail the gate too.
+ * randomized chunk sizes, and requires the boundary's invariant:
+ * *every* outcome is Ok or a distinct structured ErrorCode — never a
+ * crash, never an exception, never a hang.
+ *
+ * The same chunks also reach a RequestFrontEnd over a calibrated
+ * single-qubit ExecutionService (IngestLimits maxShots 16 and maxTime
+ * 1024, 8-shot chunks), which then run()s to the end. The front door must
+ * not throw, must end every Accepted request with exactly one terminal
+ * event, and a Completed request's counts must sum to its requested
+ * shots, as must its shotsCompleted. CI runs this under ASan/LSan so
+ * memory errors and leaks fail the gate too.
  *
  * Usage: fuzz_ingest [iterations] [base-seed]
  * On a violation the offending payload is written to
@@ -25,12 +32,15 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "compile/compiler.h"
+#include "device/calibration.h"
 #include "device/schedule_validation.h"
 #include "ingest/frontend.h"
 #include "ingest/json.h"
@@ -122,6 +132,79 @@ mutate(const std::vector<std::string> &seeds, Rng &rng)
     return doc;
 }
 
+/**
+ * The front door the mutants reach: a calibrated single-qubit service
+ * with budgets small enough that an admitted mutant runs in
+ * milliseconds. One service serves every iteration; each iteration
+ * gets its own RequestFrontEnd.
+ */
+struct FrontDoor
+{
+    FrontDoor()
+        : config(almadenLineConfig(1)),
+          service(makeCalibratedBackend(config),
+                  PulseSimulator(Calibrator(config).qubitModel(0)))
+    {
+        policy.limits.maxShots = 16;
+        policy.limits.maxTime = 1024;
+        policy.streamBatchShots = 8;
+        policy.budget = ChannelBudget::fromConfig(config);
+    }
+
+    BackendConfig config;
+    ExecutionService service;
+    FrontEndPolicy policy;
+};
+
+/**
+ * The first broken front-door invariant in one iteration's events, or
+ * "" when none is: every Accepted request ends in exactly one terminal
+ * event (Completed, Failed or Disconnected), and a Completed one
+ * carries counts that sum to its shotsRequested and its
+ * shotsCompleted.
+ */
+std::string
+frontDoorViolation(const std::vector<StreamEvent> &events)
+{
+    std::map<std::uint64_t, int> terminals; // Accepted -> terminal events.
+    for (const StreamEvent &e : events) {
+        const std::string request =
+            "request " + std::to_string(e.request);
+        if (e.kind == StreamEventKind::Accepted) {
+            terminals.emplace(e.request, 0);
+            continue;
+        }
+        if (e.kind != StreamEventKind::Completed &&
+            e.kind != StreamEventKind::Failed &&
+            e.kind != StreamEventKind::Disconnected)
+            continue;
+        const auto it = terminals.find(e.request);
+        if (it == terminals.end())
+            return request + ": " + streamEventKindName(e.kind) +
+                   " without Accepted";
+        if (++it->second > 1)
+            return request + ": a second terminal event (" +
+                   streamEventKindName(e.kind) + ")";
+        if (e.kind == StreamEventKind::Completed) {
+            long total = 0;
+            for (const long c : e.counts)
+                total += c;
+            if (total != e.shotsRequested ||
+                e.shotsCompleted != e.shotsRequested)
+                return request + ": completed with counts summing to " +
+                       std::to_string(total) + ", shotsCompleted " +
+                       std::to_string(e.shotsCompleted) +
+                       ", shotsRequested " +
+                       std::to_string(e.shotsRequested);
+        }
+    }
+    for (const auto &[id, count] : terminals)
+        if (count == 0)
+            return "request " + std::to_string(id) +
+                   ": accepted but never terminated";
+    return "";
+}
+
 void
 writeRepro(std::uint64_t iteration, const std::string &payload)
 {
@@ -159,8 +242,11 @@ main(int argc, char **argv)
     budget.measureChannels = 1;
     budget.acquireChannels = 1;
 
+    FrontDoor door;
     std::uint64_t parsedOk = 0;
     std::uint64_t rejected = 0;
+    std::uint64_t admitted = 0;
+    std::uint64_t completed = 0;
     for (std::uint64_t i = 0; i < iterations; ++i) {
         Rng rng(Rng::deriveSeed(base, i));
         const std::string doc = mutate(seeds, rng);
@@ -191,8 +277,14 @@ main(int argc, char **argv)
             }
 
             // The framer must survive the same bytes in arbitrary
-            // chunkings without losing the byte budget invariant.
+            // chunkings without losing the byte budget invariant, and
+            // the front door must stream whatever it admits from them.
             DocumentFramer framer;
+            RequestFrontEnd front(door.service, door.policy);
+            std::vector<StreamEvent> events;
+            front.setEventSink(
+                [&](const StreamEvent &e) { events.push_back(e); });
+            const int conn = front.open();
             std::vector<std::string> frames;
             std::size_t cursor = 0;
             while (cursor < doc.size()) {
@@ -200,9 +292,10 @@ main(int argc, char **argv)
                     doc.size() - cursor,
                     static_cast<std::size_t>(
                         1 + rng.uniformInt(97)));
-                framer.feed(
-                    std::string_view(doc).substr(cursor, take),
-                    frames);
+                const std::string_view slice =
+                    std::string_view(doc).substr(cursor, take);
+                framer.feed(slice, frames);
+                front.feed(conn, slice);
                 cursor += take;
             }
             std::string trailing;
@@ -212,6 +305,22 @@ main(int argc, char **argv)
                 IngestedJob reframed;
                 (void)parseJob(frame, IngestLimits{}, reframed);
             }
+            front.finish(conn);
+            front.run();
+            const std::string broken = frontDoorViolation(events);
+            if (!broken.empty()) {
+                std::fprintf(stderr,
+                             "fuzz_ingest: iteration %llu: front "
+                             "door: %s\n",
+                             static_cast<unsigned long long>(i),
+                             broken.c_str());
+                writeRepro(i, doc);
+                return 1;
+            }
+            admitted += static_cast<std::uint64_t>(
+                front.stats().accepted);
+            completed += static_cast<std::uint64_t>(
+                front.stats().completed);
         } catch (const std::exception &e) {
             std::fprintf(stderr,
                          "fuzz_ingest: iteration %llu threw: %s\n",
@@ -232,10 +341,13 @@ main(int argc, char **argv)
 
     std::printf("fuzz_ingest: %llu iterations over %zu corpus seeds: "
                 "%llu parsed ok, %llu structured rejections, zero "
-                "crashes\n",
+                "crashes; front door admitted %llu requests, %llu "
+                "completed\n",
                 static_cast<unsigned long long>(iterations),
                 seeds.size(),
                 static_cast<unsigned long long>(parsedOk),
-                static_cast<unsigned long long>(rejected));
+                static_cast<unsigned long long>(rejected),
+                static_cast<unsigned long long>(admitted),
+                static_cast<unsigned long long>(completed));
     return 0;
 }

@@ -577,6 +577,35 @@ TEST(FleetService, WeightedFairDequeueInterleavesTenants)
     EXPECT_EQ(order, expected);
 }
 
+TEST(FleetService, DrainCallbackFollowsTheWeightedFairOrder)
+{
+    const Substrate sub;
+    auto pool = makePool(sub, 1, poolPolicies());
+    ServicePolicy policy = fleetServicePolicy(8);
+    policy.fleet.tenants["alice"].weight = 2.0;
+    policy.fleet.tenants["bob"].weight = 1.0;
+    ExecutionService service(pool, policy);
+
+    // bob's jobs take ids 0-2 and alice's 3-5; alice's weight runs
+    // her first, so execution order is not submission order.
+    for (const char *tenant : {"bob", "alice"})
+        for (int i = 0; i < 3; ++i)
+            EXPECT_TRUE(service.submit(fleetJob(sub, tenant)).ok());
+
+    std::vector<std::uint64_t> seen;
+    const std::vector<JobOutcome> outcomes =
+        service.drain([&](const JobOutcome &out) {
+            EXPECT_EQ(out.drainSeq, static_cast<long>(seen.size()));
+            seen.push_back(out.id);
+        });
+    ASSERT_EQ(outcomes.size(), 6u);
+    std::vector<std::uint64_t> byDrainSeq(6);
+    for (const JobOutcome &out : outcomes)
+        byDrainSeq[static_cast<std::size_t>(out.drainSeq)] = out.id;
+    EXPECT_EQ(seen, byDrainSeq);
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{3, 4, 0, 5, 1, 2}));
+}
+
 TEST(FleetService, QuotaKeepsQueueOpenWhileOtherTenantsWait)
 {
     const Substrate sub;

@@ -646,6 +646,63 @@ TEST(IngestFrontEnd, StreamsPartialResultsPerChunk)
     EXPECT_EQ(front.activeRequests(), 0u);
 }
 
+TEST(IngestFrontEnd, EmitsEachChunkAsItsJobFinishes)
+{
+    // Three requests of two 16-shot chunks each: every pump runs one
+    // chunk per request. A fault-free chunk is one runShots call, so
+    // the backend.runs delta at each event says how many chunks had
+    // run when it left. Each event must leave right after its own
+    // chunk, not after the whole drain.
+    Rig rig;
+    ExecutionService service(rig.backend, rig.sim);
+    RequestFrontEnd front(service, rigPolicy(rig));
+    const telemetry::Counter &runs =
+        telemetry::MetricsRegistry::global().counter("backend.runs");
+    std::uint64_t runs0 = 0;
+    std::vector<StreamEvent> events;
+    std::vector<std::uint64_t> runDeltas;
+    front.setEventSink([&](const StreamEvent &e) {
+        if (e.kind == StreamEventKind::Accepted)
+            return;
+        events.push_back(e);
+        runDeltas.push_back(runs.value() - runs0);
+    });
+
+    for (int c = 0; c < 3; ++c) {
+        const int conn = front.open();
+        front.feed(conn,
+                   rig.envelopeJson(32, "each/" + std::to_string(c),
+                                    20 + static_cast<std::uint64_t>(c)));
+        front.finish(conn);
+    }
+    runs0 = runs.value();
+    EXPECT_EQ(front.pump(), 3u);
+    EXPECT_EQ(runDeltas, (std::vector<std::uint64_t>{1, 2, 3}));
+    EXPECT_EQ(front.pump(), 3u);
+    EXPECT_EQ(runDeltas,
+              (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6}));
+    EXPECT_EQ(front.pump(), 0u);
+
+    ASSERT_EQ(events.size(), 6u);
+    for (std::size_t i = 0; i < 6; ++i) {
+        const StreamEvent &e = events[i];
+        const bool partial = i < 3;
+        EXPECT_EQ(e.kind, partial ? StreamEventKind::Partial
+                                  : StreamEventKind::Completed)
+            << i;
+        EXPECT_EQ(e.key, "each/" + std::to_string(i % 3)) << i;
+        EXPECT_EQ(e.shotsRequested, 32) << i;
+        EXPECT_EQ(e.shotsCompleted, partial ? 16 : 32) << i;
+        long total = 0;
+        for (long c : e.counts)
+            total += c;
+        EXPECT_EQ(total, e.shotsCompleted) << i;
+    }
+    EXPECT_EQ(front.stats().completed, 3);
+    EXPECT_EQ(front.stats().chunksExecuted, 6);
+    EXPECT_EQ(front.activeRequests(), 0u);
+}
+
 TEST(IngestFrontEnd, RejectsMalformedWithStructuredCodes)
 {
     Rig rig;

@@ -13,6 +13,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <thread>
@@ -674,6 +675,112 @@ TEST(Service, ZeroShotJobIsRejectedAndItsDrainKeepsEveryOutcome)
         EXPECT_TRUE(outcome.status.ok()) << outcome.status.toString();
         EXPECT_EQ(outcome.execution.result.shotsCompleted, 64);
     }
+}
+
+TEST(Service, DrainHandsEachOutcomeOverAsItsJobFinishes)
+{
+    // A fault-free job is one runShots call, so the backend.runs delta
+    // seen by the callback says how many jobs had run when each
+    // outcome was handed over: the shed victim before any, then each
+    // executed job right after its own run.
+    const Rig rig;
+    ExecutionService service(rig.backend, rig.sim,
+                             smallQueuePolicy(2));
+    const char *keys[] = {"low-a", "low-b", "urgent"};
+    const int priorities[] = {0, 0, 5};
+    for (int i = 0; i < 3; ++i) {
+        JobRequest job = makeJob(rig, priorities[i]);
+        job.key = keys[i];
+        job.seed = 0xB0B + static_cast<std::uint64_t>(i);
+        EXPECT_TRUE(service.submit(std::move(job)).ok());
+    }
+    ASSERT_EQ(service.stats().shed, 1); // "low-b", id 1.
+
+    const telemetry::Counter &runs =
+        telemetry::MetricsRegistry::global().counter("backend.runs");
+    const std::uint64_t runs0 = runs.value();
+    std::vector<JobOutcome> seen;
+    std::vector<std::uint64_t> runDeltas;
+    const std::vector<JobOutcome> outcomes =
+        service.drain([&](const JobOutcome &out) {
+            seen.push_back(out);
+            runDeltas.push_back(runs.value() - runs0);
+        });
+
+    ASSERT_EQ(seen.size(), 3u);
+    EXPECT_EQ(seen[0].key, "low-b");
+    EXPECT_TRUE(seen[0].shed);
+    EXPECT_EQ(seen[0].drainSeq, -1);
+    EXPECT_EQ(seen[1].key, "urgent");
+    EXPECT_EQ(seen[1].drainSeq, 0);
+    EXPECT_EQ(seen[2].key, "low-a");
+    EXPECT_EQ(seen[2].drainSeq, 1);
+    EXPECT_EQ(runDeltas, (std::vector<std::uint64_t>{0, 1, 2}));
+
+    // The returned vector is the same outcomes, sorted by id.
+    std::vector<JobOutcome> sorted = seen;
+    std::sort(sorted.begin(), sorted.end(),
+              [](const JobOutcome &a, const JobOutcome &b) {
+                  return a.id < b.id;
+              });
+    ASSERT_EQ(outcomes.size(), sorted.size());
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        EXPECT_EQ(outcomes[i].id, sorted[i].id) << i;
+        EXPECT_EQ(outcomes[i].key, sorted[i].key) << i;
+        EXPECT_EQ(outcomes[i].drainSeq, sorted[i].drainSeq) << i;
+        EXPECT_EQ(outcomes[i].status.code(), sorted[i].status.code())
+            << i;
+        EXPECT_EQ(outcomes[i].execution.result.counts,
+                  sorted[i].execution.result.counts)
+            << i;
+    }
+    EXPECT_EQ(outcomes[0].execution.result.shotsCompleted, 32);
+}
+
+TEST(Service, DrainCallbackSubmitsRunInTheNextDrain)
+{
+    const Rig rig;
+    ExecutionService service(rig.backend, rig.sim,
+                             smallQueuePolicy(4));
+    JobRequest first = makeJob(rig, 0);
+    first.key = "first";
+    EXPECT_TRUE(service.submit(std::move(first)).ok());
+
+    std::vector<std::string> seen;
+    const std::vector<JobOutcome> outcomes =
+        service.drain([&](const JobOutcome &out) {
+            seen.push_back(out.key);
+            JobRequest follow = makeJob(rig, 0);
+            follow.key = "follow";
+            EXPECT_TRUE(service.submit(std::move(follow)).ok());
+        });
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_EQ(seen, std::vector<std::string>{"first"});
+    EXPECT_EQ(service.queueDepth(), 1u);
+
+    const std::vector<JobOutcome> next = service.drain();
+    ASSERT_EQ(next.size(), 1u);
+    EXPECT_EQ(next[0].key, "follow");
+    EXPECT_EQ(next[0].drainSeq, 0);
+    EXPECT_TRUE(next[0].status.ok()) << next[0].status.toString();
+}
+
+TEST(Service, DrainFromItsOwnCallbackThrows)
+{
+    const Rig rig;
+    ExecutionService service(rig.backend, rig.sim,
+                             smallQueuePolicy(4));
+    EXPECT_TRUE(service.submit(makeJob(rig, 0)).ok());
+    EXPECT_THROW(service.drain([&](const JobOutcome &) {
+        (void)service.drain();
+    }),
+                 FatalError);
+
+    // The refusal does not wedge the service: later drains run.
+    EXPECT_TRUE(service.submit(makeJob(rig, 0)).ok());
+    const std::vector<JobOutcome> outcomes = service.drain();
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_TRUE(outcomes[0].status.ok()) << outcomes[0].status.toString();
 }
 
 TEST(Service, WedgedBackendTripsBreakerAndFastFailsTheQueue)
