@@ -103,8 +103,6 @@ fleetPoolPolicies()
 {
     BackendPool::Policies policies;
     policies.retry.maxAttempts = 2;
-    policies.retry.jitter = 0.0;
-    policies.retry.maxTotalBackoffMs = 16.0;
     policies.breaker.window = 4;
     policies.breaker.minSamples = 2;
     policies.breaker.openFailureRate = 0.5;
@@ -299,7 +297,7 @@ baselineRun(const Substrate &sub)
                            std::make_shared<FaultInjector>(plan));
 
     ServicePolicy policy = fleetServicePolicy();
-    policy.fleet.failoverEnabled = false;
+    policy.fleet.failoverBudget = 1;
     ExecutionService service(pool, policy);
 
     RunResult run;

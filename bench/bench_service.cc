@@ -140,8 +140,6 @@ main()
     ServicePolicy policy;
     policy.queueCapacity = kQueueCapacity;
     policy.retry.maxAttempts = 2;
-    policy.retry.jitter = 0.0;
-    policy.retry.maxTotalBackoffMs = 32.0;
     ExecutionService service(backend, sim, policy);
 
     Scenario s{service, primary.schedule, secondary.schedule};

@@ -83,18 +83,6 @@ Deadline::expired() const
     return std::chrono::steady_clock::now() >= state_->expiry;
 }
 
-double
-Deadline::remainingMs() const
-{
-    if (state_ == nullptr || state_->isVirtual)
-        return std::numeric_limits<double>::infinity();
-    const double left =
-        std::chrono::duration<double, std::milli>(
-            state_->expiry - std::chrono::steady_clock::now())
-            .count();
-    return left > 0.0 ? left : 0.0;
-}
-
 std::uint64_t
 Deadline::remainingUnits() const
 {

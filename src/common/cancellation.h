@@ -132,13 +132,6 @@ class Deadline
      */
     bool expired() const;
 
-    /**
-     * Wall-clock milliseconds left (floored at 0). Returns +infinity
-     * when unlimited *or virtual* — virtual budgets bound work, not
-     * latency, so they must never shrink a backoff delay.
-     */
-    double remainingMs() const;
-
     /** Unconsumed virtual units (max() when unlimited or wall-clock). */
     std::uint64_t remainingUnits() const;
 

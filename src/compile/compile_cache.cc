@@ -217,45 +217,6 @@ deserializeCompileResult(store::ByteReader &r,
 }
 
 store::ArtifactKey
-calibrationSnapshotKey(const BackendConfig &config, bool include_qutrit)
-{
-    store::ArtifactKey key;
-    key.contentHash = store::hashBackendConfig(config);
-    key.generation = 0; // Fixed key: newest record is "the latest".
-    key.configFingerprint = include_qutrit ? 1 : 0;
-    key.kind = static_cast<std::uint32_t>(
-        store::ArtifactKind::CalibrationSnapshot);
-    return key;
-}
-
-bool
-libraryHasQutrit(const PulseLibrary &library)
-{
-    for (const QubitCalibration &qubit : library.qubits)
-        if (qubit.x12Amp != 0.0)
-            return true;
-    return false;
-}
-
-Status
-writeCalibrationSnapshot(store::ArtifactStore &store,
-                         const PulseLibrary &library)
-{
-    static telemetry::Counter &c_writes =
-        telemetry::MetricsRegistry::global().counter(
-            "calibration.snapshot.writes");
-    const store::ArtifactKey key = calibrationSnapshotKey(
-        library.config, libraryHasQutrit(library));
-    if (Status put = store::putPulseLibrary(store, key, library);
-        !put.ok())
-        return put;
-    Status flushed = store.flush();
-    if (flushed.ok())
-        c_writes.increment();
-    return flushed;
-}
-
-store::ArtifactKey
 compileArtifactKey(const CompileKey &key)
 {
     store::ArtifactKey akey;
@@ -338,123 +299,63 @@ CompileCache::getOrCompile(const CompileKey &key,
         cacheCounter("compile.cache.misses");
     static telemetry::Counter &c_persist_hits =
         cacheCounter("compile.cache.persist_hits");
-    static telemetry::Counter &c_coalesced =
-        cacheCounter("compile.cache.singleflight_coalesced");
 
-    if (from_cache != nullptr)
-        *from_cache = false;
-
-    for (;;) {
-        std::shared_ptr<InFlight> flight;
-        bool leader = false;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            auto it = index_.find(key);
-            if (it != index_.end()) {
-                lru_.splice(lru_.begin(), lru_, it->second);
-                ++stats_.hits;
-                c_hits.increment();
-                if (from_cache != nullptr)
-                    *from_cache = true;
-                return *it->second->result;
-            }
-            auto fit = inflight_.find(key);
-            if (fit != inflight_.end()) {
-                flight = fit->second;
-            } else {
-                flight = std::make_shared<InFlight>();
-                inflight_.emplace(key, flight);
-                leader = true;
-            }
-        }
-
-        if (!leader) {
-            // Single-flight follower: block until the leader finishes,
-            // then serve its result without recompiling.
-            std::shared_ptr<const CompileResult> result;
-            {
-                std::unique_lock<std::mutex> fl(flight->m);
-                flight->cv.wait(fl, [&] { return flight->done; });
-                result = flight->result;
-            }
-            if (result == nullptr)
-                continue; // Leader failed; retry (maybe as leader).
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                ++stats_.coalesced;
-            }
-            c_coalesced.increment();
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = index_.find(key);
+        if (it != index_.end()) {
+            lru_.splice(lru_.begin(), lru_, it->second);
+            ++stats_.hits;
+            c_hits.increment();
             if (from_cache != nullptr)
                 *from_cache = true;
-            return *result;
+            return *it->second->result;
         }
-
-        // Leader: probe the persistent tier, else compile. Both run
-        // with every cache lock released (leaf-lock contract).
-        std::shared_ptr<const CompileResult> result;
-        bool persist_hit = false;
-        try {
-            CompileResult loaded{QuantumCircuit(1)};
-            if (loadPersistent(key, loaded)) {
-                persist_hit = true;
-                result = std::make_shared<const CompileResult>(
-                    std::move(loaded));
-            } else {
-                result =
-                    std::make_shared<const CompileResult>(compileFn());
-            }
-        } catch (...) {
-            // Unblock followers (they will retry) before propagating.
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                inflight_.erase(key);
-            }
-            {
-                std::lock_guard<std::mutex> fl(flight->m);
-                flight->done = true;
-            }
-            flight->cv.notify_all();
-            throw;
-        }
-
-        // Results that failed validation are served but never cached:
-        // a miscalibrated cmd_def must keep failing loudly, not get
-        // pinned into the cache.
-        const bool cacheable = result->validation.ok();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (persist_hit)
-                ++stats_.persistHits;
-            else
-                ++stats_.misses;
-            if (cacheable) {
-                lru_.push_front(Entry{key, result});
-                index_[key] = lru_.begin();
-                ++stats_.insertions;
-                if (lru_.size() > capacity_) {
-                    index_.erase(lru_.back().key);
-                    lru_.pop_back();
-                    ++stats_.evictions;
-                }
-            }
-            inflight_.erase(key);
-        }
-        if (persist_hit)
-            c_persist_hits.increment();
-        else
-            c_misses.increment();
-        {
-            std::lock_guard<std::mutex> fl(flight->m);
-            flight->result = result;
-            flight->done = true;
-        }
-        flight->cv.notify_all();
-        if (!persist_hit && cacheable)
-            storePersistent(key, *result);
-        if (from_cache != nullptr)
-            *from_cache = persist_hit;
-        return *result;
     }
+
+    // Miss: probe the persistent tier, else compile. Both run with
+    // the LRU lock released (leaf-lock contract).
+    std::shared_ptr<const CompileResult> result;
+    CompileResult loaded{QuantumCircuit(1)};
+    const bool persist_hit = loadPersistent(key, loaded);
+    if (persist_hit)
+        result = std::make_shared<const CompileResult>(std::move(loaded));
+    else
+        result = std::make_shared<const CompileResult>(compileFn());
+
+    // Results that failed validation are served but never cached:
+    // a miscalibrated cmd_def must keep failing loudly, not get
+    // pinned into the cache.
+    bool inserted = false;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (persist_hit)
+            ++stats_.persistHits;
+        else
+            ++stats_.misses;
+        // A concurrent miss of this key may have inserted first: keep
+        // its entry, so the list and the index stay one-to-one.
+        if (result->validation.ok() && index_.find(key) == index_.end()) {
+            lru_.push_front(Entry{key, result});
+            index_.emplace(key, lru_.begin());
+            ++stats_.insertions;
+            inserted = true;
+            if (lru_.size() > capacity_) {
+                index_.erase(lru_.back().key);
+                lru_.pop_back();
+                ++stats_.evictions;
+            }
+        }
+    }
+    if (persist_hit)
+        c_persist_hits.increment();
+    else
+        c_misses.increment();
+    if (!persist_hit && inserted)
+        storePersistent(key, *result);
+    if (from_cache != nullptr)
+        *from_cache = persist_hit;
+    return *result;
 }
 
 Status

@@ -31,15 +31,15 @@
  * Lock order (the propagator_cache.h contract): the LRU mutex here is
  * a LEAF lock. The compile factory and all ArtifactStore calls (which
  * take the store's own leaf mutex) run with the LRU mutex released;
- * no code path holds both at once. Single-flight waiters block on a
- * per-key condition variable outside the LRU mutex, so N concurrent
- * compiles of one key cost one pass-pipeline run.
+ * no code path holds both at once. Concurrent misses of one key each
+ * run the pipeline; the first insert wins. No caller compiles one key
+ * from two threads: the service dedups its drain batch by CompileKey
+ * before the parallel precompile.
  */
 #ifndef QPULSE_COMPILE_COMPILE_CACHE_H
 #define QPULSE_COMPILE_COMPILE_CACHE_H
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -113,7 +113,6 @@ struct CompileCacheStats
     std::uint64_t misses = 0;      ///< Fresh pass-pipeline runs.
     std::uint64_t persistHits = 0; ///< Served from a disk record.
     std::uint64_t persistFallbacks = 0; ///< Bad record -> recompiled.
-    std::uint64_t coalesced = 0;   ///< Single-flight waiters served.
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
 
@@ -152,12 +151,12 @@ class CompileCache
     /**
      * Look up `key`; on a miss, probe the persistent tier, then run
      * `compileFn` (outside every cache lock) and insert + write back
-     * the result when its validation passed. Concurrent callers of the
-     * same key are coalesced behind a single compile (single-flight).
-     * `from_cache` (optional) is set true when the result did NOT come
-     * from this caller's own compileFn run — memory hit, disk hit, or
-     * coalesced wait — i.e. exactly when the caller must re-validate
-     * against its current library.
+     * the result when its validation passed. An insert that finds the
+     * key already resident (a concurrent miss of the same key won)
+     * keeps the resident entry. `from_cache` (optional) is set true
+     * when the result did NOT come from this caller's own compileFn
+     * run — memory or disk hit — i.e. exactly when the caller must
+     * re-validate against its current library.
      */
     CompileResult
     getOrCompile(const CompileKey &key,
@@ -181,14 +180,6 @@ class CompileCache
     CompileCacheStats stats() const;
 
   private:
-    struct InFlight
-    {
-        std::mutex m;
-        std::condition_variable cv;
-        bool done = false;
-        std::shared_ptr<const CompileResult> result;
-    };
-
     struct Entry
     {
         CompileKey key;
@@ -207,9 +198,6 @@ class CompileCache
     LruList lru_; // Front = most recently used.
     std::unordered_map<CompileKey, LruList::iterator, CompileKeyHash>
         index_;
-    std::unordered_map<CompileKey, std::shared_ptr<InFlight>,
-                       CompileKeyHash>
-        inflight_;
     CompileCacheStats stats_;
     std::atomic<std::size_t> pendingPuts_{0};
     mutable std::mutex mutex_; ///< Leaf lock (see file comment).
@@ -231,36 +219,6 @@ Status deserializeCompileResult(store::ByteReader &r,
 
 /** ArtifactStore key a CompileKey persists under. */
 store::ArtifactKey compileArtifactKey(const CompileKey &key);
-
-/**
- * ArtifactStore key a CalibrationSnapshot persists under. The key is
- * fixed per (config, include_qutrit) — generation 0 — so "the latest
- * snapshot" is simply the newest record for the key (duplicate puts
- * are newest-wins in the store index). Staleness of *schedules* is
- * handled by the compile generation, not the snapshot key.
- */
-store::ArtifactKey calibrationSnapshotKey(const BackendConfig &config,
-                                          bool include_qutrit);
-
-/**
- * Whether a library carries qutrit sideband calibrations (any qubit
- * with a non-zero x12Amp). Recovers the `include_qutrit` flag a
- * library was calibrated with, so a recalibration owner holding only
- * the PulseLibrary can re-derive the right calibrationSnapshotKey.
- */
-bool libraryHasQutrit(const PulseLibrary &library);
-
-/**
- * Persist `library` as the latest CalibrationSnapshot for its own
- * config (key re-derived via libraryHasQutrit) and flush immediately,
- * so the next process bootstraps from it. Counts
- * calibration.snapshot.writes on success. Recalibration owners (the
- * service watchdog hook, BackendPool drain/readmit) call this; a
- * failure is structured but non-fatal — the snapshot is an
- * accelerator, never a correctness dependency.
- */
-Status writeCalibrationSnapshot(store::ArtifactStore &store,
-                                const PulseLibrary &library);
 
 } // namespace qpulse
 

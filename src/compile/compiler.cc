@@ -5,8 +5,6 @@
 #include "common/constants.h"
 #include "compile/compile_cache.h"
 #include "device/schedule_validation.h"
-#include "store/artifact_store.h"
-#include "store/serde.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -218,48 +216,6 @@ makeCalibratedBackend(const BackendConfig &config, bool include_qutrit)
     Calibrator calibrator(config);
     return std::make_shared<const PulseBackend>(
         calibrator.calibrateAll(include_qutrit));
-}
-
-std::shared_ptr<const PulseBackend>
-makeCalibratedBackend(const BackendConfig &config, bool include_qutrit,
-                      const std::shared_ptr<store::ArtifactStore> &store,
-                      bool *loaded_from_snapshot)
-{
-    telemetry::MetricsRegistry &registry =
-        telemetry::MetricsRegistry::global();
-    static telemetry::Counter &c_loads =
-        registry.counter("calibration.snapshot.loads");
-    static telemetry::Counter &c_writes =
-        registry.counter("calibration.snapshot.writes");
-
-    if (loaded_from_snapshot != nullptr)
-        *loaded_from_snapshot = false;
-    if (store == nullptr)
-        return makeCalibratedBackend(config, include_qutrit);
-
-    const store::ArtifactKey key =
-        calibrationSnapshotKey(config, include_qutrit);
-    PulseLibrary library;
-    if (store::getPulseLibrary(*store, key, library).ok() &&
-        store::hashBackendConfig(library.config) ==
-            store::hashBackendConfig(config)) {
-        // The snapshot's embedded config matches the requested one
-        // exactly — bootstrap from it and skip the full sweep.
-        c_loads.increment();
-        if (loaded_from_snapshot != nullptr)
-            *loaded_from_snapshot = true;
-        return std::make_shared<const PulseBackend>(std::move(library));
-    }
-
-    // Miss, corrupt record, or foreign config: run the sweep and
-    // persist its result (flushed immediately so a concurrent or
-    // subsequent process can bootstrap).
-    Calibrator calibrator(config);
-    PulseLibrary fresh = calibrator.calibrateAll(include_qutrit);
-    if (store::putPulseLibrary(*store, key, fresh).ok() &&
-        store->flush().ok())
-        c_writes.increment();
-    return std::make_shared<const PulseBackend>(std::move(fresh));
 }
 
 } // namespace qpulse

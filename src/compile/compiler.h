@@ -32,9 +32,6 @@ namespace qpulse {
 
 class CompileCache;
 struct CompileKey;
-namespace store {
-class ArtifactStore;
-}
 
 /** Which of the two Figure 1 flows to run. */
 enum class CompileMode
@@ -156,20 +153,6 @@ class PulseCompiler
 std::shared_ptr<const PulseBackend>
 makeCalibratedBackend(const BackendConfig &config,
                       bool include_qutrit = false);
-
-/**
- * Snapshot-bootstrapped calibration: when `store` holds a
- * CalibrationSnapshot for this exact config (hashBackendConfig keyed),
- * the backend is built from the persisted PulseLibrary and the full
- * calibration sweep is skipped entirely; otherwise the sweep runs and
- * its library is written back (and flushed) for the next process.
- * `loaded_from_snapshot` reports which path ran. A corrupt or
- * mismatched snapshot falls back to the fresh sweep (fail closed).
- */
-std::shared_ptr<const PulseBackend>
-makeCalibratedBackend(const BackendConfig &config, bool include_qutrit,
-                      const std::shared_ptr<store::ArtifactStore> &store,
-                      bool *loaded_from_snapshot = nullptr);
 
 } // namespace qpulse
 

@@ -19,7 +19,6 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "device/calibration.h"
-#include "device/resilience_stats.h"
 #include "pulse/cmd_def.h"
 #include "pulsesim/simulator.h"
 
@@ -91,13 +90,6 @@ struct PulseShotResult
 
     /** Cache counters accumulated during this run (zeros if off). */
     PropagatorCacheStats cacheStats;
-
-    /**
-     * Resilience counters. Plain runShots leaves this zeroed; the
-     * ResilientExecutor fills in its retry/fault/recalibration
-     * accounting so every consumer reads outcomes from one place.
-     */
-    ResilienceStats resilience;
 
     /**
      * Partial-result channel. When a cancel token fires or a deadline

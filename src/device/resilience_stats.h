@@ -4,9 +4,9 @@
  * attempts were made, which fault classes fired (injected) and were
  * caught (detected), how often the validation gate rejected a
  * schedule, and how the executor recovered (retries, recalibrations,
- * fallbacks to the standard decomposition). Threaded into
- * PulseShotResult so shot-level callers, the ResilientExecutor, the
- * RB batched path and bench_robustness all report through one struct.
+ * fallbacks to the standard decomposition). ResilientOutcome::stats
+ * and RbResult::resilience carry it, so the ResilientExecutor, the RB
+ * batched path and bench_robustness all report through one struct.
  */
 #ifndef QPULSE_DEVICE_RESILIENCE_STATS_H
 #define QPULSE_DEVICE_RESILIENCE_STATS_H
@@ -32,7 +32,6 @@ struct ResilienceStats
     long degradedRuns = 0;     ///< Accepted below-baseline results.
     long readoutFaultShots = 0;///< Shots hit by readout flips/dropouts.
     long ingestFaults = 0;     ///< Ingest payload faults injected.
-    double backoffTotalMs = 0.0; ///< Accumulated backoff delay.
 
     ResilienceStats &
     operator+=(const ResilienceStats &other)
@@ -51,7 +50,6 @@ struct ResilienceStats
         degradedRuns += other.degradedRuns;
         readoutFaultShots += other.readoutFaultShots;
         ingestFaults += other.ingestFaults;
-        backoffTotalMs += other.backoffTotalMs;
         return *this;
     }
 

@@ -1,7 +1,6 @@
 #include "device/resilient_executor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 
 #include "device/schedule_validation.h"
@@ -11,8 +10,6 @@
 namespace qpulse {
 
 namespace {
-
-constexpr std::uint64_t kBackoffSalt = 0xBAC0FF01ull;
 
 /** Consecutive failed runs after which a keyed entry is stale. */
 constexpr int kStaleAfterFailures = 2;
@@ -98,22 +95,6 @@ ResilientExecutor::ResilientExecutor(
                   "RetryPolicy needs maxAttempts >= 1");
 }
 
-double
-ResilientExecutor::backoffMs(int attempt, std::uint64_t run_id,
-                             std::uint64_t seed) const
-{
-    // attempt is the retry ordinal (1 = first retry). Deterministic
-    // jitter: the delay depends only on (seed, run, attempt), never on
-    // the clock, preserving the bit-identical-replay contract.
-    double delay = retry_.backoffBaseMs *
-                   std::pow(retry_.backoffFactor, attempt - 1);
-    delay = std::min(delay, retry_.backoffCapMs);
-    Rng rng(Rng::deriveSeed(Rng::deriveSeed(seed ^ kBackoffSalt, run_id),
-                            static_cast<std::uint64_t>(attempt)));
-    delay *= 1.0 + retry_.jitter * (2.0 * rng.uniform() - 1.0);
-    return delay;
-}
-
 bool
 ResilientExecutor::entryStale(const std::string &key) const
 {
@@ -192,7 +173,6 @@ ResilientExecutor::run(const PulseSimulator &sim,
         }
         if (!valid.ok()) {
             outcome.status = valid;
-            outcome.result.resilience = stats;
             stats_ += stats;
             absorbResilienceStats(stats);
             return outcome;
@@ -218,7 +198,6 @@ ResilientExecutor::run(const PulseSimulator &sim,
     // partial shot result (if any attempt got that far) is surfaced.
     Status interrupt;
     PulseShotResult interrupt_partial;
-    double backoff_spent_ms = 0.0; // Cumulative, both phases.
 
     // runShots is a pure function of (sim, schedule, options) and a
     // retry keeps the seed, so an attempt that would execute a
@@ -249,18 +228,6 @@ ResilientExecutor::run(const PulseSimulator &sim,
             if (attempt > 0) {
                 telemetry::TraceSpan retry_span("executor.retry");
                 ++stats.retries;
-                double delay = backoffMs(attempt, run_id, opts.seed);
-                // Per-attempt budget: never charge past the cumulative
-                // backoff cap, and never past the wall-clock deadline
-                // (remainingMs() is +inf for unlimited/virtual, so
-                // those never shrink a delay).
-                if (retry_.maxTotalBackoffMs >= 0.0)
-                    delay = std::min(
-                        delay, std::max(0.0, retry_.maxTotalBackoffMs -
-                                                 backoff_spent_ms));
-                delay = std::min(delay, opts.deadline.remainingMs());
-                backoff_spent_ms += delay;
-                stats.backoffTotalMs += delay;
             }
 
             FaultInjector::Injection injection;
@@ -402,7 +369,6 @@ ResilientExecutor::run(const PulseSimulator &sim,
         outcome.lastError = interrupt;
         outcome.status = interrupt;
         outcome.result = std::move(interrupt_partial);
-        outcome.result.resilience = stats;
         stats_ += stats;
         absorbResilienceStats(stats);
         return outcome;
@@ -441,7 +407,6 @@ ResilientExecutor::run(const PulseSimulator &sim,
                 " attempts; last error: " +
                 outcome.lastError.toString());
     }
-    outcome.result.resilience = stats;
     stats_ += stats;
     absorbResilienceStats(stats);
     return outcome;

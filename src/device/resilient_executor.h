@@ -8,9 +8,9 @@
  *
  *  - every schedule passes the validateSchedule gate before touching
  *    the simulator (structured reject, never silent garbage);
- *  - transient batch failures/timeouts are retried with bounded
- *    exponential backoff and *deterministic* jitter (seed-derived, so
- *    fault-injected runs stay bit-identical across thread counts);
+ *  - transient batch failures/timeouts are retried at once, up to a
+ *    bounded attempt budget (the simulated backend has no rate limit
+ *    to wait out);
  *  - corrupted AWG uploads (NaN, clipped envelopes) are caught by the
  *    same gate and re-uploaded;
  *  - a drift watchdog compares a readout-fidelity proxy (probability
@@ -23,8 +23,8 @@
  *    instead of erroring out, mirroring how the paper's optimized flow
  *    coexists with the standard flow.
  *
- * Every outcome is counted in a ResilienceStats block threaded into
- * the returned PulseShotResult. The executor is deliberately *not*
+ * Every outcome is counted in the ResilienceStats block of the
+ * returned ResilientOutcome. The executor is deliberately *not*
  * thread-safe across calls (stale tracking and the fault injector are
  * sequential state), and runShots below it runs on the calling thread
  * too, so one run is sequential end to end.
@@ -45,28 +45,10 @@
 
 namespace qpulse {
 
-/**
- * Bounded-retry policy with exponential backoff. The executor accounts
- * each delay (ResilienceStats::backoffTotalMs) and never sleeps: the
- * simulated backend has no rate limit to respect.
- */
+/** Bounded-retry policy: a retry runs at once, with no delay. */
 struct RetryPolicy
 {
-    int maxAttempts = 4;        ///< Attempt budget per schedule phase.
-    double backoffBaseMs = 1.0; ///< Delay before the first retry.
-    double backoffFactor = 2.0; ///< Exponential growth per retry.
-    double backoffCapMs = 64.0; ///< Upper bound on a single delay.
-    double jitter = 0.25;       ///< +/- fraction, deterministic.
-    /**
-     * Cap on the *cumulative* backoff of one run() call, both phases
-     * included. backoffCapMs bounds a single delay, but maxAttempts
-     * delays still sum to ~maxAttempts * cap — a latency hole under a
-     * deadline. Once the cumulative delay reaches this cap, later
-     * retries proceed immediately. Negative = unbounded (legacy
-     * behaviour). Delays are additionally clamped to the deadline's
-     * remainingMs() so backoff can never overshoot the job budget.
-     */
-    double maxTotalBackoffMs = -1.0;
+    int maxAttempts = 4; ///< Attempt budget per schedule phase.
 };
 
 /** Drift-watchdog policy. */
@@ -104,8 +86,7 @@ struct ResilientOutcome
     Status status;
     /** Last fault seen, preserved even when recovery succeeded. */
     Status lastError;
-    /** Shot result; counts empty if status is not ok. The stats block
-     *  is mirrored in result.resilience. */
+    /** Shot result; counts empty if status is not ok. */
     PulseShotResult result;
     bool usedFallback = false;
     /** True when the accepted result stayed below the proxy baseline
@@ -175,10 +156,6 @@ class ResilientExecutor
     }
 
   private:
-    /** Deterministic backoff delay for retry number `attempt`. */
-    double backoffMs(int attempt, std::uint64_t run_id,
-                     std::uint64_t seed) const;
-
     void registerFailure(const std::string &key);
 
     std::shared_ptr<const PulseBackend> backend_;

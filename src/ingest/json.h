@@ -3,11 +3,12 @@
  * Defensive, dependency-free JSON parsing for the ingestion boundary.
  *
  * This parser exists to face *untrusted* bytes: the OpenPulse-JSON
- * payloads external clients hand the RequestFrontEnd (frontend.h).
- * Unlike the trusting round-trip scanner in pulse/qobj.cc it must
- * survive millions of adversarial documents, so every defect class is
- * a distinct structured ErrorCode (common/status.h) instead of an
- * exception or a crash:
+ * payloads external clients hand the RequestFrontEnd (frontend.h). It
+ * is the project's one JSON reader (ingest::parseJob also reads back
+ * the schedules pulse/qobj.cc writes), and it must survive millions
+ * of adversarial documents, so every defect class is a distinct
+ * structured ErrorCode (common/status.h) instead of an exception or a
+ * crash:
  *
  *   - malformed-json       token/grammar violation
  *   - unexpected-end       truncated input (EOF inside a value)

@@ -1,5 +1,6 @@
 #include "ingest/openpulse.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -31,6 +32,9 @@ class Lowerer
                             root.kindName(),
                         root.offset());
         IngestedJob job;
+        // A job that states no shots gets the default, capped by the
+        // same limit an explicit "shots" must meet.
+        job.shots = std::min(job.shots, limits_.maxShots);
         const JsonValue *qobj = root.find("qobj");
         Status status = qobj != nullptr
                             ? lowerEnvelope(root, *qobj, job)

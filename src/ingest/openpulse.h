@@ -65,6 +65,7 @@ struct IngestedJob
 {
     Schedule schedule;
     std::string name = "schedule";
+    /** 256 when the document states none, capped at maxShots. */
     long shots = 256;
     std::uint64_t seed = 1;
     int priority = 0;

@@ -580,10 +580,6 @@ BackendPool::bumpPersistGeneration(Entry &entry)
     if (entry.compiler)
         entry.compiler->setCompileGeneration(calibrationGeneration(
             entry.backend->library(), entry.persistEpoch));
-    // A fresh snapshot marks the recalibration point for the next
-    // process's bootstrap (newest-wins on the fixed snapshot key).
-    if (store_)
-        writeCalibrationSnapshot(*store_, entry.backend->library());
 }
 
 void

@@ -313,7 +313,7 @@ class BackendPool
     /** Refresh the fleet.* admin gauges after a state change. */
     void updateGauges() const;
     /** Advance `entry`'s generations (propagator + compile) after a
-     *  recalibration, and persist a fresh calibration snapshot. */
+     *  recalibration. */
     void bumpPersistGeneration(Entry &entry);
 
     Policies policies_;

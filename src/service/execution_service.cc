@@ -416,9 +416,7 @@ ExecutionService::executeJob(PendingJob &job)
     // the budget of distinct backends. The deadline is shared across
     // hops (Deadline state is shared), so failing over never buys a
     // job more budget than it was admitted with.
-    const int budget = (!pinned && policy_.fleet.failoverEnabled)
-                           ? std::max(1, policy_.fleet.failoverBudget)
-                           : 1;
+    const int budget = pinned ? 1 : policy_.fleet.failoverBudget;
     int hops = 0;
     for (const std::string &name : candidates) {
         if (hops >= budget)
@@ -506,9 +504,8 @@ ExecutionService::precompileQueued(std::vector<PendingJob> &jobs)
     // exactly once, so the compile.cache.* counters are thread-count
     // invariant (one miss per distinct key; duplicates become memory
     // hits at execute time) — concurrent same-key compiles would
-    // instead split miss/coalesced by scheduling. Compile errors are
-    // swallowed here; the per-job compile reports them with the job's
-    // identity attached.
+    // each count a miss. Compile errors are swallowed here; the
+    // per-job compile reports them with the job's identity attached.
     std::vector<const QuantumCircuit *> distinct;
     std::unordered_set<CompileKey, CompileKeyHash> seen;
     for (const PendingJob &job : jobs) {

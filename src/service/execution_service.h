@@ -90,9 +90,7 @@ struct TenantQuota
 /** Routing and tenant scheduling, read by every service. */
 struct FleetPolicy
 {
-    /** Route failed jobs to the next-healthiest backend. */
-    bool failoverEnabled = true;
-    /** Max distinct backends one job may try (>= 1). */
+    /** Max distinct backends one job may try (>= 1; 1 = no failover). */
     int failoverBudget = 3;
     /** Quota for tenants absent from `tenants`. */
     TenantQuota defaultQuota;
@@ -159,7 +157,7 @@ struct JobRequest
      * When set, `schedule` is ignored: the service lowers the circuit
      * through its memoized compile cache at drain time — distinct
      * pending circuits compile concurrently on the shared ThreadPool,
-     * duplicates coalesce to one compile (single-flight), and failover
+     * duplicates compile once (the drain dedups them), and failover
      * recompiles per hop through each member's compiler (a shared
      * calibration generation makes the hop compile a cache hit). A
      * compile whose validation fails terminates the job with that

@@ -611,35 +611,5 @@ ArtifactStore::stats() const
     return stats_;
 }
 
-Status
-putPulseLibrary(ArtifactStore &store, const ArtifactKey &key,
-                const PulseLibrary &library)
-{
-    ByteWriter w;
-    w.u64(hashBackendConfig(library.config));
-    serializePulseLibrary(library, w);
-    return store.put(key, w.bytes());
-}
-
-Status
-getPulseLibrary(ArtifactStore &store, const ArtifactKey &key,
-                PulseLibrary &out)
-{
-    ArtifactView view;
-    if (Status s = store.get(key, view); !s.ok())
-        return s;
-    ByteReader r(view.data, view.size);
-    std::uint64_t configHash = 0;
-    if (Status s = r.u64(configHash); !s.ok())
-        return s;
-    if (Status s = deserializePulseLibrary(r, out); !s.ok())
-        return s;
-    if (hashBackendConfig(out.config) != configHash)
-        return Status::error(ErrorCode::StoreCorrupt,
-                             "calibration snapshot config echo does not "
-                             "match its payload");
-    return Status::okStatus();
-}
-
 } // namespace store
 } // namespace qpulse

@@ -2,9 +2,9 @@
  * @file
  * Content-addressed persistent artifact store (docs/PERSISTENCE.md).
  *
- * Derived artifacts — propagator blocks, compiled schedules,
- * calibration snapshots — are pure functions of their inputs, so they
- * are addressed by content, not by name: the key is
+ * Derived artifacts — propagator blocks and compiled schedules — are
+ * pure functions of their inputs, so they are addressed by content,
+ * not by name: the key is
  * (content hash, generation, sim-config fingerprint, kind). A fresh
  * process pointed at the same QPULSE_CACHE_DIR finds the artifacts a
  * previous process derived and serves them without paying the
@@ -62,17 +62,17 @@
 #include "common/status.h"
 
 namespace qpulse {
-
-struct PulseLibrary;
-
 namespace store {
 
-/** What a persisted payload decodes to. */
+/**
+ * What a persisted payload decodes to. Kind 3 is retired: a directory
+ * an older build wrote may still index records of it, which no lookup
+ * asks for and the size budget ages out. Do not reuse the number.
+ */
 enum class ArtifactKind : std::uint32_t
 {
-    PropagatorBlock = 1,   ///< PropagatorKey words + Matrix.
-    CompiledSchedule = 2,  ///< Serialized Schedule.
-    CalibrationSnapshot = 3, ///< Serialized PulseLibrary.
+    PropagatorBlock = 1,  ///< PropagatorKey words + Matrix.
+    CompiledSchedule = 2, ///< Serialized Schedule.
 };
 
 /** Content address of one artifact (docs/PERSISTENCE.md keying). */
@@ -266,18 +266,6 @@ class ArtifactStore
     StoreStats stats_;
     mutable std::mutex mutex_;
 };
-
-/**
- * CalibrationSnapshot conveniences (serialized PulseLibrary). The
- * payload leads with hashBackendConfig(library.config) as an echo
- * guard: a hash-colliding or mis-keyed record is rejected
- * (StoreCorrupt) instead of bootstrapping a backend from another
- * device's calibration.
- */
-Status putPulseLibrary(ArtifactStore &store, const ArtifactKey &key,
-                       const PulseLibrary &library);
-Status getPulseLibrary(ArtifactStore &store, const ArtifactKey &key,
-                       PulseLibrary &out);
 
 } // namespace store
 } // namespace qpulse

@@ -804,242 +804,6 @@ deserializeScheduleRle(ByteReader &r, Schedule &out)
 }
 
 // ------------------------------------------------------------------
-// PulseLibrary (calibration snapshot)
-// ------------------------------------------------------------------
-
-namespace {
-
-void
-serializeBackendConfig(const BackendConfig &config, ByteWriter &w)
-{
-    w.str(config.name);
-    w.u64(config.numQubits);
-    w.u64(config.qubits.size());
-    for (const TransmonParams &q : config.qubits) {
-        w.f64(q.frequencyGhz);
-        w.f64(q.anharmonicityGhz);
-        w.f64(q.driveStrengthGhz);
-        w.f64(q.t1Us);
-        w.f64(q.t2Us);
-    }
-    w.u64(config.couplings.size());
-    for (const CouplingEdge &edge : config.couplings) {
-        w.u64(edge.control);
-        w.u64(edge.target);
-        w.f64(edge.strengthGhz);
-    }
-    w.u64(config.readout.size());
-    for (const ReadoutError &err : config.readout) {
-        w.f64(err.probFlip0to1);
-        w.f64(err.probFlip1to0);
-    }
-    w.f64(config.noise.perPulseError1q);
-    w.f64(config.noise.perPulseError2q);
-    w.f64(config.noise.amplitudeError);
-    w.f64(config.noise.leakagePerAmpSq);
-    w.i64(config.pulseDuration);
-    w.f64(config.pulseSigma);
-    w.i64(config.crRisefall);
-    w.f64(config.crAmplitude);
-    w.i64(config.measureDuration);
-}
-
-Status
-deserializeBackendConfig(ByteReader &r, BackendConfig &out)
-{
-    if (Status s = r.str(out.name); !s.ok())
-        return s;
-    std::uint64_t numQubits = 0;
-    if (Status s = r.u64(numQubits); !s.ok())
-        return s;
-    out.numQubits = static_cast<std::size_t>(numQubits);
-    std::uint64_t count = 0;
-    if (Status s = r.u64(count); !s.ok())
-        return s;
-    if (count > r.remaining() / 40)
-        return corrupt("config claims too many qubits");
-    out.qubits.resize(static_cast<std::size_t>(count));
-    for (TransmonParams &q : out.qubits) {
-        if (Status s = r.f64(q.frequencyGhz); !s.ok())
-            return s;
-        if (Status s = r.f64(q.anharmonicityGhz); !s.ok())
-            return s;
-        if (Status s = r.f64(q.driveStrengthGhz); !s.ok())
-            return s;
-        if (Status s = r.f64(q.t1Us); !s.ok())
-            return s;
-        if (Status s = r.f64(q.t2Us); !s.ok())
-            return s;
-    }
-    if (Status s = r.u64(count); !s.ok())
-        return s;
-    if (count > r.remaining() / 24)
-        return corrupt("config claims too many couplings");
-    out.couplings.resize(static_cast<std::size_t>(count));
-    for (CouplingEdge &edge : out.couplings) {
-        std::uint64_t control = 0, target = 0;
-        if (Status s = r.u64(control); !s.ok())
-            return s;
-        if (Status s = r.u64(target); !s.ok())
-            return s;
-        edge.control = static_cast<std::size_t>(control);
-        edge.target = static_cast<std::size_t>(target);
-        if (Status s = r.f64(edge.strengthGhz); !s.ok())
-            return s;
-    }
-    if (Status s = r.u64(count); !s.ok())
-        return s;
-    if (count > r.remaining() / 16)
-        return corrupt("config claims too many readout entries");
-    out.readout.resize(static_cast<std::size_t>(count));
-    for (ReadoutError &err : out.readout) {
-        if (Status s = r.f64(err.probFlip0to1); !s.ok())
-            return s;
-        if (Status s = r.f64(err.probFlip1to0); !s.ok())
-            return s;
-    }
-    if (Status s = r.f64(out.noise.perPulseError1q); !s.ok())
-        return s;
-    if (Status s = r.f64(out.noise.perPulseError2q); !s.ok())
-        return s;
-    if (Status s = r.f64(out.noise.amplitudeError); !s.ok())
-        return s;
-    if (Status s = r.f64(out.noise.leakagePerAmpSq); !s.ok())
-        return s;
-    if (Status s = r.i64(out.pulseDuration); !s.ok())
-        return s;
-    if (Status s = r.f64(out.pulseSigma); !s.ok())
-        return s;
-    if (Status s = r.i64(out.crRisefall); !s.ok())
-        return s;
-    if (Status s = r.f64(out.crAmplitude); !s.ok())
-        return s;
-    if (Status s = r.i64(out.measureDuration); !s.ok())
-        return s;
-    return Status::okStatus();
-}
-
-} // namespace
-
-void
-serializePulseLibrary(const PulseLibrary &library, ByteWriter &w)
-{
-    serializeBackendConfig(library.config, w);
-    w.u64(library.qubits.size());
-    for (const QubitCalibration &cal : library.qubits) {
-        w.i64(cal.duration);
-        w.f64(cal.sigma);
-        w.f64(cal.x90Amp);
-        w.f64(cal.x180Amp);
-        w.f64(cal.dragBeta);
-        w.f64(cal.x12Amp);
-        w.f64(cal.x02Amp);
-        w.i64(cal.qutritDuration);
-    }
-    w.u64(library.crs.size());
-    for (const CrCalibration &cr : library.crs) {
-        w.u64(cr.control);
-        w.u64(cr.target);
-        w.f64(cr.amplitude);
-        w.i64(cr.risefall);
-        w.f64(cr.sigma);
-        w.i64(cr.flatFor90);
-        w.f64(cr.radPerDtFlat);
-        w.f64(cr.radAtZeroFlat);
-        w.f64(cr.phaseFixControl);
-        w.f64(cr.phaseFixTarget);
-        w.f64(cr.axisPhaseTarget);
-        w.u64(cr.fixTable.size());
-        for (const CrCalibration::PhaseFixPoint &fix : cr.fixTable) {
-            w.f64(fix.theta);
-            w.f64(fix.control);
-            w.f64(fix.target);
-            w.f64(fix.axis);
-        }
-    }
-}
-
-Status
-deserializePulseLibrary(ByteReader &r, PulseLibrary &out)
-{
-    if (Status s = deserializeBackendConfig(r, out.config); !s.ok())
-        return s;
-    std::uint64_t count = 0;
-    if (Status s = r.u64(count); !s.ok())
-        return s;
-    if (count > r.remaining() / 64)
-        return corrupt("library claims too many qubit calibrations");
-    out.qubits.resize(static_cast<std::size_t>(count));
-    for (QubitCalibration &cal : out.qubits) {
-        if (Status s = r.i64(cal.duration); !s.ok())
-            return s;
-        if (Status s = r.f64(cal.sigma); !s.ok())
-            return s;
-        if (Status s = r.f64(cal.x90Amp); !s.ok())
-            return s;
-        if (Status s = r.f64(cal.x180Amp); !s.ok())
-            return s;
-        if (Status s = r.f64(cal.dragBeta); !s.ok())
-            return s;
-        if (Status s = r.f64(cal.x12Amp); !s.ok())
-            return s;
-        if (Status s = r.f64(cal.x02Amp); !s.ok())
-            return s;
-        if (Status s = r.i64(cal.qutritDuration); !s.ok())
-            return s;
-    }
-    if (Status s = r.u64(count); !s.ok())
-        return s;
-    if (count > r.remaining() / 96)
-        return corrupt("library claims too many CR calibrations");
-    out.crs.resize(static_cast<std::size_t>(count));
-    for (CrCalibration &cr : out.crs) {
-        std::uint64_t control = 0, target = 0;
-        if (Status s = r.u64(control); !s.ok())
-            return s;
-        if (Status s = r.u64(target); !s.ok())
-            return s;
-        cr.control = static_cast<std::size_t>(control);
-        cr.target = static_cast<std::size_t>(target);
-        if (Status s = r.f64(cr.amplitude); !s.ok())
-            return s;
-        if (Status s = r.i64(cr.risefall); !s.ok())
-            return s;
-        if (Status s = r.f64(cr.sigma); !s.ok())
-            return s;
-        if (Status s = r.i64(cr.flatFor90); !s.ok())
-            return s;
-        if (Status s = r.f64(cr.radPerDtFlat); !s.ok())
-            return s;
-        if (Status s = r.f64(cr.radAtZeroFlat); !s.ok())
-            return s;
-        if (Status s = r.f64(cr.phaseFixControl); !s.ok())
-            return s;
-        if (Status s = r.f64(cr.phaseFixTarget); !s.ok())
-            return s;
-        if (Status s = r.f64(cr.axisPhaseTarget); !s.ok())
-            return s;
-        std::uint64_t fixCount = 0;
-        if (Status s = r.u64(fixCount); !s.ok())
-            return s;
-        if (fixCount > r.remaining() / 32)
-            return corrupt("CR fix table beyond the payload");
-        cr.fixTable.resize(static_cast<std::size_t>(fixCount));
-        for (CrCalibration::PhaseFixPoint &fix : cr.fixTable) {
-            if (Status s = r.f64(fix.theta); !s.ok())
-                return s;
-            if (Status s = r.f64(fix.control); !s.ok())
-                return s;
-            if (Status s = r.f64(fix.target); !s.ok())
-                return s;
-            if (Status s = r.f64(fix.axis); !s.ok())
-                return s;
-        }
-    }
-    return Status::okStatus();
-}
-
-// ------------------------------------------------------------------
 // QuantumCircuit
 // ------------------------------------------------------------------
 
@@ -1125,20 +889,94 @@ hashSchedule(const Schedule &schedule)
     return hashBytes(w.bytes().data(), w.size());
 }
 
+namespace {
+
+// The pulse library's canonical encoding: its backend config, then
+// every qubit and CR calibration. Only hashPulseLibrary reads it; the
+// hash is the calibration part of every compile key's generation, so
+// changing these bytes makes every persisted compiled schedule
+// unreachable.
+
+void
+serializeBackendConfig(const BackendConfig &config, ByteWriter &w)
+{
+    w.str(config.name);
+    w.u64(config.numQubits);
+    w.u64(config.qubits.size());
+    for (const TransmonParams &q : config.qubits) {
+        w.f64(q.frequencyGhz);
+        w.f64(q.anharmonicityGhz);
+        w.f64(q.driveStrengthGhz);
+        w.f64(q.t1Us);
+        w.f64(q.t2Us);
+    }
+    w.u64(config.couplings.size());
+    for (const CouplingEdge &edge : config.couplings) {
+        w.u64(edge.control);
+        w.u64(edge.target);
+        w.f64(edge.strengthGhz);
+    }
+    w.u64(config.readout.size());
+    for (const ReadoutError &err : config.readout) {
+        w.f64(err.probFlip0to1);
+        w.f64(err.probFlip1to0);
+    }
+    w.f64(config.noise.perPulseError1q);
+    w.f64(config.noise.perPulseError2q);
+    w.f64(config.noise.amplitudeError);
+    w.f64(config.noise.leakagePerAmpSq);
+    w.i64(config.pulseDuration);
+    w.f64(config.pulseSigma);
+    w.i64(config.crRisefall);
+    w.f64(config.crAmplitude);
+    w.i64(config.measureDuration);
+}
+
+void
+serializePulseLibrary(const PulseLibrary &library, ByteWriter &w)
+{
+    serializeBackendConfig(library.config, w);
+    w.u64(library.qubits.size());
+    for (const QubitCalibration &cal : library.qubits) {
+        w.i64(cal.duration);
+        w.f64(cal.sigma);
+        w.f64(cal.x90Amp);
+        w.f64(cal.x180Amp);
+        w.f64(cal.dragBeta);
+        w.f64(cal.x12Amp);
+        w.f64(cal.x02Amp);
+        w.i64(cal.qutritDuration);
+    }
+    w.u64(library.crs.size());
+    for (const CrCalibration &cr : library.crs) {
+        w.u64(cr.control);
+        w.u64(cr.target);
+        w.f64(cr.amplitude);
+        w.i64(cr.risefall);
+        w.f64(cr.sigma);
+        w.i64(cr.flatFor90);
+        w.f64(cr.radPerDtFlat);
+        w.f64(cr.radAtZeroFlat);
+        w.f64(cr.phaseFixControl);
+        w.f64(cr.phaseFixTarget);
+        w.f64(cr.axisPhaseTarget);
+        w.u64(cr.fixTable.size());
+        for (const CrCalibration::PhaseFixPoint &fix : cr.fixTable) {
+            w.f64(fix.theta);
+            w.f64(fix.control);
+            w.f64(fix.target);
+            w.f64(fix.axis);
+        }
+    }
+}
+
+} // namespace
+
 std::uint64_t
 hashPulseLibrary(const PulseLibrary &library)
 {
     ByteWriter w;
     serializePulseLibrary(library, w);
-    return hashBytes(w.bytes().data(), w.size());
-}
-
-std::uint64_t
-hashBackendConfig(const BackendConfig &config)
-{
-    ByteWriter w;
-    w.u32(kFormatVersion);
-    serializeBackendConfig(config, w);
     return hashBytes(w.bytes().data(), w.size());
 }
 

@@ -27,10 +27,8 @@
  * Serializable artifacts: Matrix (propagator/unitary blocks),
  * PropagatorKey, Schedule (waveforms materialized to samples — the
  * parametric Waveform subclasses hold closures-worth of behavior, but
- * their *samples* are the canonical content), and PulseLibrary (the
- * calibration snapshot CmdDef tables are built from; CmdDef itself is
- * a map of std::function builders and is reconstructed from the
- * library, not persisted).
+ * their *samples* are the canonical content) and QuantumCircuit.
+ * A PulseLibrary is hashed, never persisted.
  */
 #ifndef QPULSE_STORE_SERDE_H
 #define QPULSE_STORE_SERDE_H
@@ -175,9 +173,6 @@ void serializeSchedule(const Schedule &schedule, ByteWriter &w);
 void serializeScheduleRle(const Schedule &schedule, ByteWriter &w);
 Status deserializeScheduleRle(ByteReader &r, Schedule &out);
 
-void serializePulseLibrary(const PulseLibrary &library, ByteWriter &w);
-Status deserializePulseLibrary(ByteReader &r, PulseLibrary &out);
-
 /**
  * Circuit encoding: register width + gate list (type, wires, params).
  * Used to round-trip the transpiled basis circuit inside a
@@ -200,16 +195,12 @@ Status deserializeCircuit(ByteReader &r, QuantumCircuit &out);
  */
 std::uint64_t hashSchedule(const Schedule &schedule);
 
-/** Content hash of a calibration snapshot. */
-std::uint64_t hashPulseLibrary(const PulseLibrary &library);
-
 /**
- * Content hash of a backend configuration (device parameters, coupling
- * map, noise and pulse defaults). Keys CalibrationSnapshot records: a
- * snapshot is only served back to the exact device description it was
- * calibrated for.
+ * Content hash of a pulse library: its backend config and every qubit
+ * and CR calibration. calibrationGeneration mixes it into every
+ * compile key.
  */
-std::uint64_t hashBackendConfig(const BackendConfig &config);
+std::uint64_t hashPulseLibrary(const PulseLibrary &library);
 
 /**
  * Fingerprint of the simulation configuration an artifact was derived

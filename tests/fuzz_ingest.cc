@@ -15,10 +15,11 @@
  * The same chunks also reach a RequestFrontEnd over a calibrated
  * single-qubit ExecutionService (IngestLimits maxShots 16 and maxTime
  * 1024, 8-shot chunks), which then run()s to the end. The front door must
- * not throw, must end every Accepted request with exactly one terminal
- * event, and a Completed request's counts must sum to its requested
- * shots, as must its shotsCompleted. CI runs this under ASan/LSan so
- * memory errors and leaks fail the gate too.
+ * not throw, must admit no request for more shots than maxShots, must
+ * end every Accepted request with exactly one terminal event, and a
+ * Completed request's counts must sum to its requested shots, as must
+ * its shotsCompleted. CI runs this under ASan/LSan so memory errors
+ * and leaks fail the gate too.
  *
  * Usage: fuzz_ingest [iterations] [base-seed]
  * On a violation the offending payload is written to
@@ -158,19 +159,23 @@ struct FrontDoor
 
 /**
  * The first broken front-door invariant in one iteration's events, or
- * "" when none is: every Accepted request ends in exactly one terminal
- * event (Completed, Failed or Disconnected), and a Completed one
- * carries counts that sum to its shotsRequested and its
- * shotsCompleted.
+ * "" when none is: every Accepted request asks for at most
+ * `max_shots` shots and ends in exactly one terminal event (Completed,
+ * Failed or Disconnected), and a Completed one carries counts that sum
+ * to its shotsRequested and its shotsCompleted.
  */
 std::string
-frontDoorViolation(const std::vector<StreamEvent> &events)
+frontDoorViolation(const std::vector<StreamEvent> &events, long max_shots)
 {
     std::map<std::uint64_t, int> terminals; // Accepted -> terminal events.
     for (const StreamEvent &e : events) {
         const std::string request =
             "request " + std::to_string(e.request);
         if (e.kind == StreamEventKind::Accepted) {
+            if (e.shotsRequested > max_shots)
+                return request + ": accepted with shotsRequested " +
+                       std::to_string(e.shotsRequested) +
+                       " past maxShots " + std::to_string(max_shots);
             terminals.emplace(e.request, 0);
             continue;
         }
@@ -307,7 +312,8 @@ main(int argc, char **argv)
             }
             front.finish(conn);
             front.run();
-            const std::string broken = frontDoorViolation(events);
+            const std::string broken =
+                frontDoorViolation(events, door.policy.limits.maxShots);
             if (!broken.empty()) {
                 std::fprintf(stderr,
                              "fuzz_ingest: iteration %llu: front "

@@ -464,7 +464,7 @@ TEST(FleetService, FailoverDisabledTriesExactlyOneBackend)
         "b0", std::make_shared<FaultInjector>(wedgedPlan()));
 
     ServicePolicy policy = fleetServicePolicy();
-    policy.fleet.failoverEnabled = false;
+    policy.fleet.failoverBudget = 1;
     ExecutionService service(pool, policy);
 
     EXPECT_TRUE(service.submit(fleetJob(sub)).ok());
@@ -644,7 +644,7 @@ TEST(FleetService, QuarantineAndProbeRecoveryDuringDrain)
     pool->setFaultInjector(
         "b0", std::make_shared<FaultInjector>(wedgedPlan()));
     ServicePolicy policy = fleetServicePolicy(32);
-    policy.fleet.failoverEnabled = false;
+    policy.fleet.failoverBudget = 1;
     ExecutionService service(pool, policy);
 
     // Pin jobs at b0 so routing cannot dodge the wedged member.
@@ -682,7 +682,6 @@ TEST(FleetService, VirtualTimeFleetRunsBitIdenticalAcrossThreads)
         "compile.cache.hits",
         "compile.cache.misses",
         "compile.cache.persist_hits",
-        "compile.cache.singleflight_coalesced",
         "threadpool.parallel_for.calls",
     };
 
@@ -767,8 +766,8 @@ TEST(FleetService, VirtualTimeFleetRunsBitIdenticalAcrossThreads)
     EXPECT_EQ(seq.counters, par.counters);
     // Each leg compiled the two circuits once and ran a parallel loop.
     EXPECT_EQ(seq.counters[1], 2u); // compile.cache.misses
-    EXPECT_GT(seq.counters[4], 0u); // threadpool.parallel_for.calls
-    EXPECT_GT(par.counters[4], 0u);
+    EXPECT_GT(seq.counters[3], 0u); // threadpool.parallel_for.calls
+    EXPECT_GT(par.counters[3], 0u);
     EXPECT_EQ(seq.failovers, par.failovers);
     EXPECT_EQ(seq.quarantines, par.quarantines);
     EXPECT_EQ(seq.probes, par.probes);

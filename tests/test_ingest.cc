@@ -361,6 +361,36 @@ TEST(IngestLowering, EnvelopeCarriesJobParameters)
     EXPECT_EQ(job.schedule.instructions().size(), 1u);
 }
 
+TEST(IngestLowering, UnstatedShotsDefaultWithinMaxShots)
+{
+    IngestLimits limits;
+    limits.maxShots = 16;
+    const std::string schedule =
+        "{\"name\": \"bare\", \"instructions\": [{\"t0\": 0, "
+        "\"ch\": \"d0\", \"name\": \"fc\", \"phase\": 0.5}]}";
+
+    // Neither a bare schedule nor an envelope without "shots" may
+    // exceed the limit through the default.
+    IngestedJob bare;
+    Status status = parseJob(schedule, limits, bare);
+    ASSERT_TRUE(status.ok()) << status.message();
+    EXPECT_EQ(bare.shots, 16);
+    IngestedJob envelope;
+    status = parseJob("{\"qobj\": " + schedule + "}", limits, envelope);
+    ASSERT_TRUE(status.ok()) << status.message();
+    EXPECT_EQ(envelope.shots, 16);
+
+    // An explicit count past the limit is still refused.
+    status = parseJob("{\"qobj\": " + schedule + ", \"shots\": 17}",
+                      limits, envelope);
+    EXPECT_EQ(status.code(), ErrorCode::NumberOutOfRange);
+
+    // Under the default limits the default stays 256.
+    IngestedJob plain;
+    ASSERT_TRUE(parseJob(schedule, IngestLimits{}, plain).ok());
+    EXPECT_EQ(plain.shots, 256);
+}
+
 TEST(IngestLowering, SchemaRejectsAreDistinctAndLocated)
 {
     IngestedJob job;

@@ -3,7 +3,7 @@
  * Tests for the execution-service layer: cooperative cancellation
  * (CancelToken), wall-clock and virtual-time deadlines, partial shot
  * results surfacing through PulseBackend::runShots and the
- * ResilientExecutor, the cumulative-backoff cap, the new structured
+ * ResilientExecutor, the new structured
  * validation codes (empty-schedule / zero-duration-play), the
  * per-backend circuit breaker state machine, and the ExecutionService
  * itself — admission control (reject vs shed), priority draining,
@@ -138,9 +138,6 @@ TEST(Cancellation, VirtualBudgetAdmitsTheCrossingChargeThenRefuses)
     EXPECT_TRUE(deadline.expired());
     EXPECT_FALSE(deadline.tryCharge(1));  // After the boundary: refused.
     EXPECT_EQ(deadline.remainingUnits(), 0u);
-
-    // Virtual budgets bound work, not latency.
-    EXPECT_TRUE(std::isinf(deadline.remainingMs()));
 }
 
 TEST(Cancellation, UnlimitedAndWallClockDeadlines)
@@ -154,11 +151,9 @@ TEST(Cancellation, UnlimitedAndWallClockDeadlines)
     EXPECT_FALSE(past.isVirtual());
     EXPECT_TRUE(past.expired());
     EXPECT_FALSE(past.tryCharge(1));
-    EXPECT_EQ(past.remainingMs(), 0.0);
 
     const Deadline future = Deadline::afterMs(60'000.0);
     EXPECT_FALSE(future.expired());
-    EXPECT_GT(future.remainingMs(), 1'000.0);
 }
 
 TEST(Cancellation, CheckPrefersCancellationOverExpiry)
@@ -282,7 +277,7 @@ TEST(PartialResults, VirtualBudgetYieldsDeterministicPartialCounts)
 }
 
 // ---------------------------------------------------------------------
-// Executor integration: deadlines, cancellation, backoff caps.
+// Executor integration: deadlines and cancellation.
 
 TEST(ExecutorDeadlines, VirtualExpirySurfacesPartialResult)
 {
@@ -347,34 +342,6 @@ TEST(ExecutorDeadlines, CancelMidRetryStopsTheAttemptLoop)
     EXPECT_EQ(outcome.status.code(), ErrorCode::Cancelled);
     EXPECT_GE(outcome.stats.recalibrations, 1);
     EXPECT_LT(outcome.stats.attempts, retry.maxAttempts);
-}
-
-TEST(ExecutorBackoff, MaxTotalBackoffCapsCumulativeDelay)
-{
-    const Rig rig;
-    FaultPlan plan;
-    plan.transientRate = 1.0; // Every attempt fails: retries burn.
-
-    RetryPolicy retry;
-    retry.maxAttempts = 6;
-    retry.backoffBaseMs = 8.0;
-    retry.backoffFactor = 2.0;
-    retry.backoffCapMs = 64.0;
-    retry.jitter = 0.0;
-    retry.maxTotalBackoffMs = 20.0;
-
-    ResilientExecutor executor(rig.backend, retry);
-    executor.setFaultInjector(std::make_shared<FaultInjector>(plan));
-    ResilientRequest request;
-    request.schedule = rig.x180Schedule();
-    const ResilientOutcome outcome =
-        executor.run(rig.sim, request, shotOptions(32));
-
-    // Uncapped, the five retries would sleep 8+16+32+64+64 = 184 ms;
-    // the cap bounds the cumulative total while keeping every retry.
-    EXPECT_EQ(outcome.status.code(), ErrorCode::RetriesExhausted);
-    EXPECT_EQ(outcome.stats.retries, retry.maxAttempts - 1);
-    EXPECT_LE(outcome.stats.backoffTotalMs, 20.0 + 1e-9);
 }
 
 TEST(ExecutorFaults, FallbackAndRecalibrationUnderEnvPlanWithDeadline)
@@ -953,7 +920,6 @@ TEST(Service, SaturationIsBitIdenticalAcrossThreadCountsUnderVirtualTime)
         "compile.cache.hits",
         "compile.cache.misses",
         "compile.cache.persist_hits",
-        "compile.cache.singleflight_coalesced",
         "threadpool.parallel_for.calls",
     };
 
@@ -1014,8 +980,8 @@ TEST(Service, SaturationIsBitIdenticalAcrossThreadCountsUnderVirtualTime)
     EXPECT_EQ(seq.counters, par.counters);
     // Each leg compiled the two circuits once and ran a parallel loop.
     EXPECT_EQ(seq.counters[1], 2u); // compile.cache.misses
-    EXPECT_GT(seq.counters[4], 0u); // threadpool.parallel_for.calls
-    EXPECT_GT(par.counters[4], 0u);
+    EXPECT_GT(seq.counters[3], 0u); // threadpool.parallel_for.calls
+    EXPECT_GT(par.counters[3], 0u);
     EXPECT_EQ(seq.stats.submitted, par.stats.submitted);
     EXPECT_EQ(seq.stats.admitted, par.stats.admitted);
     EXPECT_EQ(seq.stats.rejected, par.stats.rejected);

@@ -307,26 +307,6 @@ TEST(Serde, ScheduleRoundTripsAndHashIsContentSensitive)
     EXPECT_NE(store::hashSchedule(shifted), store::hashSchedule(cnot));
 }
 
-TEST(Serde, PulseLibraryRoundTrips)
-{
-    const BackendConfig config = almadenLineConfig(2);
-    const auto backend = makeCalibratedBackend(config);
-    const PulseLibrary &library = backend->library();
-
-    store::ByteWriter w;
-    store::serializePulseLibrary(library, w);
-    const std::vector<std::uint8_t> bytes = w.take();
-    store::ByteReader r(bytes.data(), bytes.size());
-    PulseLibrary loaded;
-    ASSERT_TRUE(store::deserializePulseLibrary(r, loaded).ok());
-
-    EXPECT_EQ(loaded.config.name, library.config.name);
-    EXPECT_EQ(loaded.qubits.size(), library.qubits.size());
-    EXPECT_EQ(loaded.crs.size(), library.crs.size());
-    EXPECT_EQ(store::hashPulseLibrary(loaded),
-              store::hashPulseLibrary(library));
-}
-
 // ------------------------------------------------------------------
 // ArtifactStore: round-trips, reopen, invalidation, size budget.
 // ------------------------------------------------------------------
@@ -1103,10 +1083,13 @@ TEST(FleetPersistence, DrainReadmitInvalidatesPerMember)
 
     // Drain/readmit recalibrates: generation bumps, old disk records
     // become unreachable, re-derivation repopulates under a new key.
+    // The bump itself writes and flushes nothing.
     const std::uint64_t gen_before =
         second.persistentCache("b0")->generation();
+    const std::uint64_t flushes_before = store->stats().flushes;
     ASSERT_TRUE(second.beginDrain("b0").ok());
     ASSERT_TRUE(second.readmit("b0").ok());
+    EXPECT_EQ(store->stats().flushes, flushes_before);
     EXPECT_NE(second.persistentCache("b0")->generation(), gen_before);
 
     const store::PersistStats before =
