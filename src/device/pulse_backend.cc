@@ -299,7 +299,7 @@ PulseBackend::runShots(const PulseSimulator &sim,
     // Validation gate: a malformed schedule (NaN/Inf samples,
     // saturated envelopes, unknown channels, non-monotonic times)
     // must never reach the quantized cache keys or the
-    // eigendecomposition hot path — reject it with its structured
+    // propagator derivation — reject it with its structured
     // reason here, once per run, before any evolution.
     throwIfError(validateSchedule(schedule, library_.config));
 

@@ -1,11 +1,12 @@
 #include "linalg/eigen.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <numeric>
 
-#include "linalg/simd.h"
 #include "linalg/workspace.h"
 #include "telemetry/metrics.h"
 
@@ -53,8 +54,7 @@ jacobiRotate(Matrix &a, Matrix &v, std::size_t p, std::size_t q,
 
     // Update rows/cols p and q of a: a <- J^dag a J with
     // J(p,p)=c, J(q,q)=c, J(p,q)=s*phase, J(q,p)=-s*conj(phase).
-    // Spelled out in real arithmetic on raw pointers: this loop runs
-    // tens of thousands of times per evolve call, and the expanded
+    // Spelled out in real arithmetic on raw pointers: the expanded
     // form dodges the complex-multiply library fallback and index
     // re-computation the compiler cannot hoist on its own.
     Complex *cp = A + p;
@@ -94,61 +94,6 @@ jacobiRotate(Matrix &a, Matrix &v, std::size_t p, std::size_t q,
                       (spr * xi + spi * xr) + c * yi};
     }
 }
-
-#if defined(__x86_64__) || defined(__i386__)
-/**
- * AVX2-mode variant of jacobiRotate operating entirely on contiguous
- * memory: the rotation touches only rows p and q of `a` (one fused
- * row-pair kernel), the 2x2 pivot block is set from the closed-form
- * Jacobi update (app -+ t|apq|, zero off-diagonal), and columns p and q
- * are restored by Hermitian mirroring — conjugate copies, no flops.
- * The eigenvector accumulator is kept TRANSPOSED (rows = eigenvectors)
- * so its update is the same contiguous kernel with spi negated.
- * Compared to the scalar path this does two O(n) arithmetic loops
- * instead of three, all unit-stride, and the mirror enforces exact
- * Hermitian symmetry every rotation.
- */
-void
-jacobiRotateRows(Matrix &a, Matrix &vt, std::size_t p, std::size_t q,
-                 double thr2)
-{
-    const Complex apq = a(p, q);
-    if (std::norm(apq) <= thr2)
-        return;
-    const double abs_apq = std::abs(apq);
-
-    const double app = a(p, p).real();
-    const double aqq = a(q, q).real();
-    const double tau = (aqq - app) / (2.0 * abs_apq);
-    const double t = (tau >= 0.0)
-        ? 1.0 / (tau + std::sqrt(1.0 + tau * tau))
-        : 1.0 / (tau - std::sqrt(1.0 + tau * tau));
-    const double c = 1.0 / std::sqrt(1.0 + t * t);
-    const double s = t * c;
-    const Complex phase = apq / abs_apq;
-    const double spr = s * phase.real();
-    const double spi = s * phase.imag();
-
-    const std::size_t n = a.rows();
-    Complex *A = a.data().data();
-    kernels::rotateRowPairAvx2(A + p * n, A + q * n, n, c, spr, spi);
-    // Closed-form pivot block: the rotation zeroes (p, q) exactly and
-    // moves t|apq| between the diagonal entries.
-    const double shift = t * abs_apq;
-    A[p * n + p] = Complex{app - shift, 0.0};
-    A[q * n + q] = Complex{aqq + shift, 0.0};
-    A[p * n + q] = Complex{0.0, 0.0};
-    A[q * n + p] = Complex{0.0, 0.0};
-    const Complex *prow = A + p * n;
-    const Complex *qrow = A + q * n;
-    for (std::size_t k = 0; k < n; ++k) {
-        A[k * n + p] = std::conj(prow[k]);
-        A[k * n + q] = std::conj(qrow[k]);
-    }
-    Complex *V = vt.data().data();
-    kernels::rotateRowPairAvx2(V + p * n, V + q * n, n, c, spr, -spi);
-}
-#endif
 
 double
 offDiagonalNorm(const Matrix &a)
@@ -209,38 +154,17 @@ eigHermitian(const Matrix &input, double tol)
     std::vector<double> &values = result.values;
     Matrix &vectors = result.vectors;
 
-    // In AVX2 dispatch mode the sweeps run the contiguous row kernel
-    // (jacobiRotateRows), which keeps the eigenvector accumulator
-    // transposed; scalar mode keeps the original column-update loops
-    // bit-for-bit. The mode is process-wide, so results stay
-    // deterministic for a given dispatch configuration.
-#if defined(__x86_64__) || defined(__i386__)
-    const bool row_mode =
-        kernels::activeSimd() == kernels::SimdMode::Avx2;
-#else
-    const bool row_mode = false;
-#endif
-    Matrix &vt = ws.matrix(3, n, n);
-
     Matrix &a = ws.matrix(0, n, n);
     a = input;
-    if (row_mode) {
-        vt.resize(n, n);
-        vt.setIdentity();
-    } else {
-        vectors.resize(n, n);
-        vectors.setIdentity();
-    }
+    vectors.resize(n, n);
+    vectors.setIdentity();
 
     const double scale = std::max(a.frobeniusNorm(), 1e-300);
     // Rotation threshold, pinned at the round-off floor (not the
-    // caller tolerance): a looser threshold would leave O(tol)
-    // pivot residuals in every propagator, which the cached path's
-    // run collapse then amplifies by the run length. At the floor the
-    // skip is harmless — pivots below 8 eps scale / n keep the
-    // off-diagonal norm under sqrt(n(n-1)) / n < 1 of the floor
-    // target, so the norm check above each sweep stays the sole
-    // authority.
+    // caller tolerance): pivots below 8 eps scale / n keep the
+    // off-diagonal norm under sqrt(n(n-1)) / n < 1 of that floor, so
+    // skipping them is harmless and the norm check above each sweep
+    // stays the sole authority.
     const double thr = 8.0 * std::numeric_limits<double>::epsilon() *
                        scale / static_cast<double>(n);
     const double thr2 = thr * thr;
@@ -250,58 +174,36 @@ eigHermitian(const Matrix &input, double tol)
         if (offDiagonalNorm(a) <= tol * scale)
             break;
         ++sweeps;
-#if defined(__x86_64__) || defined(__i386__)
-        if (row_mode) {
-            for (std::size_t p = 0; p + 1 < n; ++p)
-                for (std::size_t q = p + 1; q < n; ++q)
-                    jacobiRotateRows(a, vt, p, q, thr2);
-            continue;
-        }
-#endif
         for (std::size_t p = 0; p + 1 < n; ++p)
             for (std::size_t q = p + 1; q < n; ++q)
                 jacobiRotate(a, vectors, p, q, thr2);
     }
     countEig(sweeps);
-    if (row_mode) {
-        vectors.resize(n, n);
-        for (std::size_t r = 0; r < n; ++r)
-            for (std::size_t c = 0; c < n; ++c)
-                vectors(r, c) = vt(c, r);
-    }
 
     // Post-iteration refinement against the PRISTINE input. The
     // iterated matrix (and the accumulated eigenvectors) drift from
     // the true similarity transform by the rotation round-off
     // (~rotations * eps * ||a||), and that drift depends on the
-    // iteration history: the scalar column loops and the AVX2 row
-    // kernel take different rotation sequences and disagree by ~1e-14
-    // on the same matrix, which composes coherently when a caller
-    // multiplies propagators of a repeated Hamiltonian — the pulse
-    // simulator's flat-tops do exactly that, hundreds of times in a
-    // row. Both drifts are removed with one residual computation
-    // E = V^dag A V from the original input:
+    // iteration history. One residual computation E = V^dag A V from
+    // the original input removes it, leaving eigenpairs at round-off
+    // from the input (tests/test_linalg.cc builds its exp(-iHt)
+    // oracle from them):
     //  - eigenvalues re-read as E's diagonal (Rayleigh quotients,
     //    stationary: insensitive to eigenvector error to 2nd order);
     //  - eigenvectors corrected to first order, V <- V (I + S) with
-    //    S_pq = E_pq gap / (gap^2 + mu^2), gap = lambda_q - lambda_p,
-    //    which cancels the history-dependent part of the basis error.
+    //    S_pq = E_pq gap / (gap^2 + mu^2), gap = lambda_q - lambda_p.
     //    The Tikhonov floor mu regularizes near-degenerate pairs,
     //    where the bare 1/gap would amplify the E_pq noise into a
     //    non-unitary S; the damping is harmless there because for any
     //    function f(A) = V f(diag) V^dag the uncorrected error between
     //    levels p, q is suppressed by f(lambda_p) - f(lambda_q) -> 0.
-    //    Smooth damping (rather than a cutoff) keeps the correction a
-    //    continuous function of the input, so scalar and SIMD solves
-    //    of the same matrix cannot land on opposite sides of a branch.
     // Cost: three gemms and an n^2 pass per solve.
     Matrix &av = ws.matrix(1, n, n);
     Matrix &e = ws.matrix(0, n, n); // Reuses the iteration slot.
     gemmInto(av, input, vectors);
     gemmAdjAInto(e, vectors, av);
     // The gemm rounding asymmetry in E (~n eps ||A||) would otherwise
-    // leak a Hermitian component into S — a non-unitary stretch of V
-    // that compounds multiplicatively when propagators are composed.
+    // leak a Hermitian component into S, a non-unitary stretch of V.
     // Hermitizing E keeps S exactly anti-Hermitian.
     hermitize(e);
     values.resize(n);
@@ -322,8 +224,7 @@ eigHermitian(const Matrix &input, double tol)
     gemmInto(vref, vectors, e);
     // One Newton polar step re-unitarizes the corrected basis,
     // vectors = vref (3I - vref^dag vref) / 2: the correction and its
-    // own product rounding leave ~n eps of non-unitarity, which the
-    // composition argument above cannot tolerate either.
+    // own product rounding leave ~n eps of non-unitarity.
     gemmAdjAInto(av, vref, vref);
     for (std::size_t r = 0; r < n; ++r)
         for (std::size_t c = 0; c < n; ++c) {
@@ -352,15 +253,152 @@ eigHermitian(const Matrix &input, double tol)
     return result;
 }
 
-Matrix
-expMinusIHt(const Matrix &h, double t, double tol)
+namespace {
+
+/**
+ * One rung of the Taylor degree ladder. A degree m = s * r costs
+ * (s - 1) + (r - 1) gemms in Paterson-Stockmeyer form, and theta is
+ * the largest ||A||_1 at which the degree-m Taylor polynomial of
+ * exp(A) has relative backward error at most 2^-53: the bound of
+ * Al-Mohy & Higham on the power series of log(e^{-A} T_m(A)),
+ * evaluated for these degrees.
+ */
+struct TaylorRung
 {
-    const EigenSystem es = eigHermitian(h, tol);
-    const std::size_t n = h.rows();
-    std::vector<Complex> phases(n);
+    int degree;
+    int blockSize;
+    double theta;
+};
+
+constexpr TaylorRung kTaylorLadder[] = {
+    {2, 2, 2.580957e-8},  {4, 2, 3.397169e-4},  {6, 3, 9.065656e-3},
+    {9, 3, 8.957760e-2},  {12, 4, 2.996159e-1}, {16, 4, 7.802874e-1},
+};
+constexpr int kMaxBlockSize = 4;
+
+/** c_k = 1 / k! for every degree on the ladder. */
+constexpr auto kInvFactorial = [] {
+    std::array<double, 17> c{};
+    c[0] = 1.0;
+    for (std::size_t k = 1; k < c.size(); ++k)
+        c[k] = c[k - 1] / static_cast<double>(k);
+    return c;
+}();
+
+/** Work counters for one exponential (thread-count invariant). */
+void
+countExpm(int squarings)
+{
+    static telemetry::Counter &c_calls =
+        telemetry::MetricsRegistry::global().counter("sim.expm.calls");
+    static telemetry::Counter &c_squarings =
+        telemetry::MetricsRegistry::global().counter(
+            "sim.expm.squarings");
+    c_calls.increment();
+    c_squarings.add(static_cast<std::uint64_t>(squarings));
+}
+
+/**
+ * exp(scale * a). The trace shift mu = tr(a) / n comes out as the
+ * scalar e^{scale mu}, so the polynomial sees B = scale (a - mu I),
+ * whose 1-norm picks the lowest rung with ||B||_1 <= theta. Past the
+ * top rung, B is halved until it fits and the result squared back.
+ * Scratch: slots 0-5 of the calling thread's tlsWorkspace().
+ */
+Matrix
+expScaled(const Matrix &a, Complex scale)
+{
+    qpulseRequire(a.rows() == a.cols(), "expm requires a square matrix");
+    const std::size_t n = a.rows();
+    Workspace &ws = tlsWorkspace();
+    Complex mu{0.0, 0.0};
     for (std::size_t i = 0; i < n; ++i)
-        phases[i] = std::exp(Complex{0.0, -es.values[i] * t});
-    return es.vectors * Matrix::diagonal(phases) * es.vectors.adjoint();
+        mu += a(i, i);
+    mu /= static_cast<double>(n);
+    Matrix &b = ws.matrix(0, n, n);
+    for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t c = 0; c < n; ++c)
+            b(r, c) = scale * (r == c ? a(r, c) - mu : a(r, c));
+    // |z| as sqrt(norm(z)): std::abs's overflow-safe hypot is the
+    // slower of the two, and these entries are far from overflow.
+    double norm1 = 0.0;
+    for (std::size_t c = 0; c < n; ++c) {
+        double column = 0.0;
+        for (std::size_t r = 0; r < n; ++r)
+            column += std::sqrt(std::norm(b(r, c)));
+        norm1 = std::max(norm1, column);
+    }
+    const TaylorRung *rung = std::end(kTaylorLadder) - 1;
+    for (const TaylorRung &candidate : kTaylorLadder)
+        if (norm1 <= candidate.theta) {
+            rung = &candidate;
+            break;
+        }
+    int squarings = 0;
+    // A non-finite norm skips the scaling and propagates to the result.
+    if (norm1 > rung->theta && std::isfinite(norm1)) {
+        squarings =
+            static_cast<int>(std::ceil(std::log2(norm1 / rung->theta)));
+        const double down = std::ldexp(1.0, -squarings);
+        for (Complex &z : b.data())
+            z *= down;
+    }
+    countExpm(squarings);
+
+    // Powers B^1 .. B^s.
+    const int s = rung->blockSize;
+    const int blocks = rung->degree / s;
+    Matrix *power[kMaxBlockSize + 1] = {nullptr, &b};
+    for (int j = 2; j <= s; ++j) {
+        power[j] = &ws.matrix(static_cast<std::size_t>(j - 1), n, n);
+        gemmInto(*power[j], *power[j - 1], b);
+    }
+    // acc += sum_{j < s} c_{s k + j} B^j, c_i = 1 / i!.
+    const auto add_block = [&](Matrix &acc, int k) {
+        for (std::size_t i = 0; i < n; ++i)
+            acc(i, i) += kInvFactorial[s * k];
+        for (int j = 1; j < s; ++j) {
+            const double coef = kInvFactorial[s * k + j];
+            const std::vector<Complex> &pj = power[j]->data();
+            std::vector<Complex> &out = acc.data();
+            for (std::size_t i = 0; i < out.size(); ++i)
+                out[i] += coef * pj[i];
+        }
+    };
+    // Horner in B^s over the blocks: the top block is c_m I, folded
+    // into the first step, so the loop costs blocks - 1 gemms.
+    Matrix &acc = ws.matrix(4, n, n);
+    Matrix &tmp = ws.matrix(5, n, n);
+    {
+        const double top = kInvFactorial[rung->degree];
+        const std::vector<Complex> &ps = power[s]->data();
+        std::vector<Complex> &out = acc.data();
+        for (std::size_t i = 0; i < out.size(); ++i)
+            out[i] = top * ps[i];
+    }
+    add_block(acc, blocks - 1);
+    for (int k = blocks - 2; k >= 0; --k) {
+        gemmInto(tmp, acc, *power[s]);
+        std::swap(acc, tmp);
+        add_block(acc, k);
+    }
+    for (int q = 0; q < squarings; ++q) {
+        gemmInto(tmp, acc, acc);
+        std::swap(acc, tmp);
+    }
+    const Complex phase = std::exp(scale * mu);
+    Matrix result(n, n);
+    for (std::size_t i = 0; i < n * n; ++i)
+        result.data()[i] = phase * acc.data()[i];
+    return result;
+}
+
+} // namespace
+
+Matrix
+expMinusIHt(const Matrix &h, double t)
+{
+    return expScaled(h, Complex{0.0, -t});
 }
 
 Matrix
@@ -372,42 +410,7 @@ expIH(const Matrix &h, double scale)
 Matrix
 expm(const Matrix &a)
 {
-    qpulseRequire(a.rows() == a.cols(), "expm requires a square matrix");
-
-    // Scale the matrix down until its norm is small, exponentiate with a
-    // Taylor series, then square back up.
-    double norm = 0.0;
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-        double row_sum = 0.0;
-        for (std::size_t j = 0; j < a.cols(); ++j)
-            row_sum += std::abs(a(i, j));
-        norm = std::max(norm, row_sum);
-    }
-
-    int squarings = 0;
-    double scale = 1.0;
-    while (norm * scale > 0.5) {
-        scale *= 0.5;
-        ++squarings;
-    }
-
-    const Matrix scaled = a * Complex{scale, 0.0};
-    Matrix result = Matrix::identity(a.rows());
-    Matrix term = Matrix::identity(a.rows());
-    for (int k = 1; k <= 20; ++k) {
-        term = term * scaled * Complex{1.0 / k, 0.0};
-        result += term;
-        // Relative early exit. ||scaled||_1 <= 1/2, so the neglected
-        // tail after this term is bounded by
-        //   sum_{j>=1} ||term|| * (1/2)^j = ||term||,
-        // giving a relative truncation error of ~1e-16 on the scaled
-        // exponential (see eigen.h for the documented bound).
-        if (term.frobeniusNorm() <= 1e-16 * result.frobeniusNorm())
-            break;
-    }
-    for (int s = 0; s < squarings; ++s)
-        result = result * result;
-    return result;
+    return expScaled(a, Complex{1.0, 0.0});
 }
 
 std::vector<double>

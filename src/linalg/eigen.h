@@ -2,36 +2,22 @@
  * @file
  * Eigendecomposition and matrix functions for small complex matrices.
  *
- * The workhorse is a cyclic Jacobi eigensolver for complex Hermitian
- * matrices, which is robust and plenty fast for the <= 64-dimensional
- * matrices that appear in qpulse. Matrix exponentials of Hermitian
- * generators (Hamiltonians) go through the eigendecomposition; general
- * matrix exponentials use scaling-and-squaring with a Taylor kernel.
+ * Matrix exponentials, including every per-sample propagator
+ * exp(-i H dt) the pulse simulator derives, are one kernel: a
+ * trace-shifted Taylor polynomial evaluated in Paterson-Stockmeyer
+ * form, its degree chosen from the 1-norm, with scaling and squaring
+ * only for norms past the top degree. The cyclic Jacobi eigensolver
+ * for complex Hermitian matrices serves spectra (ground-state
+ * energies) and is the tests' oracle for the exponential.
  */
 #ifndef QPULSE_LINALG_EIGEN_H
 #define QPULSE_LINALG_EIGEN_H
 
-#include <limits>
 #include <vector>
 
 #include "linalg/matrix.h"
 
 namespace qpulse {
-
-/**
- * Convergence tolerance pinning a Jacobi solve at the round-off floor
- * (a few eps above the best the iteration can reach, so it still
- * terminates in finite sweeps). Callers that compose many solve
- * results — the pulse simulator multiplies ~10^3 per-sample
- * propagators per schedule — should converge each solve to this floor
- * rather than the default tolerance: per-solve slack accumulates
- * linearly across the product, so a 1e-13 residual per step is a
- * ~1e-10 error budget over a schedule while the floor keeps the total
- * near 1e-12. Costs about one extra sweep versus the default (Jacobi
- * converges quadratically near the solution).
- */
-inline constexpr double kEigFloorTol =
-    8.0 * std::numeric_limits<double>::epsilon();
 
 /** Result of a Hermitian eigendecomposition: A = V diag(values) V^dag. */
 struct EigenSystem
@@ -45,7 +31,7 @@ struct EigenSystem
 /**
  * Eigendecomposition of a complex Hermitian matrix via cyclic Jacobi,
  * refined against the input after the sweeps converge (see the
- * implementation note). Scratch comes from slots 0-3 of the calling
+ * implementation note). Scratch comes from slots 0-2 of the calling
  * thread's tlsWorkspace(); each solve bumps the sim.eig.calls /
  * sim.eig.sweeps counters (docs/OBSERVABILITY.md).
  *
@@ -55,28 +41,26 @@ struct EigenSystem
 EigenSystem eigHermitian(const Matrix &a, double tol = 1e-13);
 
 /**
- * exp(-i * H * t) for Hermitian H, via eigendecomposition.
- *
- * This is the propagator of a time-independent Hamiltonian; it is
- * exactly unitary up to roundoff. Callers composing long propagator
- * products pass kEigFloorTol so the per-factor residual cannot
- * accumulate (see kEigFloorTol).
+ * exp(-i * H * t) for Hermitian H: e^{-i mu t} expm(-i t (H - mu I))
+ * with mu = tr(H) / n. Unitary to round-off (a few eps for the
+ * propagators the simulator derives; pinned against an eigensolver
+ * oracle in tests/test_linalg.cc).
  */
-Matrix expMinusIHt(const Matrix &h, double t, double tol = 1e-13);
+Matrix expMinusIHt(const Matrix &h, double t);
 
 /** exp(i * scale * H) for Hermitian H (scale real). */
 Matrix expIH(const Matrix &h, double scale);
 
 /**
- * General matrix exponential via scaling-and-squaring Taylor series.
- *
- * The Taylor loop stops early once the current term is negligible
- * relative to the accumulated sum: with the 1-norm of the scaled
- * matrix at most 1/2, the neglected tail after term T_k is bounded by
- * ||T_k|| * sum_{j>=1} 2^-j = ||T_k||, so truncating when
- * ||T_k|| <= eps * ||result|| keeps the relative error of the scaled
- * exponential at ~eps (pinned against the Hermitian eigensolver path
- * in tests/test_linalg.cc).
+ * General matrix exponential. The trace shift mu = tr(a) / n leaves
+ * the scalar e^mu; B = a - mu I then goes through a Taylor polynomial
+ * of the lowest degree m in {2, 4, 6, 9, 12, 16} whose backward-error
+ * bound theta_m (relative 2^-53) covers ||B||_1, evaluated in
+ * Paterson-Stockmeyer form: at most 6 gemms at m = 16. A norm past
+ * theta_16 ~ 0.78 is halved s times to fit and the result squared s
+ * times. Scratch comes from slots 0-5 of the calling thread's
+ * tlsWorkspace(); each call bumps the sim.expm.calls and
+ * sim.expm.squarings counters (docs/OBSERVABILITY.md).
  */
 Matrix expm(const Matrix &a);
 

@@ -33,11 +33,7 @@
 namespace qpulse {
 namespace kernels {
 
-/**
- * Which GEMM/matvec implementation the dispatcher selects. The numeric
- * values are persisted by store::simConfigFingerprint and must never
- * change: stores on disk record Avx2 as 2.
- */
+/** Which GEMM/matvec implementation the dispatcher selects. */
 enum class SimdMode
 {
     Scalar = 0, ///< Portable triple loops (bit-identical to the seed code).
@@ -103,21 +99,6 @@ void gemmAdjAAvx2(Complex *out, const Complex *a, const Complex *b,
                   std::size_t m, std::size_t k, std::size_t n);
 void matvecAvx2(Complex *out, const Complex *a, const Complex *x,
                 std::size_t m, std::size_t n);
-
-/**
- * Fused in-place complex Givens update of two contiguous rows (the
- * Jacobi eigensolver's inner kernel). With r90(z) = i z elementwise:
- *
- *   xp' = c xp - spr xq - spi r90(xq)
- *   xq' = c xq + spr xp - spi r90(xp)
- *
- * which for (spr, spi) = s (Re phase, Im phase) is the row half of the
- * Hermitian Jacobi rotation a <- J^dag a J; the accumulator update
- * v <- v J on a row-major transposed accumulator is the same kernel
- * with spi negated. Rows must not overlap.
- */
-void rotateRowPairAvx2(Complex *xp, Complex *xq, std::size_t n,
-                       double c, double spr, double spi);
 #endif
 
 // ---------------------------------------------------------------------

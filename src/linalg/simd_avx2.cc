@@ -188,48 +188,6 @@ matvecAvx2(Complex *out, const Complex *a, const Complex *x,
     }
 }
 
-QPULSE_AVX2 void
-rotateRowPairAvx2(Complex *xp, Complex *xq, std::size_t n, double c,
-                  double spr, double spi)
-{
-    // Two complex doubles per iteration. r90(z) = i z maps
-    // [re, im] -> [-im, re]: an in-lane swap plus a sign flip of the
-    // even lanes.
-    const __m256d vc = _mm256_set1_pd(c);
-    const __m256d vspr = _mm256_set1_pd(spr);
-    const __m256d vspi = _mm256_set1_pd(spi);
-    const __m256d flip_even = _mm256_setr_pd(-0.0, 0.0, -0.0, 0.0);
-    double *p = dp(xp);
-    double *q = dp(xq);
-    const std::size_t nd = 2 * n;
-    std::size_t k = 0;
-    for (; k + 4 <= nd; k += 4) {
-        const __m256d x = _mm256_loadu_pd(p + k);
-        const __m256d y = _mm256_loadu_pd(q + k);
-        const __m256d yr90 =
-            _mm256_xor_pd(_mm256_permute_pd(y, 0x5), flip_even);
-        const __m256d xr90 =
-            _mm256_xor_pd(_mm256_permute_pd(x, 0x5), flip_even);
-        // x' = c x - (spr y + spi r90(y))
-        const __m256d ty =
-            _mm256_fmadd_pd(vspr, y, _mm256_mul_pd(vspi, yr90));
-        _mm256_storeu_pd(p + k,
-                         _mm256_fmsub_pd(vc, x, ty));
-        // y' = c y + (spr x - spi r90(x))
-        const __m256d tx =
-            _mm256_fmsub_pd(vspr, x, _mm256_mul_pd(vspi, xr90));
-        _mm256_storeu_pd(q + k, _mm256_fmadd_pd(vc, y, tx));
-    }
-    for (; k < nd; k += 2) {
-        const double xr = p[k], xi = p[k + 1];
-        const double yr = q[k], yi = q[k + 1];
-        p[k] = c * xr - (spr * yr - spi * yi);
-        p[k + 1] = c * xi - (spr * yi + spi * yr);
-        q[k] = c * yr + (spr * xr + spi * xi);
-        q[k + 1] = c * yi + (spr * xi - spi * xr);
-    }
-}
-
 #undef QPULSE_AVX2
 
 } // namespace kernels

@@ -52,7 +52,7 @@ PropagatorCache::getOrComputeInto(const PropagatorKey &key,
     }
 
     // Compute outside the lock so concurrent shots never serialize on
-    // the eigendecomposition. Two threads may race to compute the same
+    // the derivation. Two threads may race to compute the same
     // key; both results are identical and the second insert is a no-op.
     out = compute();
 

@@ -10,7 +10,7 @@
  * exchange coupling. Long runs of identical samples (GaussianSquare
  * flat-tops, constant CR tones, idle stretches) and schedules repeated
  * across shots / RB sequences / ZNE stretch factors therefore recompute
- * the exact same Jacobi eigendecomposition over and over. This cache
+ * the exact same matrix exponential over and over. This cache
  * quantizes those inputs into an integer key and memoizes the computed
  * propagator in a bounded, LRU-evicting hash map.
  *
@@ -27,18 +27,10 @@
  * bit-identical (the common case) hit the cache with zero error.
  *
  * Thread safety: all methods are mutex-protected, so one cache can be
- * shared by concurrent shots drawing from the same schedule.
- *
- * Lock order (shared with PersistentPropagatorCache, src/store): the
- * LRU mutex `mutex_` here, the derived class's persist mutex and the
- * artifact store's mutex are all leaf locks — no code path holds one
- * while acquiring another. getOrComputeInto releases `mutex_` before
- * invoking the compute factory (which, in the persistent adapter,
- * reads the store, takes the persist mutex for its disk key and
- * counters, and puts a write-back into the store), and re-acquires it
- * only after the factory returns. Any future extension must preserve this: never
- * call back into the cache from inside a factory, and never touch the
- * persist state or the store while holding `mutex_`.
+ * shared by concurrent shots drawing from the same schedule. The LRU
+ * mutex is a leaf lock: getOrComputeInto releases it before invoking
+ * the compute factory and re-acquires it only after the factory
+ * returns, so a factory must never call back into the cache.
  */
 #ifndef QPULSE_PULSESIM_PROPAGATOR_CACHE_H
 #define QPULSE_PULSESIM_PROPAGATOR_CACHE_H
@@ -117,8 +109,6 @@ class PropagatorCache
     /** @param capacity Maximum resident entries before LRU eviction. */
     explicit PropagatorCache(std::size_t capacity = kDefaultCapacity);
 
-    virtual ~PropagatorCache() = default;
-
     /** Default entry bound: ~4k 9x9 matrices is a few MiB. */
     static constexpr std::size_t kDefaultCapacity = 4096;
 
@@ -128,12 +118,11 @@ class PropagatorCache
      * `out`, reusing `out`'s backing store when its capacity suffices,
      * so every hit inside a warm evolve loop is heap-silent. The
      * factory runs with the lock released; it must not reenter the
-     * cache. Virtual so PersistentPropagatorCache (src/store) can
-     * interpose a disk tier between the memory miss and the factory.
+     * cache.
      */
-    virtual void getOrComputeInto(const PropagatorKey &key,
-                                  const std::function<Matrix()> &compute,
-                                  Matrix &out);
+    void getOrComputeInto(const PropagatorKey &key,
+                          const std::function<Matrix()> &compute,
+                          Matrix &out);
 
     /** Drop every entry (counters are preserved). */
     void clear();

@@ -315,7 +315,7 @@ PulseSimulator::buildDriveTimeline(const Schedule &schedule, long duration,
             // Last line of defence under the validation gate: a
             // NaN/Inf sample would otherwise poison the quantized
             // propagator-cache key (llround on NaN is undefined) and
-            // every eigendecomposition derived from it.
+            // every propagator derived from it.
             if (!std::isfinite(value.real()) ||
                 !std::isfinite(value.imag()))
                 throw StatusError(Status::error(
@@ -443,10 +443,7 @@ PulseSimulator::stepPropagator(double t_mid_ns,
                 Complex{0.0, -staticH_(idx, idx).real() * kDtNs});
         return Matrix::diagonal(phases);
     }
-    // Floor tolerance, not the library default: evolve composes ~10^3
-    // of these per schedule and any per-step convergence slack
-    // accumulates linearly across the product (kEigFloorTol).
-    return expMinusIHt(h, kDtNs, kEigFloorTol);
+    return expMinusIHt(h, kDtNs);
 }
 
 template <typename Apply>
@@ -471,7 +468,7 @@ PulseSimulator::walkSteps(const Schedule &schedule, long duration,
             if constexpr (takes_hamiltonians) {
                 // A cache local to this call could only serve a later
                 // run of the same key; a short run is cheaper applied
-                // as an action than eigendecomposed.
+                // as an action than exponentiated.
                 if (!cache_ && step.count < kPoweredRun) {
                     sampleHamiltonian(step.tMidNs, step.drives, h);
                     apply(HamiltonianStep{h}, step.count);

@@ -25,10 +25,13 @@
  * caller-owned cache with setPropagatorCache extends the reuse across
  * calls, making repeated execution of the same schedule (shots, ZNE
  * stretch sweeps, RB sequences) near-free after the first pass.
- * Without an attached cache nothing outside the call could reuse a
- * propagator, so evolveState takes each short step as a Hamiltonian
- * and applies exp(-i H dt) to the state directly (a truncated Taylor
- * series), with no eigendecomposition.
+ * Each propagator is derived by linalg's expm kernel: a trace-shifted
+ * Taylor polynomial in Paterson-Stockmeyer form, at most six d x d
+ * gemms for a step of the validated drive range. Without an attached
+ * cache nothing outside the call could reuse a propagator, so
+ * evolveState takes each short step as a Hamiltonian and applies
+ * exp(-i H dt) to the state directly (a truncated Taylor series),
+ * deriving no propagator for it.
  */
 #ifndef QPULSE_PULSESIM_SIMULATOR_H
 #define QPULSE_PULSESIM_SIMULATOR_H
@@ -95,7 +98,7 @@ class PulseSimulator
     /**
      * Choose the step walker's step source. With caching off every
      * evolve call walks the per-sample exact reference — one
-     * stepPropagator eigendecomposition per AWG sample, each applied
+     * stepPropagator derivation per AWG sample, each applied
      * once, through the same applier as the cached steps — the oracle
      * that correctness tests and perf benches compare the cached
      * source against.
@@ -172,7 +175,7 @@ class PulseSimulator
     /**
      * Batched state evolution: every column of `panel` is evolved
      * through the schedule in place, so the per-sample propagators
-     * (cache lookups, eigensolves, binary powers) are computed ONCE
+     * (cache lookups, derivations, binary powers) are computed ONCE
      * and applied to all K states as a single gemm per step
      * (linalg/state_panel.h). Matches per-column evolveState to
      * <= 1e-12 max-abs (pinned in tests/test_batch.cc); within one
@@ -249,7 +252,9 @@ class PulseSimulator
                            Matrix &h) const;
 
     /**
-     * Exact propagator exp(-i H(t_mid) dt) of one AWG sample: cache
+     * Propagator exp(-i H(t_mid) dt) of one AWG sample, by expMinusIHt
+     * (exact to round-off; sim.expm.calls counts each derivation), or
+     * by its diagonal phases when no drive or coupling enters: cache
      * values on the cached source, every step of the reference source.
      */
     Matrix stepPropagator(double t_mid_ns,

@@ -5,8 +5,6 @@
 
 #include "common/rng.h"
 #include "compile/compile_cache.h"
-#include "store/persistent_propagator_cache.h"
-#include "store/serde.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -74,20 +72,6 @@ healthFailure(ErrorCode code)
     }
 }
 
-/** Generation of one member: its simulator basis version, its name
- *  (so same-named bases on different members never cross-serve), and
- *  its monotonic recalibration epoch. Any recalibration changes the
- *  epoch, so previously persisted propagators become unreachable. */
-std::uint64_t
-memberGeneration(const PulseSimulator &sim, const std::string &name,
-                 std::uint64_t persistEpoch)
-{
-    const std::uint64_t base = store::mixHash(
-        sim.basisVersion(),
-        store::hashBytes(name.data(), name.size()));
-    return store::mixHash(base, persistEpoch);
-}
-
 } // namespace
 
 BackendPool::Entry::Entry(std::string name_,
@@ -150,21 +134,14 @@ BackendPool::addBackend(std::string name,
         std::move(name), std::move(backend), std::move(sim),
         std::move(probe), policies_));
     Entry *entry = entries_.back().get();
-    if (store_)
-        entry->persistCache =
-            std::make_shared<store::PersistentPropagatorCache>(
-                store_,
-                memberGeneration(entry->sim, entry->name,
-                                 entry->persistEpoch),
-                store::simConfigFingerprint(entry->sim));
     entry->compiler = std::make_unique<PulseCompiler>(
         entry->backend, policies_.compileMode);
     entry->compiler->setCompileCache(compileCache_);
     entry->compiler->setCompileGeneration(calibrationGeneration(
-        entry->backend->library(), entry->persistEpoch));
+        entry->backend->library(), entry->recalibrationEpoch));
     // The drift watchdog's targeted refresh re-tunes the member: its
     // calibration is fresh again, the fleet counts the event, and any
-    // persisted propagators from the stale calibration are retired.
+    // schedules compiled under the stale calibration are retired.
     entry->executor.setRecalibrationHook([this, entry] {
         static telemetry::Counter &c_recal =
             telemetry::MetricsRegistry::global().counter(
@@ -172,7 +149,7 @@ BackendPool::addBackend(std::string name,
         entry->jobsSinceCalibration = 0;
         ++stats_.recalibrations;
         c_recal.increment();
-        bumpPersistGeneration(*entry);
+        bumpCompileGeneration(*entry);
     });
     updateGauges();
 }
@@ -290,13 +267,7 @@ BackendPool::runOn(const std::string &name,
     c_jobs.increment();
     registry.counter("fleet.routed." + entry.name).increment();
 
-    // With persistence on, route the job's propagator derivations
-    // through the member's disk-backed cache (memory -> disk ->
-    // derive). A caller-supplied cache wins: it is an explicit choice.
-    PulseShotOptions effective = opts;
-    if (entry.persistCache && !effective.cache)
-        effective.cache = entry.persistCache;
-    run.outcome = entry.executor.run(entry.sim, request, effective);
+    run.outcome = entry.executor.run(entry.sim, request, opts);
     ++entry.jobsSinceCalibration;
 
     const ErrorCode code = run.outcome.status.code();
@@ -385,7 +356,7 @@ BackendPool::readmit(const std::string &name)
         entry.injector->recalibrate();
     entry.jobsSinceCalibration = 0;
     ++entry.calibrationVersion;
-    bumpPersistGeneration(entry);
+    bumpCompileGeneration(entry);
     entry.breaker = CircuitBreaker(policies_.breaker);
     std::fill(entry.window.begin(), entry.window.end(), 0);
     entry.windowNext = 0;
@@ -498,8 +469,6 @@ BackendPool::runProbe(Entry &entry)
     opts.shots = policies_.probe.shots;
     opts.seed = Rng::deriveSeed(policies_.probe.seed,
                                 entry.probeCounter++);
-    if (entry.persistCache)
-        opts.cache = entry.persistCache;
 
     const ResilientOutcome outcome =
         entry.executor.run(entry.sim, request, opts);
@@ -530,29 +499,10 @@ BackendPool::runProbe(Entry &entry)
     updateGauges();
 }
 
-std::shared_ptr<store::PersistentPropagatorCache>
-BackendPool::persistentCache(const std::string &name) const
-{
-    return find(name).persistCache;
-}
-
 Status
 BackendPool::flushPersistence()
 {
-    Status first = Status::okStatus();
-    for (auto &entry : entries_) {
-        if (!entry->persistCache)
-            continue;
-        const Status status = entry->persistCache->flush();
-        if (!status.ok() && first.ok())
-            first = status;
-    }
-    if (compileCache_) {
-        const Status status = compileCache_->flush();
-        if (!status.ok() && first.ok())
-            first = status;
-    }
-    return first;
+    return compileCache_->flush();
 }
 
 PulseCompiler &
@@ -568,18 +518,14 @@ BackendPool::compileGeneration(const std::string &name) const
 }
 
 void
-BackendPool::bumpPersistGeneration(Entry &entry)
+BackendPool::bumpCompileGeneration(Entry &entry)
 {
-    // The epoch always advances: compiled schedules keyed under the
-    // old calibration generation must miss even when the persistent
-    // tier is off (the memory tier invalidates the same way).
-    ++entry.persistEpoch;
-    if (entry.persistCache)
-        entry.persistCache->setGeneration(memberGeneration(
-            entry.sim, entry.name, entry.persistEpoch));
+    // Compiled schedules keyed under the old calibration generation
+    // must miss, in the memory tier and on disk alike.
+    ++entry.recalibrationEpoch;
     if (entry.compiler)
         entry.compiler->setCompileGeneration(calibrationGeneration(
-            entry.backend->library(), entry.persistEpoch));
+            entry.backend->library(), entry.recalibrationEpoch));
 }
 
 void

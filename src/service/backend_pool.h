@@ -52,7 +52,6 @@ class CompileCache;
 
 namespace store {
 class ArtifactStore;
-class PersistentPropagatorCache;
 } // namespace store
 
 /** Administrative state of one fleet member. */
@@ -110,12 +109,11 @@ class BackendPool
         HealthPolicy health;
         ProbePolicy probe;
         /**
-         * Persistent artifact store shared by every member (null:
+         * Persistent artifact store under the compile cache (null:
          * resolved from QPULSE_CACHE_DIR at construction; still null
          * after that means persistence is off and behavior is
-         * bit-identical to a store-less pool). Each member gets its
-         * own PersistentPropagatorCache over this store, keyed by its
-         * basis version and per-member generation epoch
+         * bit-identical to a store-less pool). It holds compiled
+         * schedules keyed by each member's calibration generation
          * (docs/PERSISTENCE.md).
          */
         std::shared_ptr<store::ArtifactStore> artifactStore;
@@ -239,17 +237,7 @@ class BackendPool
         return store_;
     }
 
-    /**
-     * One member's persistent propagator cache (null when persistence
-     * is disabled). Its generation changes on every recalibration of
-     * that member — drift-watchdog refresh or drain/readmit — so
-     * artifacts persisted under the old calibration become
-     * unreachable (docs/PERSISTENCE.md invalidation model).
-     */
-    std::shared_ptr<store::PersistentPropagatorCache>
-    persistentCache(const std::string &name) const;
-
-    /** Flush the store: every pending write-back reaches disk. */
+    /** Flush the store: every pending compiled schedule reaches disk. */
     Status flushPersistence();
 
     /**
@@ -287,10 +275,9 @@ class BackendPool
         long jobsSinceCalibration = 0;
         long calibrationVersion = 0;
         std::uint64_t probeCounter = 0;
-        /** Disk tier over the pool's shared store (null: disabled). */
-        std::shared_ptr<store::PersistentPropagatorCache> persistCache;
-        /** Monotonic recalibration count keyed into the generation. */
-        std::uint64_t persistEpoch = 0;
+        /** Monotonic recalibration count keyed into the compile
+         *  generation. */
+        std::uint64_t recalibrationEpoch = 0;
         /** Member compiler over the pool's shared compile cache. */
         std::unique_ptr<PulseCompiler> compiler;
 
@@ -312,9 +299,8 @@ class BackendPool
     void runProbe(Entry &entry);
     /** Refresh the fleet.* admin gauges after a state change. */
     void updateGauges() const;
-    /** Advance `entry`'s generations (propagator + compile) after a
-     *  recalibration. */
-    void bumpPersistGeneration(Entry &entry);
+    /** Advance `entry`'s compile generation after a recalibration. */
+    void bumpCompileGeneration(Entry &entry);
 
     Policies policies_;
     std::shared_ptr<store::ArtifactStore> store_;

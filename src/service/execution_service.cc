@@ -619,7 +619,7 @@ ExecutionService::drain(
                   return a.id < b.id;
               });
 
-    // End-of-drain persistence flush: newly derived propagators reach
+    // End-of-drain persistence flush: newly compiled schedules reach
     // disk at a deterministic point, so a process that exits after a
     // drain leaves a warm cache behind. Flush failures are structured
     // but non-fatal — the cache is an accelerator, never a

@@ -130,10 +130,10 @@ struct ServicePolicy
     FleetPolicy fleet;
 
     /**
-     * Persistent artifact store for the propagator and compile disk
-     * tiers (pool of one only; null: resolved from QPULSE_CACHE_DIR
-     * by the pool, and still null after that means persistence stays
-     * off). See BackendPool::Policies::artifactStore.
+     * Persistent artifact store for the compile cache's disk tier
+     * (pool of one only; null: resolved from QPULSE_CACHE_DIR by the
+     * pool, and still null after that means persistence stays off).
+     * See BackendPool::Policies::artifactStore.
      */
     std::shared_ptr<store::ArtifactStore> artifactStore;
 
@@ -290,9 +290,9 @@ class ExecutionService
     }
 
     /**
-     * Push every member's queued propagator write-backs and the
-     * compile cache's to disk. drain() already calls this at the end
-     * of each drain; call it directly before a planned process exit.
+     * Push the compile cache's queued write-backs to disk. drain()
+     * already calls this at the end of each drain; call it directly
+     * before a planned process exit.
      */
     Status flushPersistence() { return pool_->flushPersistence(); }
 

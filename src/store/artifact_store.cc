@@ -52,6 +52,14 @@ segmentUid(std::uint32_t seq, std::uint32_t tag)
     return (static_cast<std::uint64_t>(seq) << 32) | tag;
 }
 
+/** True for the kinds this build reads; retired kinds are never served. */
+bool
+liveKind(std::uint32_t kind)
+{
+    return kind ==
+           static_cast<std::uint32_t>(ArtifactKind::CompiledSchedule);
+}
+
 telemetry::Counter &
 persistCounter(const char *name)
 {
@@ -317,6 +325,12 @@ ArtifactStore::scanSegment(const Segment &segment)
         const std::size_t recordBytes =
             kRecordHeaderBytes + static_cast<std::size_t>(payloadBytes) +
             kRecordTrailerBytes;
+        if (!liveKind(key.kind)) {
+            // A retired kind an older build wrote: stepped over, never
+            // indexed; its bytes go when the budget drops the segment.
+            offset += recordBytes;
+            continue;
+        }
         IndexEntry entry;
         entry.segment = segment.uid;
         entry.offset = offset;
@@ -343,6 +357,10 @@ Status
 ArtifactStore::put(const ArtifactKey &key,
                    const std::vector<std::uint8_t> &payload)
 {
+    if (!liveKind(key.kind))
+        return Status::error(ErrorCode::InvalidArgument,
+                             "artifact kind " + std::to_string(key.kind) +
+                                 " is not stored");
     std::lock_guard<std::mutex> lock(mutex_);
     pending_.push_back(Pending{key, frameRecord(key, payload)});
     ++stats_.puts;

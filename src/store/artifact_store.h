@@ -2,13 +2,12 @@
  * @file
  * Content-addressed persistent artifact store (docs/PERSISTENCE.md).
  *
- * Derived artifacts — propagator blocks and compiled schedules — are
- * pure functions of their inputs, so they are addressed by content,
- * not by name: the key is
- * (content hash, generation, sim-config fingerprint, kind). A fresh
- * process pointed at the same QPULSE_CACHE_DIR finds the artifacts a
- * previous process derived and serves them without paying the
- * derivation cost again.
+ * Compiled schedules are pure functions of their inputs, so they are
+ * addressed by content, not by name: the key is
+ * (content hash, generation, config fingerprint, kind). A fresh
+ * process pointed at the same QPULSE_CACHE_DIR finds the schedules a
+ * previous process compiled and serves them without paying the
+ * compile cost again.
  *
  * On-disk layout (`<dir>/`): record segments and nothing else.
  *
@@ -65,13 +64,14 @@ namespace qpulse {
 namespace store {
 
 /**
- * What a persisted payload decodes to. Kind 3 is retired: a directory
- * an older build wrote may still index records of it, which no lookup
- * asks for and the size budget ages out. Do not reuse the number.
+ * What a persisted payload decodes to. Kinds 1 (propagator blocks)
+ * and 3 (calibration snapshots) are retired: a directory an older
+ * build wrote may still hold records of them, which open() does not
+ * index, put() refuses and the size budget ages out with their
+ * segments. Do not reuse the numbers.
  */
 enum class ArtifactKind : std::uint32_t
 {
-    PropagatorBlock = 1,  ///< PropagatorKey words + Matrix.
     CompiledSchedule = 2, ///< Serialized Schedule.
 };
 
@@ -79,8 +79,8 @@ enum class ArtifactKind : std::uint32_t
 struct ArtifactKey
 {
     std::uint64_t contentHash = 0; ///< Hash of the derivation inputs.
-    std::uint64_t generation = 0;  ///< Calibration/basis generation.
-    std::uint64_t configFingerprint = 0; ///< simConfigFingerprint.
+    std::uint64_t generation = 0;  ///< Calibration generation.
+    std::uint64_t configFingerprint = 0; ///< Derivation configuration.
     std::uint32_t kind = 0;        ///< ArtifactKind.
 
     bool operator==(const ArtifactKey &other) const
@@ -137,7 +137,8 @@ class ArtifactStore
     /**
      * Open (creating if needed) the store at `dir`: map every segment
      * and scan its record chain into the in-memory index (checksums
-     * are verified lazily, on each record's first get). Returns
+     * are verified lazily, on each record's first get; records of a
+     * retired kind are stepped over, never indexed). Returns
      * nullptr with a structured Status on an unusable directory.
      */
     static std::shared_ptr<ArtifactStore>
@@ -155,7 +156,8 @@ class ArtifactStore
     /**
      * Buffer one artifact for the next flush(). Duplicate keys (same
      * content re-derived by a racing process) are benign: the newest
-     * record wins in the index, both decode identically.
+     * record wins in the index, both decode identically. A key of a
+     * retired kind is refused with InvalidArgument.
      */
     Status put(const ArtifactKey &key,
                const std::vector<std::uint8_t> &payload);

@@ -11,7 +11,6 @@
 
 #include "common/constants.h"
 #include "linalg/simd.h"
-#include "pulsesim/simulator.h"
 
 namespace qpulse {
 namespace store {
@@ -377,17 +376,6 @@ ByteWriter::raw(const void *data, std::size_t size)
 }
 
 void
-ByteWriter::i64Array(const std::int64_t *src, std::size_t count)
-{
-    if constexpr (kHostLittleEndian) {
-        raw(src, count * sizeof(std::int64_t));
-    } else {
-        for (std::size_t i = 0; i < count; ++i)
-            i64(src[i]);
-    }
-}
-
-void
 ByteWriter::f64Array(const double *src, std::size_t count)
 {
     if constexpr (kHostLittleEndian) {
@@ -493,24 +481,6 @@ ByteReader::str(std::string &v)
 }
 
 Status
-ByteReader::i64Array(std::int64_t *dst, std::size_t count)
-{
-    // Division, not `need(count * 8)`: a huge count must not wrap the
-    // byte total past the bounds check.
-    if (count > remaining() / sizeof(std::int64_t))
-        return corrupt("array of " + std::to_string(count) +
-                       " words beyond the payload");
-    if constexpr (kHostLittleEndian) {
-        std::memcpy(dst, data_ + pos_, count * sizeof(std::int64_t));
-        pos_ += count * sizeof(std::int64_t);
-    } else {
-        for (std::size_t i = 0; i < count; ++i)
-            i64(dst[i]);
-    }
-    return Status::okStatus();
-}
-
-Status
 ByteReader::f64Array(double *dst, std::size_t count)
 {
     if (count > remaining() / sizeof(double))
@@ -524,67 +494,6 @@ ByteReader::f64Array(double *dst, std::size_t count)
             f64(dst[i]);
     }
     return Status::okStatus();
-}
-
-// ------------------------------------------------------------------
-// Matrix / PropagatorKey
-// ------------------------------------------------------------------
-
-void
-serializeMatrix(const Matrix &m, ByteWriter &w)
-{
-    w.u64(m.rows());
-    w.u64(m.cols());
-    // std::complex<double> is layout-compatible with double[2]
-    // (re, im) — the bulk append writes the same consecutive
-    // little-endian f64 pairs c128 would.
-    w.f64Array(reinterpret_cast<const double *>(m.data().data()),
-               m.data().size() * 2);
-}
-
-Status
-deserializeMatrix(ByteReader &r, Matrix &out)
-{
-    std::uint64_t rows = 0, cols = 0;
-    if (Status s = r.u64(rows); !s.ok())
-        return s;
-    if (Status s = r.u64(cols); !s.ok())
-        return s;
-    // Entries are 16 bytes each; bound the claimed shape by the bytes
-    // actually present so a corrupt header cannot trigger a huge
-    // allocation before the payload read fails. The product is tested
-    // by division — `rows * cols` itself can wrap u64 (e.g. 2^33 x
-    // 2^33) and slip past a multiplied check, yielding a Matrix whose
-    // rows()/cols() disagree with its backing storage.
-    const std::uint64_t max_entries = r.remaining() / 16;
-    if (rows != 0 && cols > max_entries / rows)
-        return corrupt("matrix header claims " + std::to_string(rows) +
-                       "x" + std::to_string(cols) +
-                       " entries beyond the payload");
-    out.resize(static_cast<std::size_t>(rows),
-               static_cast<std::size_t>(cols));
-    return r.f64Array(reinterpret_cast<double *>(out.data().data()),
-                      out.data().size() * 2);
-}
-
-void
-serializePropagatorKey(const PropagatorKey &key, ByteWriter &w)
-{
-    w.u64(key.words.size());
-    w.i64Array(key.words.data(), key.words.size());
-}
-
-Status
-deserializePropagatorKey(ByteReader &r, PropagatorKey &out)
-{
-    std::uint64_t count = 0;
-    if (Status s = r.u64(count); !s.ok())
-        return s;
-    if (count > r.remaining() / 8)
-        return corrupt("propagator key claims " + std::to_string(count) +
-                       " words beyond the payload");
-    out.words.resize(static_cast<std::size_t>(count));
-    return r.i64Array(out.words.data(), out.words.size());
 }
 
 // ------------------------------------------------------------------
@@ -977,23 +886,6 @@ hashPulseLibrary(const PulseLibrary &library)
 {
     ByteWriter w;
     serializePulseLibrary(library, w);
-    return hashBytes(w.bytes().data(), w.size());
-}
-
-std::uint64_t
-simConfigFingerprint(const PulseSimulator &sim)
-{
-    ByteWriter w;
-    w.u32(kFormatVersion);
-    w.u64(sim.model().dim());
-    w.u64(sim.model().numTransmons());
-    w.u64(sim.model().levels());
-    w.f64(kDtNs);
-    w.f64(kDriveQuantum);
-    // Propagator values depend on the active SIMD tier within the
-    // 1e-12 agreement budget; a cross-tier disk serve must miss and
-    // re-derive rather than smuggle another tier's rounding in.
-    w.u8(static_cast<std::uint8_t>(kernels::activeSimd()));
     return hashBytes(w.bytes().data(), w.size());
 }
 

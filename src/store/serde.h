@@ -15,8 +15,7 @@
  *    way;
  *  - **exact doubles**: f64 values round-trip through their IEEE-754
  *    bit pattern (std::bit_cast to/from uint64), so a deserialized
- *    propagator is *bit-identical* to the one that was derived —
- *    stronger than the repo-wide 1e-12 agreement budget;
+ *    schedule's samples are *bit-identical* to the compiled ones;
  *  - **format version**: kFormatVersion is stamped into every record
  *    header; a decoder never guesses at bytes written by a different
  *    layout (ErrorCode::StoreVersionMismatch, fail closed);
@@ -24,11 +23,11 @@
  *    truncated or bit-flipped record fails the checksum and is
  *    quarantined, never decoded (ErrorCode::StoreCorrupt).
  *
- * Serializable artifacts: Matrix (propagator/unitary blocks),
- * PropagatorKey, Schedule (waveforms materialized to samples — the
- * parametric Waveform subclasses hold closures-worth of behavior, but
- * their *samples* are the canonical content) and QuantumCircuit.
- * A PulseLibrary is hashed, never persisted.
+ * Serializable artifacts: Schedule (waveforms materialized to samples —
+ * the parametric Waveform subclasses hold closures-worth of behavior,
+ * but their *samples* are the canonical content) and QuantumCircuit,
+ * the two halves of a CompiledSchedule record. A PulseLibrary is
+ * hashed, never persisted.
  */
 #ifndef QPULSE_STORE_SERDE_H
 #define QPULSE_STORE_SERDE_H
@@ -40,14 +39,9 @@
 #include "circuit/circuit.h"
 #include "common/status.h"
 #include "device/calibration.h"
-#include "linalg/matrix.h"
 #include "pulse/schedule.h"
-#include "pulsesim/propagator_cache.h"
 
 namespace qpulse {
-
-class PulseSimulator;
-
 namespace store {
 
 /** On-disk layout version; bump on any encoding change. */
@@ -89,12 +83,11 @@ class ByteWriter
     void str(const std::string &v);
     void raw(const void *data, std::size_t size);
     /**
-     * Contiguous value arrays (matrix entries, key words). The
+     * Contiguous value array (waveform samples, gate parameters). The
      * encoding is the same consecutive little-endian values the
      * scalar calls produce; on little-endian hosts the whole block
      * is appended with one memcpy instead of a per-byte loop.
      */
-    void i64Array(const std::int64_t *src, std::size_t count);
     void f64Array(const double *src, std::size_t count);
 
     const std::vector<std::uint8_t> &bytes() const { return bytes_; }
@@ -125,9 +118,8 @@ class ByteReader
     Status f64(double &v);
     Status c128(Complex &v);
     Status str(std::string &v);
-    /** Bulk counterparts of ByteWriter's array appends (bounds-
-     *  checked once for the whole block; memcpy on LE hosts). */
-    Status i64Array(std::int64_t *dst, std::size_t count);
+    /** Bulk counterpart of ByteWriter::f64Array (bounds-checked once
+     *  for the whole block; memcpy on LE hosts). */
     Status f64Array(double *dst, std::size_t count);
 
     std::size_t remaining() const { return size_ - pos_; }
@@ -146,12 +138,6 @@ class ByteReader
 // structured Status (StoreCorrupt on malformed payloads) and leaves
 // the output unspecified on failure.
 // ------------------------------------------------------------------
-
-void serializeMatrix(const Matrix &m, ByteWriter &w);
-Status deserializeMatrix(ByteReader &r, Matrix &out);
-
-void serializePropagatorKey(const PropagatorKey &key, ByteWriter &w);
-Status deserializePropagatorKey(ByteReader &r, PropagatorKey &out);
 
 /**
  * Plain schedule encoding: name + instruction list, every Play
@@ -201,15 +187,6 @@ std::uint64_t hashSchedule(const Schedule &schedule);
  * compile key.
  */
 std::uint64_t hashPulseLibrary(const PulseLibrary &library);
-
-/**
- * Fingerprint of the simulation configuration an artifact was derived
- * under: Hilbert-space shape, sample period, drive quantization, the
- * active SIMD tier (propagator values are tier-dependent within the
- * 1e-12 budget, so cross-tier serves must miss and re-derive), and
- * the serialization format version.
- */
-std::uint64_t simConfigFingerprint(const PulseSimulator &sim);
 
 } // namespace store
 } // namespace qpulse

@@ -196,7 +196,7 @@ transmonSchedule()
 /**
  * Coupled 9-level pair (dim 81) with the CR control channel mapped
  * and a caller-owned propagator cache attached, so the 81x81
- * eigensolves are paid once across the whole width/mode sweep.
+ * derivations are paid once across the whole width/mode sweep.
  */
 PulseSimulator
 qutritPairSimulator()
@@ -353,7 +353,7 @@ TEST(BatchEvolve, MatchesLoopedOnQutritPair81)
 {
     // dim 81: the qutrit pair, the largest Hilbert space the project
     // simulates. One simulator (shared propagator cache) keeps the
-    // eigensolves amortized across the width sweep; Scalar plus the
+    // derivations amortized across the width sweep; Scalar plus the
     // host's best tier cover both ends of the dispatch range.
     const Schedule schedule = pairSchedule();
     const PulseSimulator sim = qutritPairSimulator();
@@ -363,7 +363,7 @@ TEST(BatchEvolve, MatchesLoopedOnQutritPair81)
         // cache: the batched panel products must agree with the
         // looped path on the pure-scalar tier too. The full batch
         // label additionally runs under QPULSE_SIMD=0 in CI, which
-        // covers the scalar eigensolve path end to end.
+        // covers the scalar derivation path end to end.
         ScopedSimdMode mode(kernels::SimdMode::Scalar);
         expectBatchedMatchesLooped(sim, schedule, {3, 64}, 4000);
     }

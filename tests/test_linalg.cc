@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/constants.h"
@@ -13,6 +14,8 @@
 #include "linalg/eigen.h"
 #include "linalg/gates.h"
 #include "linalg/matrix.h"
+#include "linalg/simd.h"
+#include "telemetry/metrics.h"
 
 namespace qpulse {
 namespace {
@@ -192,13 +195,34 @@ TEST(Expm, MatchesAnalyticRotation)
     EXPECT_LT(u.maxAbsDiff(gates::rx(theta)), 1e-10);
 }
 
+/**
+ * exp(-i H t) built from the eigendecomposition, V diag(e^{-i lambda t})
+ * V^dag: the oracle the exponential kernel is held to.
+ */
+Matrix
+eigenPropagator(const Matrix &h, double t)
+{
+    const EigenSystem es = eigHermitian(h);
+    std::vector<Complex> phases(h.rows());
+    for (std::size_t i = 0; i < h.rows(); ++i)
+        phases[i] = std::exp(Complex{0.0, -es.values[i] * t});
+    return es.vectors * Matrix::diagonal(phases) * es.vectors.adjoint();
+}
+
+/** max |(U^dag U - I)_rc|. */
+double
+unitarityDefect(const Matrix &u)
+{
+    return (u.adjoint() * u).maxAbsDiff(Matrix::identity(u.rows()));
+}
+
 TEST(Expm, GeneralAgainstHermitianPath)
 {
     Rng rng(9);
     const Matrix h = randomHermitian(4, rng);
-    const Matrix via_eig = expMinusIHt(h, 1.0);
+    const Matrix via_eig = eigenPropagator(h, 1.0);
     const Matrix via_taylor = expm(h * Complex{0.0, -1.0});
-    EXPECT_LT(via_eig.maxAbsDiff(via_taylor), 1e-9);
+    EXPECT_LT(via_eig.maxAbsDiff(via_taylor), 1e-13);
 }
 
 TEST(Expm, Identity)
@@ -209,32 +233,93 @@ TEST(Expm, Identity)
 
 TEST(Expm, EarlyExitKeepsHermitianAgreementAcrossScales)
 {
-    // The Taylor loop's relative early exit (documented bound: tail
-    // after term T_k is <= ||T_k|| once the scaled 1-norm is <= 1/2)
-    // must agree with the eigendecomposition path at small norms (no
-    // squaring), at norms just above the squaring threshold, and at
-    // large norms (many squarings compound the truncation error).
+    // The degree ladder exits at the lowest Taylor degree whose bound
+    // covers the norm. It must agree with the eigendecomposition at
+    // small norms (low degree, no squaring), at norms just above the
+    // squaring threshold, and at large norms (many squarings compound
+    // the rounding error).
     Rng rng(11);
     const Matrix h = randomHermitian(5, rng);
     for (const double t : {1e-4, 0.3, 1.0, 7.0, 30.0}) {
-        const Matrix via_eig = expMinusIHt(h, t);
+        const Matrix via_eig = eigenPropagator(h, t);
         const Matrix via_taylor = expm(h * Complex{0.0, -t});
-        EXPECT_LT(via_eig.maxAbsDiff(via_taylor), 1e-9)
+        EXPECT_LT(via_eig.maxAbsDiff(via_taylor), 1e-12)
             << "expm diverged from the Hermitian path at t=" << t;
-        EXPECT_TRUE(via_taylor.isUnitary(1e-8));
+        EXPECT_TRUE(via_taylor.isUnitary(1e-12));
     }
 }
 
 TEST(Expm, EarlyExitMatchesScaledIdentity)
 {
-    // exp(a I) = e^a I exactly; the early exit fires after very few
-    // terms here and must not degrade the result.
+    // exp(a I) = e^a I exactly: the trace shift leaves a zero matrix,
+    // which exits at the lowest degree without degrading the result.
     const double a = 0.125;
     Matrix m = Matrix::identity(4);
     m *= Complex{a, 0.0};
     const Matrix e = expm(m);
     for (std::size_t i = 0; i < 4; ++i)
         EXPECT_NEAR(e(i, i).real(), std::exp(a), 1e-13);
+}
+
+TEST(Expm, MatchesEigensolverOracleOnBothTiers)
+{
+    // Seeded Hermitians at the simulator's dimensions (a qubit, a
+    // transmon qutrit, a coupled pair of them), each scaled so that
+    // ||t (H - mu I)||_1 runs from 1e-3 to 8: every rung of the degree
+    // ladder, then 1 to 4 squarings past theta_16 ~ 0.78. The gemms
+    // inside go through the SIMD dispatch, so both tiers are held to
+    // the same bounds, pinned at about 10x the largest values measured
+    // (oracle 4.2e-15 scalar, 3.6e-15 AVX2; unitarity 3.3e-15 scalar,
+    // 3.1e-15 AVX2).
+    constexpr double kOracleBound = 4e-14;
+    constexpr double kUnitarityBound = 3e-14;
+    const telemetry::Counter &squarings =
+        telemetry::MetricsRegistry::global().counter("sim.expm.squarings");
+    const kernels::SimdMode original = kernels::activeSimd();
+    std::vector<kernels::SimdMode> tiers = {kernels::SimdMode::Scalar};
+    if (kernels::avx2Supported())
+        tiers.push_back(kernels::SimdMode::Avx2);
+    for (const kernels::SimdMode tier : tiers) {
+        kernels::setActiveSimd(tier);
+        double worst_oracle = 0.0;
+        double worst_unitarity = 0.0;
+        std::uint64_t most_squarings = 0;
+        for (const std::size_t d : {2u, 3u, 9u}) {
+            Rng rng(0xE4A0 + d);
+            for (int draw = 0; draw < 8; ++draw) {
+                const Matrix h = randomHermitian(d, rng);
+                const Complex mu = h.trace() / static_cast<double>(d);
+                const Matrix shifted = h - Matrix::identity(d) * mu;
+                double norm1 = 0.0;
+                for (std::size_t c = 0; c < d; ++c) {
+                    double column = 0.0;
+                    for (std::size_t r = 0; r < d; ++r)
+                        column += std::abs(shifted(r, c));
+                    norm1 = std::max(norm1, column);
+                }
+                for (const double target :
+                     {1e-3, 1e-2, 0.05, 0.2, 0.5, 0.78, 1.2, 2.5, 5.0,
+                      8.0}) {
+                    const double t = target / norm1;
+                    const std::uint64_t before = squarings.value();
+                    const Matrix u = expMinusIHt(h, t);
+                    most_squarings = std::max(
+                        most_squarings, squarings.value() - before);
+                    worst_oracle = std::max(
+                        worst_oracle,
+                        u.maxAbsDiff(eigenPropagator(h, t)));
+                    worst_unitarity =
+                        std::max(worst_unitarity, unitarityDefect(u));
+                }
+            }
+        }
+        EXPECT_LE(worst_oracle, kOracleBound)
+            << kernels::simdModeName(tier);
+        EXPECT_LE(worst_unitarity, kUnitarityBound)
+            << kernels::simdModeName(tier);
+        EXPECT_EQ(most_squarings, 4u) << kernels::simdModeName(tier);
+    }
+    kernels::setActiveSimd(original);
 }
 
 TEST(SolveLinear, SolvesKnownSystem)

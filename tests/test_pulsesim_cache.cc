@@ -178,7 +178,7 @@ evolveCrEchoUnder(kernels::SimdMode mode, bool caching)
 TEST(PulseSimCache, Avx2MatchesScalarEndToEndOnCrEcho)
 {
     // The tier agreement docs/PERFORMANCE.md promises "on every matrix
-    // this project produces", checked on whole evolutions (eigensolves,
+    // this project produces", checked on whole evolutions (derivations,
     // binary powers, long products) on both the cached and the
     // reference path.
     if (!kernels::avx2Supported())

@@ -269,7 +269,8 @@ TEST(PulseSimReference, UncachedStateEvolutionDerivesNoPropagator)
 {
     telemetry::MetricsRegistry &registry =
         telemetry::MetricsRegistry::global();
-    const telemetry::Counter &eig_calls = registry.counter("sim.eig.calls");
+    const telemetry::Counter &derivations =
+        registry.counter("sim.expm.calls");
     const telemetry::Counter &action_steps =
         registry.counter("sim.action.steps");
     const Schedule schedule = testgen::generateSchedule(101, crPairShape());
@@ -279,31 +280,31 @@ TEST(PulseSimReference, UncachedStateEvolutionDerivesNoPropagator)
 
     // No cache attached: every sample is applied as an action.
     const PulseSimulator uncached = crPairSimulator();
-    std::uint64_t eig0 = eig_calls.value();
+    std::uint64_t derived0 = derivations.value();
     std::uint64_t act0 = action_steps.value();
     (void)uncached.evolveState(schedule, ground);
-    EXPECT_EQ(eig_calls.value() - eig0, 0u);
+    EXPECT_EQ(derivations.value() - derived0, 0u);
     EXPECT_EQ(action_steps.value() - act0, samples);
 
     // An attached cache derives one propagator per distinct key.
     PulseSimulator attached = crPairSimulator();
     const auto cache = std::make_shared<PropagatorCache>();
     attached.setPropagatorCache(cache);
-    eig0 = eig_calls.value();
+    derived0 = derivations.value();
     act0 = action_steps.value();
     (void)attached.evolveState(schedule, ground);
     const std::uint64_t distinct = cache->size();
     EXPECT_GT(distinct, 0u);
     EXPECT_EQ(cache->stats().misses, distinct);
-    EXPECT_EQ(eig_calls.value() - eig0, distinct);
+    EXPECT_EQ(derivations.value() - derived0, distinct);
     EXPECT_EQ(action_steps.value() - act0, 0u);
 
     // evolveUnitary without a cache still derives them, in a cache
     // local to the call.
-    eig0 = eig_calls.value();
+    derived0 = derivations.value();
     act0 = action_steps.value();
     (void)uncached.evolveUnitary(schedule);
-    EXPECT_EQ(eig_calls.value() - eig0, distinct);
+    EXPECT_EQ(derivations.value() - derived0, distinct);
     EXPECT_EQ(action_steps.value() - act0, 0u);
 }
 

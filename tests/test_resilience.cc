@@ -587,32 +587,33 @@ TEST(Degradation, FailuresWithoutFallbackKeepNoStreak)
 }
 
 /**
- * The eigensolves of one cold evolution on a fresh simulator with a
- * fresh cache attached, as the executor's run cache evolves it (a
- * simulator with no cache attached derives none for its short steps).
+ * The propagator derivations of one cold evolution on a fresh
+ * simulator with a fresh cache attached, as the executor's run cache
+ * evolves it (a simulator with no cache attached derives none for its
+ * short steps).
  */
 std::uint64_t
 coldDerivations(const Rig &rig, const Schedule &schedule)
 {
-    const telemetry::Counter &eig_calls =
-        telemetry::MetricsRegistry::global().counter("sim.eig.calls");
-    const std::uint64_t start = eig_calls.value();
+    const telemetry::Counter &derivations =
+        telemetry::MetricsRegistry::global().counter("sim.expm.calls");
+    const std::uint64_t start = derivations.value();
     Vector ground(rig.sim.model().dim());
     ground[0] = Complex{1.0, 0.0};
     PulseSimulator cold(rig.sim);
     cold.setPropagatorCache(std::make_shared<PropagatorCache>());
     (void)cold.evolveState(schedule, ground);
-    return eig_calls.value() - start;
+    return derivations.value() - start;
 }
 
 TEST(RunCache, BaselineAndEveryAttemptDeriveEachPropagatorOnce)
 {
     const Rig rig;
     const Schedule schedule = rig.x180Schedule();
-    const telemetry::Counter &eig_calls =
-        telemetry::MetricsRegistry::global().counter("sim.eig.calls");
+    const telemetry::Counter &expm_calls =
+        telemetry::MetricsRegistry::global().counter("sim.expm.calls");
 
-    // D: the eigensolves of one cold evolution.
+    // D: the derivations of one cold evolution.
     const std::uint64_t derivations = coldDerivations(rig, schedule);
     ASSERT_GT(derivations, 0u);
 
@@ -625,9 +626,9 @@ TEST(RunCache, BaselineAndEveryAttemptDeriveEachPropagatorOnce)
     // Fault-free: the clean baseline derives every propagator, and
     // runShots' warm-up and shots only hit.
     ResilientExecutor executor(rig.backend);
-    std::uint64_t start = eig_calls.value();
+    std::uint64_t start = expm_calls.value();
     const ResilientOutcome clean = executor.run(rig.sim, request, opts);
-    EXPECT_EQ(eig_calls.value() - start, derivations);
+    EXPECT_EQ(expm_calls.value() - start, derivations);
     EXPECT_TRUE(clean.status.ok()) << clean.status.toString();
     EXPECT_EQ(clean.stats.attempts, 1);
     EXPECT_EQ(clean.result.counts, reference.counts);
@@ -637,10 +638,10 @@ TEST(RunCache, BaselineAndEveryAttemptDeriveEachPropagatorOnce)
     DriftWatchdogPolicy reject_all;
     reject_all.tolerance = -1.0;
     ResilientExecutor rejecting(rig.backend, RetryPolicy{}, reject_all);
-    start = eig_calls.value();
+    start = expm_calls.value();
     const ResilientOutcome retried =
         rejecting.run(rig.sim, request, opts);
-    EXPECT_EQ(eig_calls.value() - start, derivations);
+    EXPECT_EQ(expm_calls.value() - start, derivations);
     EXPECT_EQ(retried.stats.attempts, 4);
     EXPECT_TRUE(retried.degraded);
     EXPECT_EQ(retried.result.counts, reference.counts);
@@ -731,9 +732,9 @@ TEST(ShotReuse, ChangedSchedulesStillRun)
     ResilientExecutor drifting(rig.backend, RetryPolicy{},
                                rejectEveryBatch());
     drifting.setFaultInjector(std::make_shared<FaultInjector>(drift));
-    const telemetry::Counter &eig_calls =
-        telemetry::MetricsRegistry::global().counter("sim.eig.calls");
-    const std::uint64_t eig_start = eig_calls.value();
+    const telemetry::Counter &expm_calls =
+        telemetry::MetricsRegistry::global().counter("sim.expm.calls");
+    const std::uint64_t derived_start = expm_calls.value();
     ResilientOutcome outcome;
     ShotWork work = shotWorkOf(drifting, rig, opts, outcome);
     EXPECT_EQ(work.runs, 2u);
@@ -742,7 +743,7 @@ TEST(ShotReuse, ChangedSchedulesStillRun)
     // The clean baseline and the drifted attempt derive their
     // propagators; the clean attempt's runShots after the
     // recalibration only hits the run's cache.
-    EXPECT_EQ(eig_calls.value() - eig_start,
+    EXPECT_EQ(expm_calls.value() - derived_start,
               clean_derivations + drifted_derivations);
 
     // Every upload loses a random chunk of samples but passes the

@@ -6,9 +6,8 @@
  * generation invalidation model (single backend recalibration and
  * fleet drain/readmit), fail-closed corruption handling (bit flips,
  * truncation, zero fill, version mismatch), the segments-only
- * directory layout, the PersistentPropagatorCache disk tier under the
- * simulator shot loop, the documented lock-order contract under
- * concurrent evolve + flush, and the QPULSE_CACHE_DIR env gate.
+ * directory layout, records of retired kinds an older build left
+ * behind, and the QPULSE_CACHE_DIR env gate.
  */
 #include <gtest/gtest.h>
 
@@ -27,6 +26,7 @@
 
 #include "common/constants.h"
 #include "common/status.h"
+#include "compile/compile_cache.h"
 #include "compile/compiler.h"
 #include "device/calibration.h"
 #include "device/fault_injector.h"
@@ -34,9 +34,7 @@
 #include "service/backend_pool.h"
 #include "service/execution_service.h"
 #include "store/artifact_store.h"
-#include "store/persistent_propagator_cache.h"
 #include "store/serde.h"
-#include "telemetry/metrics.h"
 
 namespace qpulse {
 namespace {
@@ -167,7 +165,7 @@ testKey(std::uint64_t content = 0xABCDu)
     key.generation = 7;
     key.configFingerprint = 42;
     key.kind = static_cast<std::uint32_t>(
-        store::ArtifactKind::PropagatorBlock);
+        store::ArtifactKind::CompiledSchedule);
     return key;
 }
 
@@ -206,72 +204,32 @@ TEST(Serde, GoldenLittleEndianEncoding)
     EXPECT_EQ(short_reader.u32(d).code(), ErrorCode::StoreCorrupt);
 }
 
-TEST(Serde, MatrixRoundTripsBitIdentically)
-{
-    Matrix m(5, 3);
-    for (std::size_t r = 0; r < m.rows(); ++r)
-        for (std::size_t c = 0; c < m.cols(); ++c)
-            m(r, c) = Complex(0.1 * static_cast<double>(r) - 1.0 / 3.0,
-                              -0.7 * static_cast<double>(c) + 1e-13);
-
-    store::ByteWriter w;
-    store::serializeMatrix(m, w);
-    const std::vector<std::uint8_t> bytes = w.take();
-
-    store::ByteReader r(bytes.data(), bytes.size());
-    Matrix out;
-    ASSERT_TRUE(store::deserializeMatrix(r, out).ok());
-    ASSERT_EQ(out.rows(), m.rows());
-    ASSERT_EQ(out.cols(), m.cols());
-    for (std::size_t row = 0; row < m.rows(); ++row)
-        for (std::size_t col = 0; col < m.cols(); ++col)
-            EXPECT_EQ(out(row, col), m(row, col)); // Exact, not approx.
-
-    // Truncated payload: structured corrupt, not a crash.
-    store::ByteReader trunc(bytes.data(), bytes.size() - 5);
-    Matrix bad;
-    EXPECT_EQ(store::deserializeMatrix(trunc, bad).code(),
-              ErrorCode::StoreCorrupt);
-}
-
-TEST(Serde, PropagatorKeyRoundTrips)
-{
-    PropagatorKey key;
-    key.words = {1, -2, 1LL << 60, -(1LL << 60), 0};
-    store::ByteWriter w;
-    store::serializePropagatorKey(key, w);
-    const std::vector<std::uint8_t> bytes = w.take();
-    store::ByteReader r(bytes.data(), bytes.size());
-    PropagatorKey out;
-    ASSERT_TRUE(store::deserializePropagatorKey(r, out).ok());
-    EXPECT_TRUE(out == key);
-}
-
 TEST(Serde, OverflowingDimensionsFailClosed)
 {
-    // rows*cols wraps u64 (2^33 * 2^33 = 2^66 = 0 mod 2^64): the
-    // division-based guard must reject the shape before any
-    // allocation or a rows()/cols()-vs-storage mismatch.
+    // 2^62 gates of at least 20 bytes each wrap u64 (20 * 2^62 = 0 mod
+    // 2^64): the division-based guard must reject the count before
+    // any allocation.
     store::ByteWriter w;
-    w.u64(1ull << 33);
-    w.u64(1ull << 33);
+    w.u64(2);
+    w.u64(1ull << 62);
     w.f64(0.0); // A few payload bytes, far short of the claim.
     const std::vector<std::uint8_t> bytes = w.take();
     store::ByteReader r(bytes.data(), bytes.size());
-    Matrix out;
-    EXPECT_EQ(store::deserializeMatrix(r, out).code(),
+    QuantumCircuit circuit(1);
+    EXPECT_EQ(store::deserializeCircuit(r, circuit).code(),
               ErrorCode::StoreCorrupt);
 
-    // A word count near 2^64 must not wrap the byte-total bound
-    // inside the bulk array read either.
-    store::ByteWriter kw;
-    kw.u64(~0ull - 3);
-    kw.u64(0);
-    const std::vector<std::uint8_t> kb = kw.take();
-    store::ByteReader kr(kb.data(), kb.size());
-    PropagatorKey key;
-    EXPECT_EQ(store::deserializePropagatorKey(kr, key).code(),
+    // A value count near 2^64 / 8 must not wrap the byte-total bound
+    // inside the bulk array read either: (2^61 + 1) * 8 = 8 mod 2^64.
+    store::ByteWriter vw;
+    vw.f64(1.0);
+    vw.f64(2.0);
+    const std::vector<std::uint8_t> vb = vw.take();
+    store::ByteReader vr(vb.data(), vb.size());
+    double sink[2] = {0.0, 0.0};
+    EXPECT_EQ(vr.f64Array(sink, (std::size_t{1} << 61) + 1).code(),
               ErrorCode::StoreCorrupt);
+    EXPECT_EQ(sink[0], 0.0);
 }
 
 TEST(Serde, ScheduleRoundTripsAndHashIsContentSensitive)
@@ -716,208 +674,155 @@ TEST(ArtifactStore, EnvGateOffMeansNoStore)
     EXPECT_EQ(store::ArtifactStore::openFromEnv(), nullptr);
 }
 
-// ------------------------------------------------------------------
-// PersistentPropagatorCache: disk tier under the shot loop.
-// ------------------------------------------------------------------
-
-TEST(PersistentCache, ColdProcessServesFromDiskBitIdentically)
+/**
+ * Re-kind the records of a segment image alternately as 1 and 3, the
+ * retired propagator-block and calibration-snapshot kinds, and
+ * re-checksum them: the bytes an older build that wrote those kinds
+ * left behind. Returns the keys as retagged.
+ */
+std::vector<store::ArtifactKey>
+retireRecords(std::vector<std::uint8_t> &segment)
 {
-    TempDir dir;
-    const Rig rig;
-    const Schedule schedule = rig.x180Schedule();
-    const std::uint64_t generation = rig.sim.basisVersion();
-    const std::uint64_t fingerprint =
-        store::simConfigFingerprint(rig.sim);
-
-    PulseShotOptions opts;
-    opts.shots = 64;
-    opts.seed = 0xC0FFEE;
-
-    // Fresh derivation, no persistence: the reference result.
-    const PulseShotResult fresh =
-        rig.backend->runShots(rig.sim, schedule, opts);
-
-    // "Process 1": derive, write back, flush, exit.
-    {
-        auto store = store::ArtifactStore::open(dir.str(), 64 << 20);
-        ASSERT_NE(store, nullptr);
-        auto cache =
-            std::make_shared<store::PersistentPropagatorCache>(
-                store, generation, fingerprint);
-        opts.cache = cache;
-        const PulseShotResult warm =
-            rig.backend->runShots(rig.sim, schedule, opts);
-        EXPECT_EQ(warm.counts, fresh.counts);
-        const store::PersistStats stats = cache->persistStats();
-        EXPECT_EQ(stats.diskHits, 0u);
-        EXPECT_GT(stats.writeBacks, 0u);
-        ASSERT_TRUE(cache->flush().ok());
-        EXPECT_GT(store->stats().puts, 0u);
+    const auto read_u64 = [&](std::size_t at) {
+        std::uint64_t v = 0;
+        for (int i = 0; i < 8; ++i)
+            v |= static_cast<std::uint64_t>(segment[at + i]) << (8 * i);
+        return v;
+    };
+    std::vector<store::ArtifactKey> keys;
+    constexpr std::size_t kHeader = 48;
+    std::size_t offset = 0;
+    while (offset < segment.size()) {
+        const std::uint32_t kind = keys.size() % 2 == 0 ? 1u : 3u;
+        for (int i = 0; i < 4; ++i)
+            segment[offset + 8 + i] =
+                static_cast<std::uint8_t>(kind >> (8 * i));
+        const std::size_t body =
+            kHeader + static_cast<std::size_t>(read_u64(offset + 40));
+        const std::uint64_t crc = store::crc64(&segment[offset], body);
+        for (int i = 0; i < 8; ++i)
+            segment[offset + body + i] =
+                static_cast<std::uint8_t>(crc >> (8 * i));
+        store::ArtifactKey key;
+        key.kind = kind;
+        key.contentHash = read_u64(offset + 16);
+        key.generation = read_u64(offset + 24);
+        key.configFingerprint = read_u64(offset + 32);
+        keys.push_back(key);
+        offset += body + 8;
     }
-
-    // "Process 2": a cold memory tier over the same directory must
-    // serve from disk, bit-identical to fresh derivation.
-    auto store = store::ArtifactStore::open(dir.str(), 64 << 20);
-    ASSERT_NE(store, nullptr);
-    auto cache = std::make_shared<store::PersistentPropagatorCache>(
-        store, generation, fingerprint);
-    opts.cache = cache;
-    const PulseShotResult served =
-        rig.backend->runShots(rig.sim, schedule, opts);
-    const store::PersistStats stats = cache->persistStats();
-    EXPECT_GT(stats.diskHits, 0u);
-    EXPECT_EQ(stats.fallbacks, 0u);
-    EXPECT_EQ(served.counts, fresh.counts);
-    ASSERT_EQ(served.populations.size(), fresh.populations.size());
-    for (std::size_t k = 0; k < fresh.populations.size(); ++k)
-        EXPECT_LE(std::abs(served.populations[k] -
-                           fresh.populations[k]),
-                  1e-12);
-}
-
-TEST(PersistentCache, GenerationBumpMakesDiskRecordsUnreachable)
-{
-    TempDir dir;
-    const Rig rig;
-    const Schedule schedule = rig.x180Schedule();
-    auto store = store::ArtifactStore::open(dir.str(), 64 << 20);
-    ASSERT_NE(store, nullptr);
-    auto cache = std::make_shared<store::PersistentPropagatorCache>(
-        store, /*generation=*/1,
-        store::simConfigFingerprint(rig.sim));
-
-    PulseShotOptions opts;
-    opts.shots = 32;
-    opts.seed = 0xFEED;
-    opts.cache = cache;
-
-    (void)rig.backend->runShots(rig.sim, schedule, opts);
-    ASSERT_TRUE(cache->flush().ok());
-    const std::size_t persisted = store->size();
-    ASSERT_GT(persisted, 0u);
-
-    // Invalidate: the memory tier clears, the disk keys reroute.
-    cache->setGeneration(2);
-    EXPECT_EQ(cache->generation(), 2u);
-    const store::PersistStats before = cache->persistStats();
-    (void)rig.backend->runShots(rig.sim, schedule, opts);
-    const store::PersistStats after = cache->persistStats();
-    EXPECT_EQ(after.diskHits, before.diskHits); // Zero new disk hits.
-    EXPECT_GT(after.writeBacks, before.writeBacks); // Re-derived.
-
-    // The re-derivation repopulates the store under the new key.
-    ASSERT_TRUE(cache->flush().ok());
-    EXPECT_GT(store->size(), persisted);
-}
-
-TEST(PersistentCache, CorruptRecordsFallBackToDerivation)
-{
-    TempDir dir;
-    const Rig rig;
-    const Schedule schedule = rig.x180Schedule();
-    const std::uint64_t generation = rig.sim.basisVersion();
-    const std::uint64_t fingerprint =
-        store::simConfigFingerprint(rig.sim);
-
-    PulseShotOptions opts;
-    opts.shots = 48;
-    opts.seed = 0xBADC0DE;
-
-    const PulseShotResult fresh =
-        rig.backend->runShots(rig.sim, schedule, opts);
-
-    {
-        auto store = store::ArtifactStore::open(dir.str(), 64 << 20);
-        ASSERT_NE(store, nullptr);
-        auto cache =
-            std::make_shared<store::PersistentPropagatorCache>(
-                store, generation, fingerprint);
-        opts.cache = cache;
-        (void)rig.backend->runShots(rig.sim, schedule, opts);
-        ASSERT_TRUE(cache->flush().ok());
-    }
-
-    // Flip a byte in the middle of every record's payload region.
-    const fs::path segment = firstSegment(dir.str());
-    auto bytes = readFile(segment);
-    for (std::size_t off = 60; off < bytes.size(); off += 97)
-        bytes[off] ^= 0x01;
-    writeFile(segment, bytes);
-
-    auto store = store::ArtifactStore::open(dir.str(), 64 << 20);
-    ASSERT_NE(store, nullptr);
-    auto cache = std::make_shared<store::PersistentPropagatorCache>(
-        store, generation, fingerprint);
-    opts.cache = cache;
-    const PulseShotResult served =
-        rig.backend->runShots(rig.sim, schedule, opts);
-
-    // Whatever mix of quarantines and misses the flips produced, the
-    // run must succeed, fall back on every damaged record, and agree
-    // with fresh derivation bit-for-bit on the counts.
-    const store::PersistStats stats = cache->persistStats();
-    EXPECT_GT(stats.fallbacks + stats.diskMisses, 0u);
-    EXPECT_EQ(served.counts, fresh.counts);
-    ASSERT_EQ(served.populations.size(), fresh.populations.size());
-    for (std::size_t k = 0; k < fresh.populations.size(); ++k)
-        EXPECT_LE(std::abs(served.populations[k] -
-                           fresh.populations[k]),
-                  1e-12);
+    return keys;
 }
 
 /**
- * Lock-order regression (run under TSan in CI): concurrent evolve
- * traffic through getOrComputeInto — each miss a disk probe, a
- * derivation and a put into the store, with auto-flushes — and a
- * flush thread flushing the store. The contract in propagator_cache.h
- * says the LRU, persist and store mutexes are leaf locks — any
- * nesting regression deadlocks or races here.
+ * A directory an older build shared: propagator blocks and calibration
+ * snapshots beside the compiled schedules this build writes. It opens
+ * and serves the compiled schedules bit-identically, hands no retired
+ * record to any lookup, and the QPULSE_CACHE_MAX_BYTES budget ages the
+ * retired records out with their segment.
  */
-TEST(PersistentCache, ConcurrentEvolveAndFlushAreClean)
+TEST(ArtifactStore, RetiredKindsAreNeverServedAndAgeOut)
 {
+    const Rig rig;
+    QuantumCircuit circuit(1);
+    circuit.rx(0.7, 0);
     TempDir dir;
-    auto store = store::ArtifactStore::open(dir.str(), 64 << 20);
-    ASSERT_NE(store, nullptr);
-    auto cache = std::make_shared<store::PersistentPropagatorCache>(
-        store, /*generation=*/3, /*config_fingerprint=*/9,
-        /*capacity=*/128);
 
-    constexpr int kWorkers = 4;
-    constexpr int kIterations = 400;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kWorkers; ++t) {
-        threads.emplace_back([&cache, t] {
-            for (int i = 0; i < kIterations; ++i) {
-                PropagatorKey key;
-                key.words = {t, i % 64, (t * 7 + i) % 16};
-                Matrix value;
-                cache->getOrComputeInto(
-                    key,
-                    [&] {
-                        Matrix m(2, 2);
-                        m(0, 0) = Complex(t, i);
-                        m(1, 1) = Complex(i, -t);
-                        return m;
-                    },
-                    value);
-                ASSERT_EQ(value.rows(), 2u);
-            }
-        });
+    // ~1.2 MB of retired records in the oldest segment.
+    std::vector<store::ArtifactKey> retired;
+    fs::path old_segment;
+    {
+        TempDir scratch;
+        auto old = store::ArtifactStore::open(scratch.str(), 0);
+        ASSERT_NE(old, nullptr);
+        for (std::uint64_t k = 0; k < 4; ++k)
+            ASSERT_TRUE(old->put(testKey(k),
+                                 std::vector<std::uint8_t>(
+                                     300000, static_cast<std::uint8_t>(k)))
+                            .ok());
+        ASSERT_TRUE(old->flush().ok());
+        const fs::path written = firstSegment(scratch.str());
+        std::vector<std::uint8_t> bytes = readFile(written);
+        retired = retireRecords(bytes);
+        old_segment = dir.path / written.filename();
+        writeFile(old_segment, bytes);
     }
-    threads.emplace_back([&cache] {
-        for (int i = 0; i < 50; ++i)
-            (void)cache->flush();
-    });
-    for (std::thread &thread : threads)
-        thread.join();
+    ASSERT_EQ(retired.size(), 4u);
+
+    // This build compiles beside them, and refuses to write a retired
+    // kind itself.
+    std::uint64_t compiled = 0;
+    {
+        auto store = store::ArtifactStore::open(dir.str(), 0);
+        ASSERT_NE(store, nullptr);
+        EXPECT_EQ(store->size(), 0u);
+        PulseCompiler compiler(rig.backend, CompileMode::Optimized);
+        compiler.setCompileCache(std::make_shared<CompileCache>(16, store));
+        compiled = store::hashSchedule(compiler.compile(circuit).schedule);
+        ASSERT_TRUE(compiler.compileCache()->flush().ok());
+        EXPECT_EQ(store->put(retired[0], {1}).code(),
+                  ErrorCode::InvalidArgument);
+    }
+
+    EnvGuard dir_guard("QPULSE_CACHE_DIR", dir.str().c_str());
+    EnvGuard budget_guard("QPULSE_CACHE_MAX_BYTES", "1048576");
+    auto store = store::ArtifactStore::openFromEnv();
+    ASSERT_NE(store, nullptr);
+    EXPECT_EQ(store->size(), 1u); // The compiled schedule alone.
+    for (const store::ArtifactKey &key : retired) {
+        EXPECT_FALSE(store->contains(key));
+        store::ArtifactView view;
+        EXPECT_EQ(store->get(key, view).code(), ErrorCode::InvalidArgument);
+        EXPECT_EQ(view.data, nullptr);
+    }
+    EXPECT_EQ(store->stats().quarantined, 0u);
+    EXPECT_GT(store->diskBytes(), 1u << 20);
+
+    PulseCompiler compiler(rig.backend, CompileMode::Optimized);
+    auto cache = std::make_shared<CompileCache>(16, store);
+    compiler.setCompileCache(cache);
+    EXPECT_EQ(store::hashSchedule(compiler.compile(circuit).schedule),
+              compiled);
+    EXPECT_EQ(cache->stats().persistHits, 1u);
+    EXPECT_EQ(cache->stats().misses, 0u);
+
+    // The next flush goes past the budget: the oldest segment, and
+    // the retired records with it, is dropped; the compiled schedules
+    // stay served.
+    QuantumCircuit other(1);
+    other.rx(0.3, 0);
+    (void)compiler.compile(other);
     ASSERT_TRUE(cache->flush().ok());
-    EXPECT_GT(store->size(), 0u);
+    EXPECT_EQ(store->stats().segmentsDropped, 1u);
+    EXPECT_FALSE(fs::exists(old_segment));
+    EXPECT_LT(store->diskBytes(), 1u << 20);
+    EXPECT_EQ(store->size(), 2u);
+    PulseCompiler fresh(rig.backend, CompileMode::Optimized);
+    auto fresh_cache = std::make_shared<CompileCache>(16, store);
+    fresh.setCompileCache(fresh_cache);
+    EXPECT_EQ(store::hashSchedule(fresh.compile(circuit).schedule),
+              compiled);
+    EXPECT_EQ(fresh_cache->stats().persistHits, 1u);
 }
 
 // ------------------------------------------------------------------
 // Service and fleet wiring: env gate, invalidation on recalibration
 // and drain/readmit.
 // ------------------------------------------------------------------
+
+/** A circuit-carrying job: the drain compiles rx(theta) itself. */
+JobRequest
+rxCircuitJob(long shots = 64)
+{
+    QuantumCircuit circuit(1);
+    circuit.rx(0.7, 0);
+    JobRequest request;
+    request.circuit = circuit;
+    request.key = "rx";
+    request.shots = shots;
+    request.seed = 0xA11CE;
+    return request;
+}
 
 JobRequest
 x180Job(const Rig &rig, long shots = 64)
@@ -936,73 +841,32 @@ TEST(ServicePersistence, OffByDefaultAndOnViaEnv)
     {
         EnvGuard guard("QPULSE_CACHE_DIR", nullptr);
         ExecutionService service(rig.backend, rig.sim);
-        EXPECT_EQ(service.pool().persistentCache("default"), nullptr);
         EXPECT_EQ(service.artifactStore(), nullptr);
         EXPECT_TRUE(service.flushPersistence().ok());
     }
     TempDir dir;
     EnvGuard guard("QPULSE_CACHE_DIR", dir.str().c_str());
     ExecutionService service(rig.backend, rig.sim);
-    ASSERT_NE(service.pool().persistentCache("default"), nullptr);
     ASSERT_NE(service.artifactStore(), nullptr);
 
-    ASSERT_TRUE(service.submit(x180Job(rig)).ok());
+    ASSERT_TRUE(service.submit(rxCircuitJob()).ok());
     const std::vector<JobOutcome> outcomes = service.drain();
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_TRUE(outcomes[0].status.ok())
         << outcomes[0].status.toString();
-    // drain() flushed: the store holds the derived propagators.
-    EXPECT_GT(service.artifactStore()->stats().puts, 0u);
-    EXPECT_GT(service.artifactStore()->size(), 0u);
+    // drain() flushed: the store holds the compiled schedule.
+    EXPECT_EQ(service.artifactStore()->stats().puts, 1u);
+    EXPECT_EQ(service.artifactStore()->size(), 1u);
 
     // A second service ("new process") over the same directory serves
-    // the same job from disk.
+    // the compiled schedule from disk and runs the same counts.
     ExecutionService second(rig.backend, rig.sim);
-    const auto second_cache = second.pool().persistentCache("default");
-    ASSERT_NE(second_cache, nullptr);
-    ASSERT_TRUE(second.submit(x180Job(rig)).ok());
+    ASSERT_TRUE(second.submit(rxCircuitJob()).ok());
     const std::vector<JobOutcome> again = second.drain();
     ASSERT_EQ(again.size(), 1u);
     EXPECT_TRUE(again[0].status.ok());
-    EXPECT_GT(second_cache->persistStats().diskHits, 0u);
-    EXPECT_EQ(again[0].execution.result.counts,
-              outcomes[0].execution.result.counts);
-}
-
-TEST(ServicePersistence, ReopenedStoreServesTheCleanBaselineToo)
-{
-    TempDir dir;
-    EnvGuard guard("QPULSE_CACHE_DIR", dir.str().c_str());
-    const Rig rig;
-    JobRequest job;
-    job.schedule = rig.backend->schedule(
-        makeGate(GateType::DirectRx, {0}, {kPi / 2}));
-    job.key = "direct_rx/q0";
-    job.shots = 64;
-    job.seed = 0xD1;
-
-    std::vector<JobOutcome> outcomes;
-    {
-        ExecutionService first(rig.backend, rig.sim);
-        ASSERT_TRUE(first.submit(job).ok());
-        outcomes = first.drain();
-    }
-    ASSERT_EQ(outcomes.size(), 1u);
-    ASSERT_TRUE(outcomes[0].status.ok())
-        << outcomes[0].status.toString();
-
-    // A second service over the reopened store serves every
-    // propagator of the job from disk: the executor's clean baseline
-    // as well as runShots' warm-up and shots.
-    const telemetry::Counter &eig_calls =
-        telemetry::MetricsRegistry::global().counter("sim.eig.calls");
-    ExecutionService second(rig.backend, rig.sim);
-    const std::uint64_t start = eig_calls.value();
-    ASSERT_TRUE(second.submit(job).ok());
-    const std::vector<JobOutcome> again = second.drain();
-    EXPECT_EQ(eig_calls.value() - start, 0u);
-    ASSERT_EQ(again.size(), 1u);
-    EXPECT_TRUE(again[0].status.ok());
+    EXPECT_EQ(second.compileCache()->stats().persistHits, 1u);
+    EXPECT_EQ(second.compileCache()->stats().misses, 0u);
     EXPECT_EQ(again[0].execution.result.counts,
               outcomes[0].execution.result.counts);
 }
@@ -1017,9 +881,8 @@ TEST(ServicePersistence, WatchdogRecalibrationBumpsGeneration)
     policy.watchdog.tolerance = 0.1;
     policy.watchdog.maxRecalibrations = 2;
     ExecutionService service(rig.backend, rig.sim, policy);
-    const auto cache = service.pool().persistentCache("default");
-    ASSERT_NE(cache, nullptr);
-    const std::uint64_t gen0 = cache->generation();
+    ASSERT_NE(service.artifactStore(), nullptr);
+    const std::uint64_t gen0 = service.pool().compileGeneration("default");
 
     FaultPlan plan;
     plan.driftRate = 1.0;
@@ -1035,7 +898,7 @@ TEST(ServicePersistence, WatchdogRecalibrationBumpsGeneration)
         << outcomes[0].status.toString();
     EXPECT_EQ(outcomes[0].execution.stats.recalibrations, 1);
     // The pool counted the recalibration and retired the generation.
-    EXPECT_NE(cache->generation(), gen0);
+    EXPECT_NE(service.pool().compileGeneration("default"), gen0);
     EXPECT_EQ(service.pool().stats().recalibrations, 1);
 }
 
@@ -1045,63 +908,54 @@ TEST(FleetPersistence, DrainReadmitInvalidatesPerMember)
     const Rig rig;
     auto store = store::ArtifactStore::open(dir.str(), 64 << 20);
     ASSERT_NE(store, nullptr);
+    QuantumCircuit circuit(1);
+    circuit.rx(0.7, 0);
 
+    // Populate: b0 compiles the circuit and the pool flushes it.
+    {
+        BackendPool::Policies policies;
+        policies.artifactStore = store;
+        BackendPool pool(policies);
+        pool.addBackend("b0", rig.backend, rig.sim);
+        (void)pool.compiler("b0").compile(circuit);
+        ASSERT_TRUE(pool.flushPersistence().ok());
+    }
+    const std::size_t persisted = store->size();
+    ASSERT_EQ(persisted, 1u);
+
+    // A cold pool over the same store serves b0 from disk. Its two
+    // members share a calibration, hence a compile generation.
     BackendPool::Policies policies;
     policies.artifactStore = store;
     BackendPool pool(policies);
     pool.addBackend("b0", rig.backend, rig.sim);
     pool.addBackend("b1", rig.backend, rig.sim);
-    const auto cache_b0 = pool.persistentCache("b0");
-    const auto cache_b1 = pool.persistentCache("b1");
-    ASSERT_NE(cache_b0, nullptr);
-    ASSERT_NE(cache_b1, nullptr);
-    // Per-member generations differ even for identical calibrations:
-    // the member name is part of the key.
-    EXPECT_NE(cache_b0->generation(), cache_b1->generation());
+    EXPECT_EQ(pool.compileGeneration("b0"), pool.compileGeneration("b1"));
+    (void)pool.compiler("b0").compile(circuit);
+    EXPECT_EQ(pool.compileCache()->stats().persistHits, 1u);
 
-    ResilientRequest request;
-    request.schedule = rig.x180Schedule();
-    PulseShotOptions opts;
-    opts.shots = 32;
-    opts.seed = 0xF1EE7;
-
-    // Populate b0's artifacts and flush.
-    ASSERT_TRUE(pool.runOn("b0", request, opts).outcome.status.ok());
-    ASSERT_TRUE(pool.flushPersistence().ok());
-    const std::size_t persisted = store->size();
-    ASSERT_GT(persisted, 0u);
-
-    // A cold pool over the same store serves b0 from disk.
-    BackendPool::Policies policies2;
-    policies2.artifactStore = store;
-    BackendPool second(policies2);
-    second.addBackend("b0", rig.backend, rig.sim);
-    ASSERT_TRUE(
-        second.runOn("b0", request, opts).outcome.status.ok());
-    EXPECT_GT(
-        second.persistentCache("b0")->persistStats().diskHits, 0u);
-
-    // Drain/readmit recalibrates: generation bumps, old disk records
-    // become unreachable, re-derivation repopulates under a new key.
-    // The bump itself writes and flushes nothing.
-    const std::uint64_t gen_before =
-        second.persistentCache("b0")->generation();
+    // Drain/readmit recalibrates b0 alone: its generation moves and
+    // b1's does not. The bump itself writes and flushes nothing.
+    const std::uint64_t gen_b0 = pool.compileGeneration("b0");
+    const std::uint64_t gen_b1 = pool.compileGeneration("b1");
     const std::uint64_t flushes_before = store->stats().flushes;
-    ASSERT_TRUE(second.beginDrain("b0").ok());
-    ASSERT_TRUE(second.readmit("b0").ok());
+    ASSERT_TRUE(pool.beginDrain("b0").ok());
+    ASSERT_TRUE(pool.readmit("b0").ok());
     EXPECT_EQ(store->stats().flushes, flushes_before);
-    EXPECT_NE(second.persistentCache("b0")->generation(), gen_before);
+    EXPECT_NE(pool.compileGeneration("b0"), gen_b0);
+    EXPECT_EQ(pool.compileGeneration("b1"), gen_b1);
 
-    const store::PersistStats before =
-        second.persistentCache("b0")->persistStats();
-    ASSERT_TRUE(
-        second.runOn("b0", request, opts).outcome.status.ok());
-    const store::PersistStats after =
-        second.persistentCache("b0")->persistStats();
-    EXPECT_EQ(after.diskHits, before.diskHits); // Disk hits at zero.
-    EXPECT_GT(after.writeBacks, before.writeBacks);
-    ASSERT_TRUE(second.flushPersistence().ok());
-    EXPECT_GT(store->size(), persisted);
+    // b0's disk record is unreachable now: it recompiles and persists
+    // under its new generation, while b1 is still served.
+    const CompileCacheStats before = pool.compileCache()->stats();
+    (void)pool.compiler("b0").compile(circuit);
+    (void)pool.compiler("b1").compile(circuit);
+    const CompileCacheStats after = pool.compileCache()->stats();
+    EXPECT_EQ(after.misses, before.misses + 1);
+    EXPECT_EQ(after.hits, before.hits + 1);
+    EXPECT_EQ(after.persistHits, before.persistHits);
+    ASSERT_TRUE(pool.flushPersistence().ok());
+    EXPECT_EQ(store->size(), persisted + 1);
 }
 
 TEST(FleetPersistence, EnvGatedFleetServiceRoundTrips)
@@ -1116,14 +970,13 @@ TEST(FleetPersistence, EnvGatedFleetServiceRoundTrips)
     ExecutionService service(pool);
     ASSERT_NE(service.artifactStore(), nullptr);
 
-    JobRequest job = x180Job(rig);
-    ASSERT_TRUE(service.submit(job).ok());
+    ASSERT_TRUE(service.submit(rxCircuitJob()).ok());
     const std::vector<JobOutcome> outcomes = service.drain();
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_TRUE(outcomes[0].status.ok())
         << outcomes[0].status.toString();
-    // drain() flushed through the pool.
-    EXPECT_GT(pool->artifactStore()->size(), 0u);
+    // drain() flushed the compiled schedule through the pool.
+    EXPECT_EQ(pool->artifactStore()->size(), 1u);
 }
 
 } // namespace
